@@ -99,8 +99,15 @@ impl Value {
     /// Single-line rendering (the wire format).
     pub fn compact(&self) -> String {
         let mut out = String::new();
-        print::write_compact(self, &mut out);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Appends the single-line rendering to `out`: [`Value::compact`]
+    /// into a caller-owned buffer, so a value can be framed inside a larger
+    /// line without being cloned or rendered twice.
+    pub fn write_compact(&self, out: &mut String) {
+        print::write_compact(self, out);
     }
 
     /// Indented rendering (the `results/*.json` archive format).
@@ -109,6 +116,12 @@ impl Value {
         print::write_pretty(self, 0, &mut out);
         out
     }
+}
+
+/// Appends `s` to `out` as a quoted, escaped JSON string: the rendering
+/// of `Value::Str(s)` without building the [`Value`].
+pub fn write_str(s: &str, out: &mut String) {
+    print::write_string(s, out);
 }
 
 /// Conversion into a [`Value`].

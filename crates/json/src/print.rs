@@ -1,12 +1,17 @@
-//! Compact and pretty JSON writers.
+//! Compact and pretty JSON writers. Both write into a caller-owned
+//! buffer: numbers are formatted in place and unescaped string runs are
+//! copied as slices, so rendering allocates nothing beyond the buffer.
 
 use crate::Value;
+use std::fmt::Write as _;
 
 pub(crate) fn write_compact(value: &Value, out: &mut String) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
         Value::Float(f) => write_f64(*f, out),
         Value::Str(s) => write_string(s, out),
         Value::Arr(items) => {
@@ -79,27 +84,35 @@ fn write_f64(f: f64, out: &mut String) {
     if f.is_finite() {
         // `{:?}` prints the shortest string that round-trips the f64 and
         // always includes a decimal point or exponent.
-        out.push_str(&format!("{f:?}"));
+        let _ = write!(out, "{f:?}");
     } else {
         out.push_str("null");
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Writes `s` as a quoted JSON string. Every byte that needs escaping is
+/// ASCII, so the unescaped runs between them are copied as `&str` slices.
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

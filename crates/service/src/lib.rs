@@ -34,8 +34,11 @@
 //! jittered backoff), deadlines are enforced at every stage (queued,
 //! executing, and waiting), solve requests whose budget cannot absorb
 //! the full annealing run answer with the constructive heuristic tagged
-//! `"degraded": true`, cache entries carry integrity digests so a
-//! corrupted entry is recomputed rather than served, and a panicking
+//! `"degraded": true`, cache entries carry integrity digests (FNV-1a
+//! over a structural walk of the cached `Value`: type tags, length
+//! prefixes, bytes, and exact float bits, checked on every hit without
+//! rendering the payload) so a corrupted entry is recomputed rather than
+//! served, and a panicking
 //! worker fails only its in-flight request while a replacement thread
 //! respawns. All of it is exercised deterministically by the chaos
 //! suite through the `faultpoint` feature (see [`fp`]).

@@ -13,12 +13,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Request kinds tracked per-kind. The final `other` bucket absorbs any
 /// kind not listed here, so an unknown kind can never inflate another
 /// kind's counters.
-pub const KINDS: [&str; 11] = [
+pub const KINDS: [&str; 13] = [
     "solve",
     "optimal",
     "sweep",
     "simulate",
     "throughput",
+    "scenario",
+    "frontier",
     "metrics",
     "health",
     "shutdown",
@@ -337,6 +339,14 @@ pub(crate) fn trace_inc(name: &str) {
     }
 }
 
+/// Serialises the unit tests that switch the process-global trace sink on
+/// and off, so one test's `disable` cannot swallow another's counters.
+#[cfg(test)]
+pub(crate) fn trace_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Renders the `noc-trace` registry's counters and gauges in the
 /// Prometheus text exposition format, as `noc_trace_counter` /
 /// `noc_trace_gauge` families labelled by metric name. Empty when
@@ -409,20 +419,52 @@ mod tests {
 
     #[test]
     fn every_protocol_kind_has_its_own_counter() {
-        for kind in [
-            "solve",
-            "optimal",
-            "sweep",
-            "simulate",
-            "throughput",
-            "metrics",
-            "health",
-            "shutdown",
-            "trace",
-            "prometheus",
-        ] {
+        use crate::protocol::{parse_request, Request};
+        // Position of each variant. The match has no wildcard arm, so a new
+        // request kind fails to compile here until it gets a line below.
+        fn variant(request: &Request) -> usize {
+            match request {
+                Request::Solve(_) => 0,
+                Request::Optimal(_) => 1,
+                Request::Sweep(_) => 2,
+                Request::Simulate(_) => 3,
+                Request::Throughput(_) => 4,
+                Request::Scenario(_) => 5,
+                Request::Frontier(_) => 6,
+                Request::Metrics => 7,
+                Request::Health => 8,
+                Request::Shutdown => 9,
+                Request::Trace => 10,
+                Request::Prometheus => 11,
+            }
+        }
+        let lines = [
+            r#"{"kind":"solve","n":8,"c":4}"#,
+            r#"{"kind":"optimal","n":8,"c":2}"#,
+            r#"{"kind":"sweep","n":4}"#,
+            r#"{"kind":"simulate","n":4,"pattern":"ur","rate":0.02}"#,
+            r#"{"kind":"throughput","n":4,"pattern":"ur"}"#,
+            r#"{"kind":"scenario","manifest":{"scenario":1,"topology":{"n":4}}}"#,
+            r#"{"kind":"frontier","n":4}"#,
+            r#"{"kind":"metrics"}"#,
+            r#"{"kind":"health"}"#,
+            r#"{"kind":"shutdown"}"#,
+            r#"{"kind":"trace"}"#,
+            r#"{"kind":"prometheus"}"#,
+        ];
+        let mut seen = [false; 12];
+        for line in lines {
+            let request = parse_request(line)
+                .unwrap_or_else(|e| panic!("{line}: {e}"))
+                .request;
+            seen[variant(&request)] = true;
+            let kind = request.kind();
             assert_eq!(KINDS[kind_index(kind)], kind, "{kind} not tracked");
         }
+        assert!(seen.iter().all(|&s| s), "a request variant has no line");
+        // And no stale slots: every named kind but the catch-all is real.
+        assert_eq!(KINDS.len(), lines.len() + 1);
+        assert_eq!(KINDS[KINDS.len() - 1], "other");
     }
 
     #[test]
@@ -442,6 +484,7 @@ mod tests {
 
     #[test]
     fn trace_counters_render_as_prometheus_text() {
+        let _lock = trace_test_lock();
         noc_trace::enable_with_capacity(1024);
         trace_inc("service.test.metric");
         let text = trace_prometheus_text();

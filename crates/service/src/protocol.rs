@@ -35,6 +35,7 @@ use noc_json::Value;
 use noc_placement::{EvalMode, InitialStrategy};
 use noc_routing::HopWeights;
 use noc_traffic::SyntheticPattern;
+use std::fmt::Write as _;
 
 /// Upper bound on one wire line, shared by every transport and client.
 ///
@@ -387,22 +388,20 @@ impl Response {
     /// Serialises to one compact wire line (without the trailing newline).
     pub fn to_line(&self) -> String {
         match self {
-            Response::Ok { id, cached, result } => noc_json::obj! {
-                "id" => Value::Str(id.clone()),
-                "ok" => Value::Bool(true),
-                "cached" => Value::Bool(*cached),
-                "result" => result.clone(),
+            Response::Ok { id, cached, result } => {
+                let mut line = open_line(id, true);
+                push_bool(&mut line, "cached", *cached);
+                close_line(line, result)
             }
-            .compact(),
-            Response::Err { id, code, message } => noc_json::obj! {
-                "id" => Value::Str(id.clone()),
-                "ok" => Value::Bool(false),
-                "error" => noc_json::obj! {
-                    "code" => Value::Str(code.as_str().to_string()),
-                    "message" => Value::Str(message.clone()),
-                },
+            Response::Err { id, code, message } => {
+                let mut line = open_line(id, false);
+                line.push_str(",\"error\":{\"code\":");
+                noc_json::write_str(code.as_str(), &mut line);
+                line.push_str(",\"message\":");
+                noc_json::write_str(message, &mut line);
+                line.push_str("}}");
+                line
             }
-            .compact(),
         }
     }
 
@@ -477,26 +476,15 @@ pub fn wire_lines(response: &Response) -> Vec<String> {
         .iter()
         .enumerate()
         .map(|(seq, item)| {
-            noc_json::obj! {
-                "id" => Value::Str(id.clone()),
-                "ok" => Value::Bool(true),
-                "seq" => Value::Int(seq as i128),
-                "of" => Value::Int(of as i128),
-                "result" => item.clone(),
-            }
-            .compact()
+            let mut line = open_line(id, true);
+            let _ = write!(line, ",\"seq\":{seq},\"of\":{of}");
+            close_line(line, item)
         })
         .collect();
-    lines.push(
-        noc_json::obj! {
-            "id" => Value::Str(id.clone()),
-            "ok" => Value::Bool(true),
-            "cached" => Value::Bool(*cached),
-            "done" => Value::Bool(true),
-            "result" => summary.clone(),
-        }
-        .compact(),
-    );
+    let mut last = open_line(id, true);
+    push_bool(&mut last, "cached", *cached);
+    push_bool(&mut last, "done", true);
+    lines.push(close_line(last, summary));
     if is_frontier {
         if let Some(sink) = noc_trace::sink() {
             sink.registry()
@@ -505,6 +493,33 @@ pub fn wire_lines(response: &Response) -> Vec<String> {
         }
     }
     lines
+}
+
+/// Starts a response line with the envelope every line shares,
+/// `{"id":<id>,"ok":<ok>`. The framing helpers below write the rest into
+/// the same buffer, and the payload goes in by reference, so no wire line
+/// clones its result or renders it twice.
+fn open_line(id: &str, ok: bool) -> String {
+    let mut line = String::with_capacity(128);
+    line.push_str("{\"id\":");
+    noc_json::write_str(id, &mut line);
+    push_bool(&mut line, "ok", ok);
+    line
+}
+
+/// Appends `,"<key>":<flag>` (`key` is a literal that needs no escaping).
+fn push_bool(line: &mut String, key: &str, flag: bool) {
+    line.push_str(",\"");
+    line.push_str(key);
+    line.push_str(if flag { "\":true" } else { "\":false" });
+}
+
+/// Appends `,"result":<result>}` and returns the finished line.
+fn close_line(mut line: String, result: &Value) -> String {
+    line.push_str(",\"result\":");
+    result.write_compact(&mut line);
+    line.push('}');
+    line
 }
 
 /// Extracts a best-effort id from a line that failed full parsing, so the

@@ -1,13 +1,14 @@
 //! Wire-format round-trips: `request_line` ∘ `parse_request` must be the
 //! identity on every request variant, and `to_line` ∘ `from_line` on
-//! every response shape.
+//! every response shape. The wire bytes themselves are pinned against a
+//! reference that builds each envelope as a `Value` and renders it.
 
-use noc_json::Value;
+use noc_json::{obj, Value};
 use noc_placement::{EvalMode, InitialStrategy};
 use noc_routing::HopWeights;
 use noc_service::protocol::{
-    parse_request, request_line, Envelope, ErrorCode, OptimalRequest, Request, Response,
-    SimulateRequest, SolveRequest, SweepRequest, ThroughputRequest,
+    parse_request, request_line, wire_lines, Envelope, ErrorCode, OptimalRequest, Request,
+    Response, SimulateRequest, SolveRequest, SweepRequest, ThroughputRequest,
 };
 use noc_traffic::SyntheticPattern;
 
@@ -138,4 +139,137 @@ fn unknown_fields_are_tolerated() {
     .unwrap();
     assert_eq!(env.request, Request::Health);
     assert_eq!(env.deadline_ms, 50);
+}
+
+/// Ids that stress the envelope's string escaping.
+const IDS: &[&str] = &[
+    "",
+    "plain-7",
+    "say \"hi\"",
+    "back\\slash",
+    "ctl\u{0}\u{1}\n\t\r\u{1f}",
+    "é直😀",
+    "mixed \"é\\\n😀\"",
+];
+
+/// The single line of `response`, built as one object and rendered.
+fn reference_line(response: &Response) -> String {
+    match response {
+        Response::Ok { id, cached, result } => obj! {
+            "id" => Value::Str(id.clone()),
+            "ok" => Value::Bool(true),
+            "cached" => Value::Bool(*cached),
+            "result" => result.clone(),
+        }
+        .compact(),
+        Response::Err { id, code, message } => obj! {
+            "id" => Value::Str(id.clone()),
+            "ok" => Value::Bool(false),
+            "error" => obj! {
+                "code" => Value::Str(code.as_str().to_string()),
+                "message" => Value::Str(message.clone()),
+            },
+        }
+        .compact(),
+    }
+}
+
+/// The stream lines of a streaming result: one per item, then a summary.
+fn reference_stream(id: &str, cached: bool, items: &[Value], summary: &Value) -> Vec<String> {
+    let mut lines: Vec<String> = items
+        .iter()
+        .enumerate()
+        .map(|(seq, item)| {
+            obj! {
+                "id" => Value::Str(id.to_string()),
+                "ok" => Value::Bool(true),
+                "seq" => Value::Int(seq as i128),
+                "of" => Value::Int(items.len() as i128),
+                "result" => item.clone(),
+            }
+            .compact()
+        })
+        .collect();
+    lines.push(
+        obj! {
+            "id" => Value::Str(id.to_string()),
+            "ok" => Value::Bool(true),
+            "cached" => Value::Bool(cached),
+            "done" => Value::Bool(true),
+            "result" => summary.clone(),
+        }
+        .compact(),
+    );
+    lines
+}
+
+fn sample_result() -> Value {
+    obj! {
+        "objective" => Value::Float(6.5625),
+        "negative_zero" => Value::Float(-0.0),
+        "not_finite" => Value::Float(f64::NAN),
+        "big" => Value::Int(i128::MIN),
+        "label" => Value::Str("tab\there \"q\" é".into()),
+        "links" => Value::Arr(vec![Value::Arr(vec![Value::Int(0), Value::Int(4)])]),
+        "nested" => obj! { "empty" => Value::Arr(vec![]), "none" => Value::Null },
+    }
+}
+
+#[test]
+fn single_lines_match_the_reference_bytes() {
+    let codes = [
+        ErrorCode::BadRequest,
+        ErrorCode::Overloaded,
+        ErrorCode::DeadlineExceeded,
+        ErrorCode::ShuttingDown,
+        ErrorCode::Internal,
+    ];
+    for (i, &id) in IDS.iter().enumerate() {
+        let mut responses = vec![
+            Response::ok(id, false, sample_result()),
+            Response::ok(id, true, sample_result()),
+            Response::ok(id, true, Value::Null),
+            Response::err(id, codes[i % codes.len()], format!("bad \"{id}\"\n\u{2}")),
+        ];
+        // A result that only looks like a stream (no items) stays one line.
+        responses.push(Response::ok(
+            id,
+            false,
+            obj! { "scenario_stream" => Value::Bool(true), "summary" => Value::Null },
+        ));
+        for response in responses {
+            let want = reference_line(&response);
+            assert_eq!(response.to_line(), want);
+            assert_eq!(wire_lines(&response), vec![want.clone()]);
+            assert_eq!(Response::from_line(&want).unwrap().id(), id);
+        }
+    }
+}
+
+#[test]
+fn stream_lines_match_the_reference_bytes() {
+    let items: Vec<Value> = (0..4)
+        .map(|i| obj! { "seq_payload" => Value::Int(i), "x" => Value::Float(i as f64 / 3.0) })
+        .collect();
+    let summary = obj! { "points" => Value::Int(4), "note" => Value::Str("é\"".into()) };
+    for &id in IDS {
+        for marker in ["scenario_stream", "frontier_stream"] {
+            for cached in [false, true] {
+                for count in [0, 1, items.len()] {
+                    let result = obj! {
+                        marker => Value::Bool(true),
+                        "items" => Value::Arr(items[..count].to_vec()),
+                        "summary" => summary.clone(),
+                    };
+                    let response = Response::ok(id, cached, result);
+                    let want = reference_stream(id, cached, &items[..count], &summary);
+                    assert_eq!(wire_lines(&response), want, "{marker} {id:?} {count}");
+                    for line in &want {
+                        let v = noc_json::parse(line).unwrap();
+                        assert_eq!(v.get("id").and_then(Value::as_str), Some(id));
+                    }
+                }
+            }
+        }
+    }
 }
