@@ -28,6 +28,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("mesh8_nn_deep_buffers", 0xa998b02b3df5d017),
     ("mesh4_burst_trace", 0xaa4388d3a3fd9da2),
     ("mesh16_ur_low", 0x24d2030bc4daded0),
+    ("star20_wide", 0xe5ea5c02b5949259),
+    ("star32_widest", 0x097147ae9ffc2cb0),
 ];
 
 fn short(mut config: SimConfig, warmup: u64, measure: u64) -> SimConfig {
@@ -130,6 +132,27 @@ fn run_case(name: &str) -> SimStats {
             short(SimConfig::latency_run(256, 10), 300, 800),
         )
         .run(),
+        // Wide routers: row links (0,k) for every k ≥ 2 make router 0 a
+        // hub with 2(n-1)+1 input ports — 78 input VCs at n=20 and 126 at
+        // n=32, the widest a `simulate` request can build.
+        "star20_wide" => {
+            let links: Vec<_> = (2..20).map(|k| (0, k)).collect();
+            Simulator::new(
+                &express(20, &links),
+                workload(UniformRandom, 20, 0.01),
+                short(SimConfig::latency_run(256, 11), 200, 600),
+            )
+            .run()
+        }
+        "star32_widest" => {
+            let links: Vec<_> = (2..32).map(|k| (0, k)).collect();
+            Simulator::new(
+                &express(32, &links),
+                workload(UniformRandom, 32, 0.005),
+                short(SimConfig::latency_run(256, 12), 100, 300),
+            )
+            .run()
+        }
         other => panic!("unknown golden case {other:?}"),
     }
 }
