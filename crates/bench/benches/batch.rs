@@ -1,15 +1,16 @@
 //! Batch-lockstep benchmark: K saturated replicas of the 8x8 mesh run as
 //! one `BatchSimulator` pass versus the same K replicas run back-to-back
-//! on the scalar engine (shared tables, reused scratch — the best scalar
-//! path). The metric is aggregate replica-cycles per second; the target
-//! is ≥ 2x at K ≥ 8 lanes on the `mesh_8x8_saturated` configuration.
-//! Results are written to `BENCH_batch.json` next to the committed
-//! baseline so the repo keeps a machine-readable perf trajectory.
+//! as one-lane `Simulator`s over shared tables. The metric is aggregate
+//! replica-cycles per second; the target is ≥ 2x at K ≥ 8 lanes on the
+//! `mesh_8x8_saturated` configuration. The report keeps its historical
+//! keys: `scalar_cps` is the one-lane baseline. Results are written to
+//! `BENCH_batch.json` next to the committed baseline so the repo keeps a
+//! machine-readable perf trajectory.
 
 use noc_json::Value;
 use noc_model::PacketMix;
 use noc_routing::DorRouter;
-use noc_sim::{BatchSimulator, NetTables, SimConfig, SimScratch, Simulator};
+use noc_sim::{BatchSimulator, NetTables, SimConfig, Simulator};
 use noc_topology::MeshTopology;
 use noc_traffic::{SyntheticPattern, TrafficMatrix, Workload};
 use std::sync::Arc;
@@ -46,12 +47,11 @@ fn main() {
     let dor = DorRouter::new(&mesh8, base.weights);
     let tables = Arc::new(NetTables::build(&mesh8, &dor, base.vcs_per_port));
 
-    // Scalar reference: K = 8 replicas back to back, shared tables,
-    // per-iteration scratch reuse across the replicas — the best scalar
-    // path. Scalar and lockstep rounds are interleaved so both sides
-    // sample the same neighbour-load windows on a shared host, and each
-    // side keeps its best (minimum) round: the stable estimator of
-    // achievable throughput, and what the speedup ratio is computed from.
+    // One-lane reference: K = 8 replicas back to back over shared tables.
+    // One-lane and lockstep rounds are interleaved so both sides sample
+    // the same neighbour-load windows on a shared host, and each side
+    // keeps its best (minimum) round: the stable estimator of achievable
+    // throughput, and what the speedup ratio is computed from.
     const SCALAR_K: usize = 8;
     const ROUNDS: usize = 9;
     const LANE_COUNTS: [usize; 3] = [8, 16, 32];
@@ -67,11 +67,10 @@ fn main() {
             match (round + pos) % configs {
                 0 => {
                     let start = std::time::Instant::now();
-                    let mut scratch = SimScratch::new();
                     for (workload, config) in &scalar_jobs {
                         let sim =
                             Simulator::with_tables(Arc::clone(&tables), workload.clone(), *config);
-                        std::hint::black_box(sim.run_with_scratch(&mut scratch));
+                        std::hint::black_box(sim.run());
                     }
                     best_scalar = best_scalar.min(start.elapsed());
                 }
@@ -86,13 +85,13 @@ fn main() {
         }
     }
     let scalar_cps = (SCALAR_K as u64 * CYCLES) as f64 / best_scalar.as_secs_f64();
-    println!("    scalar x{SCALAR_K}: {scalar_cps:.0} replica-cycles/s (best of {ROUNDS})");
+    println!("    one-lane x{SCALAR_K}: {scalar_cps:.0} replica-cycles/s (best of {ROUNDS})");
 
     let mut lanes_out: Vec<Value> = Vec::new();
     for (&k, per_batch) in LANE_COUNTS.iter().zip(&best_lanes) {
         let cps = (k as u64 * CYCLES) as f64 / per_batch.as_secs_f64();
         let speedup = cps / scalar_cps;
-        println!("    lockstep x{k}: {cps:.0} replica-cycles/s ({speedup:.2}x vs scalar)");
+        println!("    lockstep x{k}: {cps:.0} replica-cycles/s ({speedup:.2}x vs one-lane)");
         lanes_out.push(noc_json::obj! {
             "lanes" => Value::Int(k as i128),
             "cps" => Value::Float(cps),

@@ -4,7 +4,7 @@
 use noc_model::{LatencyModel, LinkBudget, PacketMix, ZeroLoad};
 use noc_placement::{optimize_network, InitialStrategy, NetworkDesign, SaParams};
 use noc_routing::{DorRouter, HopWeights};
-use noc_sim::{BatchSimulator, NetTables, SimConfig, SimScratch, SimStats, Simulator};
+use noc_sim::{BatchSimulator, NetTables, SimConfig, SimStats, Simulator};
 use noc_topology::{hfb_mesh, hfb_row, implied_link_limit, MeshTopology, RowPlacement};
 use noc_traffic::Workload;
 use std::collections::HashMap;
@@ -198,11 +198,10 @@ pub fn simulate(scheme: &Scheme, budget: &LinkBudget, workload: &Workload, seed:
 /// Runs one latency simulation per `(scheme, workload)` job. Jobs on the
 /// *same topology* (a figure sweeps many benchmarks per design point) are
 /// packed into [`BatchSimulator`] lockstep lanes sharing one set of
-/// network tables; leftovers and unsupported shapes run scalar. The
-/// resulting units are fanned flat across the `noc-par` pool with
-/// per-worker simulator scratch reuse. Results come back in job order and
-/// are bit-identical to running [`simulate`] on each job sequentially
-/// (the batch engine is replica-exact; the property suite pins it). This
+/// network tables. The resulting units are fanned flat across the
+/// `noc-par` pool. Results come back in job order and are bit-identical
+/// to running [`simulate`] on each job sequentially (lanes never
+/// interact; the property suite pins it). This
 /// is the preferred shape for figure sweeps: a single flat
 /// (design point × benchmark) batch keeps every core busy instead of
 /// nesting a parallel benchmark loop inside a parallel point loop.
@@ -246,44 +245,29 @@ pub fn simulate_batch(
         }
     }
 
-    // Chunk each group into lane-sized lockstep units; singleton or
-    // unsupported chunks fall back to the scalar engine.
+    // Chunk each group into lane-sized lockstep units.
     const LANES: usize = 8;
     type Unit = (Arc<NetTables>, Vec<(usize, Workload, SimConfig)>);
     let mut units: Vec<Unit> = Vec::new();
     for (_, group) in groups {
-        let lanes = if BatchSimulator::supported(&group.tables, LANES) {
-            LANES
-        } else {
-            1
-        };
         let mut jobs = group.jobs.into_iter().peekable();
         while jobs.peek().is_some() {
-            let chunk: Vec<_> = jobs.by_ref().take(lanes).collect();
+            let chunk: Vec<_> = jobs.by_ref().take(LANES).collect();
             units.push((Arc::clone(&group.tables), chunk));
         }
     }
 
-    let done = noc_par::par_map_with(units, 0, SimScratch::new, |scratch, (tables, unit)| {
-        if unit.len() > 1 {
-            let replicas = unit
-                .iter()
-                .map(|(_, w, c)| (w.clone(), *c))
-                .collect::<Vec<_>>();
-            let stats = BatchSimulator::with_tables(Arc::clone(&tables), replicas).run();
-            unit.iter()
-                .map(|(idx, _, _)| *idx)
-                .zip(stats)
-                .collect::<Vec<_>>()
-        } else {
-            unit.into_iter()
-                .map(|(idx, workload, config)| {
-                    let sim = Simulator::with_tables(Arc::clone(&tables), workload, config);
-                    (idx, sim.run_with_scratch(scratch))
-                })
-                .collect()
-        }
-    });
+    let done = noc_par::par_map_with(
+        units,
+        0,
+        || (),
+        |(), (tables, unit)| {
+            let (indices, replicas): (Vec<usize>, Vec<_>) =
+                unit.into_iter().map(|(idx, w, c)| (idx, (w, c))).unzip();
+            let stats = BatchSimulator::with_tables(tables, replicas).run();
+            indices.into_iter().zip(stats).collect::<Vec<_>>()
+        },
+    );
 
     let mut out: Vec<Option<SimStats>> = (0..n).map(|_| None).collect();
     for (idx, stats) in done.into_iter().flatten() {

@@ -267,7 +267,7 @@ fn stats_json(phase: &PhaseSpec, rate: f64, stats: &SimStats) -> Value {
 }
 
 /// One phase's simulation inputs, fully resolved ahead of execution. The
-/// scalar path builds and runs these one at a time; the lockstep batch
+/// per-scenario path builds and runs these one at a time; the lockstep batch
 /// path plans every phase of every scenario first, then packs
 /// same-topology sims into [`BatchSimulator`] lanes.
 struct PhaseSim {
@@ -365,7 +365,7 @@ pub fn run_scenario(scenario: &ResolvedScenario) -> Result<Value, String> {
 }
 
 /// Assembles the per-scenario result object from its resolved topology
-/// and accumulated phase totals (shared by the scalar and lockstep
+/// and accumulated phase totals (shared by the per-scenario and lockstep
 /// paths, which must emit identical bytes).
 fn scenario_json(
     scenario: &ResolvedScenario,
@@ -469,7 +469,8 @@ pub fn run_batch_with(
     };
     // The fast path skips the faultpoint sites entirely, so it must not
     // engage while any schedule is armed; placement manifests keep the
-    // scalar path so the (dominant) SA solves stay fanned across workers.
+    // per-scenario path so the (dominant) SA solves stay fanned across
+    // workers.
     let fast = lanes > 1
         && total > 1
         && manifest.placement.is_none()
@@ -524,10 +525,10 @@ pub fn run_batch_with(
 /// simulation, groups sims by identical topology, packs each group
 /// `lanes` at a time into [`BatchSimulator`] lockstep passes over shared
 /// [`NetTables`], fans the passes across workers, and reassembles the
-/// per-scenario JSON in expansion order. Counter totals match the scalar
-/// path (`scenario.run` per scenario at plan time, `scenario.phase` per
-/// phase at assembly); per-item bytes match because every lane is
-/// bit-identical to its scalar run.
+/// per-scenario JSON in expansion order. Counter totals match the
+/// per-scenario path (`scenario.run` per scenario at plan time,
+/// `scenario.phase` per phase at assembly); per-item bytes match because
+/// every lane is bit-identical to its one-lane run.
 fn run_scenarios_lockstep(
     scenarios: Vec<ResolvedScenario>,
     workers: usize,
@@ -594,16 +595,11 @@ fn run_scenarios_lockstep(
         }
     }
 
-    // Lane-sized lockstep units; singletons run the scalar engine.
+    // Lane-sized lockstep units.
     type Unit = (Arc<NetTables>, Vec<(usize, usize)>);
     let mut units: Vec<Unit> = Vec::new();
     for (_, group) in groups {
-        let width = if BatchSimulator::supported(&group.tables, lanes) {
-            lanes
-        } else {
-            1
-        };
-        for chunk in group.jobs.chunks(width) {
+        for chunk in group.jobs.chunks(lanes) {
             units.push((Arc::clone(&group.tables), chunk.to_vec()));
         }
     }
@@ -619,33 +615,18 @@ fn run_scenarios_lockstep(
         workers,
         || (),
         |(), (tables, unit)| {
-            if unit.len() > 1 {
-                let replicas = unit
-                    .iter()
-                    .map(|&(sid, pid)| {
-                        let sim = sim_of(sid, pid);
-                        (sim.workload.clone(), sim.config)
-                    })
-                    .collect();
-                let stats = BatchSimulator::with_tables(Arc::clone(&tables), replicas).run();
-                unit.iter()
-                    .zip(stats)
-                    .map(|(&(sid, pid), s)| (sid, pid, s))
-                    .collect()
-            } else {
-                unit.into_iter()
-                    .map(|(sid, pid)| {
-                        let sim = sim_of(sid, pid);
-                        let stats = Simulator::with_tables(
-                            Arc::clone(&tables),
-                            sim.workload.clone(),
-                            sim.config,
-                        )
-                        .run();
-                        (sid, pid, stats)
-                    })
-                    .collect()
-            }
+            let replicas = unit
+                .iter()
+                .map(|&(sid, pid)| {
+                    let sim = sim_of(sid, pid);
+                    (sim.workload.clone(), sim.config)
+                })
+                .collect();
+            let stats = BatchSimulator::with_tables(tables, replicas).run();
+            unit.iter()
+                .zip(stats)
+                .map(|(&(sid, pid), s)| (sid, pid, s))
+                .collect()
         },
     );
 
@@ -714,7 +695,7 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_lanes_are_byte_identical_to_scalar() {
+    fn lockstep_lanes_are_byte_identical_to_one_lane_runs() {
         // 6 scenarios × 2 phases; the second phase fails a link, so the
         // fast path must group two distinct per-phase topologies.
         let m = Manifest::parse(
@@ -725,13 +706,13 @@ mod tests {
                 "matrix":{"seed":[1,2,3],"rate":[0.01,0.02]}}"#,
         )
         .unwrap();
-        let scalar = run_batch_with(&m, 2, 1).unwrap();
-        assert_eq!(scalar.items.len(), 6);
+        let single = run_batch_with(&m, 2, 1).unwrap();
+        assert_eq!(single.items.len(), 6);
         for lanes in [4usize, 8] {
             let fast = run_batch_with(&m, 2, lanes).unwrap();
             assert_eq!(
-                fast, scalar,
-                "lanes={lanes} lockstep batch must be byte-identical to scalar"
+                fast, single,
+                "lanes={lanes} lockstep batch must be byte-identical to one-lane runs"
             );
         }
     }

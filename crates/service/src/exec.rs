@@ -193,14 +193,15 @@ fn frontier_config(r: &FrontierRequest) -> noc_pareto::FrontierConfig {
 // ---------------------------------------------------------------------------
 
 /// Snapshot-store key of a checkpointable request: the result cache key
-/// with the kind rewritten into the versioned `snap-v1` namespace, so
+/// with the kind rewritten into a versioned `snap-vN` namespace, so
 /// in-progress snapshots can never collide with finished results and a
-/// future snapshot wire-format bump retires stale entries wholesale (a
-/// `snap-v2` writer simply never looks `snap-v1` keys up again).
+/// snapshot wire-format bump retires stale entries wholesale (a `snap-v2`
+/// writer simply never looks `snap-v1` keys up again). Simulations are at
+/// `snap-v2` since they moved to one-lane batch snapshots.
 pub fn snapshot_key(request: &Request) -> Option<CacheKey> {
     let kind = match request {
         Request::Solve(_) => "snap-v1-solve",
-        Request::Simulate(_) => "snap-v1-sim",
+        Request::Simulate(_) => "snap-v2-sim",
         _ => return None,
     };
     cache_key(request).map(|key| CacheKey { kind, ..key })
@@ -735,7 +736,7 @@ pub fn execute_within(
 /// Like [`execute_within`], but with an optional snapshot store that the
 /// checkpointed paths persist progress into. Requests with `checkpoint`
 /// off (the default) run exactly as before; checkpointed solves and
-/// simulations save a `snap-v1` snapshot into `store` at every interval
+/// simulations save a snapshot (see [`snapshot_key`]) into `store` at every interval
 /// and resume from the latest matching one on entry — so a retry after a
 /// worker panic, a deadline, or a daemon restart continues instead of
 /// restarting, with a bit-identical final result either way.
@@ -1095,6 +1096,17 @@ mod tests {
         let snap = snapshot_key(&solve).unwrap();
         assert_ne!(cache_key(&solve).unwrap(), snap);
         assert_eq!(snap.kind, "snap-v1-solve");
+        let simulate = Request::Simulate(SimulateRequest {
+            n: 4,
+            pattern: noc_traffic::SyntheticPattern::UniformRandom,
+            rate: 0.01,
+            flit: 64,
+            cycles: 1_000,
+            seed: 1,
+            links: vec![],
+            checkpoint: 0,
+        });
+        assert_eq!(snapshot_key(&simulate).unwrap().kind, "snap-v2-sim");
         assert!(snapshot_key(&Request::Metrics).is_none());
         assert!(snapshot_key(&Request::Sweep(SweepRequest {
             n: 8,

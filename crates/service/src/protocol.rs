@@ -164,9 +164,9 @@ pub struct ThroughputRequest {
     /// Sweep worker threads (`0` = one per core). *Not* part of the cache
     /// key: the sweep is bit-identical for any worker count.
     pub workers: usize,
-    /// Lockstep batch lanes per sweep pass (`0` = default, `1` = scalar).
-    /// *Not* part of the cache key: the sweep is bit-identical for any
-    /// lane count.
+    /// Lockstep batch lanes per sweep pass (`0` = default, `1` = one
+    /// replica per pass). *Not* part of the cache key: the sweep is
+    /// bit-identical for any lane count.
     pub lanes: usize,
 }
 
@@ -180,8 +180,8 @@ pub struct ScenarioRequest {
     /// key: the batch is bit-identical for any worker count.
     pub workers: usize,
     /// Lockstep batch lanes for the homogeneous fast path (`0` = default,
-    /// `1` = scalar). *Not* part of the cache key: the batch is
-    /// byte-identical for any lane count.
+    /// `1` = one replica per pass). *Not* part of the cache key: the batch
+    /// is byte-identical for any lane count.
     pub lanes: usize,
 }
 

@@ -1,43 +1,53 @@
-//! Many-worlds batching: K replicas of one topology simulated in lockstep.
+//! The cycle-level engine: K replicas of one topology simulated in
+//! lockstep. A single run is a batch of one — [`Simulator`](crate::Simulator)
+//! is a one-lane [`BatchSimulator`].
+//!
+//! Each cycle executes, in order: credit returns, link arrivals (BW),
+//! injection, then one merged RC + VA + SA/ST pass per router. The stage
+//! gating reproduces the 3-stage pipeline timing: a flit buffer-written at
+//! cycle `t` may be VC-allocated at `t+1` and switch-traverse at `t+2`; a
+//! flit issued at `u` lands in the downstream buffer at `u + 1 + span`,
+//! making an uncontended hop cost exactly `T_r + span·T_l = 3 + span`
+//! cycles buffer-to-buffer.
 //!
 //! A rate ladder, a Monte-Carlo seed batch, or a homogeneous scenario
 //! expansion simulates the *same* network K times with different injection
 //! rates/seeds. [`BatchSimulator`] runs those replicas as K contiguous
 //! *lanes* of one widened struct-of-arrays state: every per-VC/per-port
-//! array of the scalar engine holds K per-replica entries back to back
-//! (`array[g·K + lane]`), so the per-cycle arbitration scans walk all
-//! replicas of a router in one linear pass and the eligibility/request
-//! conditions evaluate branch-free across lanes (bit-parallel `u64` lane
-//! masks; portable, no unstable SIMD).
+//! array holds K per-replica entries back to back (`array[g·K + lane]`),
+//! so the per-cycle arbitration scans walk all replicas of a router in one
+//! linear pass and the eligibility/request conditions evaluate branch-free
+//! across lanes (bit-parallel `u64` lane masks; portable, no unstable
+//! SIMD). Per-router request masks hold one bit per input VC and are sized
+//! from [`NetTables::max_total_vcs`] when the engine is built, so a hub
+//! router with more than 64 input VCs takes the same code path as a mesh
+//! router.
 //!
-//! Two layout choices keep the lockstep pass memory-lean where the scalar
-//! engine can afford to be lazy:
+//! Two layout choices keep the lockstep pass memory-lean:
 //!
 //! - Flits are packed into one `u64` word (`packet | seq/tail | dst`), so a
-//!   buffer push or pop moves two words (flit + eligibility) instead of
-//!   five parallel arrays, and the route/output-VC pair shares one `u32`
-//!   (`vc_rov`) so the hot arbitration predicates test a single load.
-//! - Per-replica side state that the scalar engine keeps per run — activity
-//!   counters, the credit-return wheel, the link-arrival wheel — is
-//!   flattened into shared lane-major arrays. The updates are commutative
-//!   across lanes and each lane's own event order is preserved, so the
-//!   per-lane observable sequence is untouched while K replicas share cache
-//!   lines instead of chasing K separate heaps.
+//!   buffer push or pop moves two words (flit + eligibility), and the
+//!   route/output-VC pair shares one `u32` (`vc_rov`) so the hot
+//!   arbitration predicates test a single load.
+//! - Per-replica side state — activity counters, the credit-return wheel,
+//!   the link-arrival wheel — is flattened into shared lane-major arrays.
+//!   The updates are commutative across lanes and each lane's own event
+//!   order is preserved, so the per-lane observable sequence is untouched
+//!   while K replicas share cache lines instead of chasing K separate
+//!   heaps.
 //!
-//! Replicas stay fully independent: each lane owns its RNG stream, packet
-//! ledger, statistics accumulators, and warmup/measure/drain windows.
-//! Lanes that finish early are *masked out* of the lane word rather than
-//! branching the loop — the shared scans may still read a finished lane's
-//! arrays, but every write is gated on the live mask, so a dead lane is
-//! inert. The per-lane sequence of arbitration decisions, RNG draws, and
-//! event-wheel pushes is exactly the scalar engine's, which makes every
-//! lane's [`SimStats`] **bit-identical** to a scalar
-//! [`Simulator`](crate::Simulator) run of the same (workload, config) —
-//! the property suite and the golden fingerprints pin this replica by
-//! replica, so batching is an invisible performance layer.
+//! Replicas stay fully independent: each lane owns its packet source (a
+//! workload with its RNG stream, or a trace with its replay cursor),
+//! packet ledger, statistics accumulators, and warmup/measure/drain
+//! windows. Lanes that finish early are *masked out* of the lane word
+//! rather than branching the loop — the shared scans may still read a
+//! finished lane's arrays, but every write is gated on the live mask, so a
+//! dead lane is inert. A lane's arbitration decisions, RNG draws, and
+//! event-wheel pushes therefore never depend on its neighbours: every
+//! lane's [`SimStats`] equals a one-lane run of the same (source, config).
+//! The golden fingerprints in `tests/golden.rs` are the reference.
 
 use crate::config::SimConfig;
-use crate::engine::workload_fingerprint;
 use crate::flit::{Flit, PacketRecord, PENDING};
 use crate::network::{NetTables, NONE_U32};
 use crate::stats::{ActivityCounters, SimStats};
@@ -47,7 +57,7 @@ use noc_rng::SeedableRng;
 use noc_routing::DorRouter;
 use noc_snapshot::{Reader, SnapshotError, Writer};
 use noc_topology::MeshTopology;
-use noc_traffic::Workload;
+use noc_traffic::{Trace, Workload};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -58,10 +68,75 @@ pub const MAX_LANES: usize = 64;
 /// Snapshot kind tag for [`BatchSimulator`] snapshots.
 pub const BATCH_KIND: &str = "sim-batch";
 
+/// Order-sensitive FNV-1a fingerprint of a workload: matrix side and rates,
+/// injection rate, and the packet-size mix. Used to pair a snapshot with the
+/// workload it must be resumed under.
+pub fn workload_fingerprint(w: &Workload) -> u64 {
+    let mut fp = Fnv1a::with_tag("sim-workload");
+    fp.write_u64(w.matrix().side() as u64);
+    for &rate in w.matrix().as_slice() {
+        fp.write_f64(rate);
+    }
+    fp.write_f64(w.injection_rate());
+    for class in w.mix().classes() {
+        fp.write_u32(class.bits);
+        fp.write_f64(class.fraction);
+    }
+    fp.finish()
+}
+
+/// Order-sensitive FNV-1a fingerprint of a recorded trace (side and every
+/// injection event). Used to pair a snapshot with its replay source.
+pub fn trace_fingerprint(trace: &Trace) -> u64 {
+    let mut fp = Fnv1a::with_tag("sim-trace");
+    fp.write_u64(trace.side() as u64);
+    fp.write_u64(trace.events().len() as u64);
+    for e in trace.events() {
+        fp.write_u64(e.cycle);
+        fp.write_u64(e.src as u64);
+        fp.write_u64(e.dst as u64);
+        fp.write_u32(e.bits);
+    }
+    fp.finish()
+}
+
+/// Where a lane's packets come from: a stochastic workload or a recorded
+/// trace replayed cycle-exactly from a cursor.
+pub(crate) enum Source {
+    Workload(Workload),
+    Trace { trace: Trace, next: usize },
+}
+
+impl Source {
+    /// Matrix or trace side length.
+    fn side(&self) -> usize {
+        match self {
+            Source::Workload(w) => w.matrix().side(),
+            Source::Trace { trace, .. } => trace.side(),
+        }
+    }
+
+    /// The offered rate reported in [`SimStats::offered_rate`].
+    fn offered_rate(&self) -> f64 {
+        match self {
+            Source::Workload(w) => w.injection_rate(),
+            Source::Trace { trace, .. } => trace.mean_rate(),
+        }
+    }
+
+    /// Snapshot identity: `(tag, fingerprint, cursor)`.
+    fn identity(&self) -> (u8, u64, u64) {
+        match self {
+            Source::Workload(w) => (0, workload_fingerprint(w), 0),
+            Source::Trace { trace, next } => (1, trace_fingerprint(trace), *next as u64),
+        }
+    }
+}
+
 /// Packed-flit word layout: `packet` in bits 0..32, `seq` in bits 32..47,
 /// `tail` at bit 47, `dst` in bits 48..64. The sequence field is 15 bits —
 /// one less than [`Flit::seq`] — which holds every packet the flit-width
-/// grid can produce (the scalar engine already truncates at 16 bits).
+/// grid can produce.
 const SEQ_SHIFT: u32 = 32;
 const SEQ_BITS: u64 = 0x7FFF << SEQ_SHIFT;
 const TAIL_BIT: u64 = 1 << 47;
@@ -119,7 +194,7 @@ struct ArrivalEvent {
 
 /// Per-replica state that never crosses lanes.
 struct Lane {
-    workload: Workload,
+    source: Source,
     config: SimConfig,
     rng: SmallRng,
     packets: Vec<PacketRecord>,
@@ -211,14 +286,19 @@ pub struct BatchSimulator {
     out_va_rr: Vec<u32>,
     out_sa_rr: Vec<u32>,
     active_inputs: Vec<u32>,
-    /// VA request masks, `(local output port)·K + lane`, rebuilt per router.
+    /// Words per request mask: one bit per input VC of the widest router
+    /// (`max_total_vcs` rounded up to whole `u64`s).
+    words: usize,
+    /// VA request masks, `((local output port)·K + lane)·words + word`,
+    /// rebuilt per router.
     req: Vec<u64>,
     /// SA request masks, same layout. Kept separate from `req` because VA
     /// consumes its masks while SA's are built in the same first pass: a
     /// same-cycle VA grant never makes a VC switch-ready (heads wait a
     /// cycle), so the SA-ready set is fully known before VA runs.
     req_sa: Vec<u64>,
-    /// Per-lane used-input-VC masks for the one-winner-per-input-port rule.
+    /// Per-lane used-input-VC masks for the one-winner-per-input-port rule,
+    /// `lane·words + word`.
     used_vcs: Vec<u64>,
     /// Lanes with a non-empty VA (`wantnz`) / SA (`rdynz`) request word per
     /// local output port, maintained by the scatter passes. They replace
@@ -228,7 +308,7 @@ pub struct BatchSimulator {
     rdynz: Vec<u64>,
     /// `pick → (input port, VC)` split, avoiding a hardware divide in the
     /// winner bodies (`vcs` is runtime-valued).
-    pick_iv: Vec<(u8, u8)>,
+    pick_iv: Vec<(u16, u16)>,
     /// Activity counters, `router·K + lane` (lane-major so the K replicas
     /// of a busy router share cache lines).
     activity: Vec<ActivityCounters>,
@@ -336,17 +416,42 @@ fn pack_mask(bytes: &[u8]) -> u64 {
     out
 }
 
-impl BatchSimulator {
-    /// Whether a topology/lane-count pair fits the lockstep fast path: at
-    /// most [`MAX_LANES`] replicas and every router's request mask within
-    /// one 64-bit arbitration word (a mesh router has `5·V` input VCs and
-    /// even heavily express-linked routers stay far below 32 input ports,
-    /// so the bound is generous in practice). Callers fall back to scalar
-    /// runs (bit-identical by construction) when this is false.
-    pub fn supported(tables: &NetTables, lanes: usize) -> bool {
-        (1..=MAX_LANES).contains(&lanes) && tables.max_total_vcs() <= 64
+/// The round-robin pick over a multi-word request mask: the first set bit
+/// at or after bit `start`, else the lowest set bit; `None` when `m` is
+/// empty.
+#[inline(always)]
+fn wrapped_first(m: &[u64], start: usize) -> Option<usize> {
+    let sw = start >> 6;
+    let at_or_after = m[sw] & (u64::MAX << (start & 63));
+    if at_or_after != 0 {
+        return Some(sw * 64 + at_or_after.trailing_zeros() as usize);
     }
+    for (i, &w) in m.iter().enumerate().skip(sw + 1) {
+        if w != 0 {
+            return Some(i * 64 + w.trailing_zeros() as usize);
+        }
+    }
+    for (i, &w) in m[..=sw].iter().enumerate() {
+        if w != 0 {
+            return Some(i * 64 + w.trailing_zeros() as usize);
+        }
+    }
+    None
+}
 
+/// Sets bits `lo..lo + len` of the multi-word mask `m`.
+#[inline(always)]
+fn set_bits(m: &mut [u64], mut lo: usize, mut len: usize) {
+    while len > 0 {
+        let b = lo & 63;
+        let n = len.min(64 - b);
+        m[lo >> 6] |= (u64::MAX >> (64 - n)) << b;
+        lo += n;
+        len -= n;
+    }
+}
+
+impl BatchSimulator {
     /// Builds a lockstep batch over one topology. All replicas must share
     /// the topology's structural parameters (VC count, hop weights — they
     /// select the shared route tables); seeds, rates, workloads, flit
@@ -363,17 +468,25 @@ impl BatchSimulator {
     /// [`NetTables::build`] per topology, shared read-only across lanes
     /// and worker threads).
     pub fn with_tables(tables: Arc<NetTables>, replicas: Vec<(Workload, SimConfig)>) -> Self {
+        let replicas = replicas
+            .into_iter()
+            .map(|(workload, config)| (Source::Workload(workload), config))
+            .collect();
+        Self::with_sources(tables, replicas)
+    }
+
+    /// Builds a lockstep batch over per-lane packet sources (workloads or
+    /// recorded traces).
+    pub(crate) fn with_sources(tables: Arc<NetTables>, replicas: Vec<(Source, SimConfig)>) -> Self {
         let k = replicas.len();
-        assert!(k >= 1, "batch needs at least one replica");
         assert!(
-            Self::supported(&tables, k),
-            "unsupported batch: {k} lanes, {} request bits",
-            tables.max_total_vcs()
+            (1..=MAX_LANES).contains(&k),
+            "a batch runs 1..={MAX_LANES} replicas, not {k}"
         );
         let first = replicas[0].1;
-        for (workload, config) in &replicas {
+        for (source, config) in &replicas {
             assert_eq!(
-                workload.matrix().side(),
+                source.side(),
                 tables.side,
                 "workload and topology sizes must match"
             );
@@ -413,20 +526,22 @@ impl BatchSimulator {
 
         let lanes: Vec<Lane> = replicas
             .into_iter()
-            .map(|(workload, config)| {
-                let per_cycle = workload.injection_rate() * routers as f64;
-                let window = (config.warmup_cycles + config.measure_cycles) as f64;
-                let expect = (per_cycle * window).ceil() as usize;
-                let measured = (per_cycle * config.measure_cycles as f64).ceil() as usize;
-                let mut packets = Vec::new();
-                let mut latencies = Vec::new();
-                packets.reserve(expect + expect / 8 + 64);
-                latencies.reserve(measured + measured / 8 + 16);
+            .map(|(source, config)| {
+                let (expect_packets, expect_latencies) = match &source {
+                    Source::Workload(workload) => {
+                        let per_cycle = workload.injection_rate() * routers as f64;
+                        let window = (config.warmup_cycles + config.measure_cycles) as f64;
+                        let expect = (per_cycle * window).ceil() as usize;
+                        let measured = (per_cycle * config.measure_cycles as f64).ceil() as usize;
+                        (expect + expect / 8 + 64, measured + measured / 8 + 16)
+                    }
+                    Source::Trace { trace, .. } => (trace.events().len(), trace.events().len()),
+                };
                 let window_end = config.warmup_cycles + config.measure_cycles;
                 Lane {
                     rng: SmallRng::seed_from_u64(config.seed),
-                    packets,
-                    latencies,
+                    packets: Vec::with_capacity(expect_packets),
+                    latencies: Vec::with_capacity(expect_latencies),
                     window_end,
                     hard_end: window_end + config.drain_cycles_max,
                     measured_total: 0,
@@ -438,7 +553,7 @@ impl BatchSimulator {
                     ejected_in_window: 0,
                     occ_samples: 0,
                     stats: None,
-                    workload,
+                    source,
                     config,
                 }
             })
@@ -455,8 +570,10 @@ impl BatchSimulator {
         } else {
             0
         };
-        let pick_iv = (0..tables.max_total_vcs())
-            .map(|p| ((p / tables.vcs) as u8, (p % tables.vcs) as u8))
+        let max_total_vcs = tables.max_total_vcs();
+        let words = max_total_vcs.div_ceil(64).max(1);
+        let pick_iv = (0..max_total_vcs)
+            .map(|p| ((p / vcs) as u16, (p % vcs) as u16))
             .collect();
         BatchSimulator {
             tables,
@@ -494,9 +611,10 @@ impl BatchSimulator {
             out_va_rr: vec![0u32; total_outputs * k],
             out_sa_rr: vec![0u32; total_outputs * k],
             active_inputs: vec![0u32; routers * k],
-            req: vec![0u64; max_outputs * k],
-            req_sa: vec![0u64; max_outputs * k],
-            used_vcs: vec![0u64; k],
+            words,
+            req: vec![0u64; max_outputs * k * words],
+            req_sa: vec![0u64; max_outputs * k * words],
+            used_vcs: vec![0u64; k * words],
             wantnz: vec![0u64; max_outputs],
             rdynz: vec![0u64; max_outputs],
             pick_iv,
@@ -523,7 +641,7 @@ impl BatchSimulator {
     }
 
     /// Runs every lane to completion and returns per-replica statistics in
-    /// lane order, each bit-identical to the scalar engine.
+    /// lane order, each equal to a one-lane run of the same replica.
     pub fn run(mut self) -> Vec<SimStats> {
         let k = self.k as u64;
         let hist = if self.trace_on {
@@ -594,6 +712,11 @@ impl BatchSimulator {
         self.cycle
     }
 
+    /// Lane `l`'s terminal verdict: `Some(drained)` once it has finished.
+    pub(crate) fn lane_verdict(&self, l: usize) -> Option<bool> {
+        self.lanes[l].stats.as_ref().map(|s| s.drained)
+    }
+
     /// Rolling FNV-1a digest of the complete dynamic batch state (all K
     /// lanes) at the current cycle boundary: the digest of the serialized
     /// snapshot, so a snapshot/restore round trip preserves it exactly.
@@ -603,13 +726,15 @@ impl BatchSimulator {
         fp.finish()
     }
 
-    /// One lockstep cycle: the scalar engine's stage order, each stage
-    /// sweeping every live lane.
+    /// One lockstep cycle, each stage sweeping every live lane.
     fn step(&mut self) {
         let t = self.cycle;
         if self.trace_on && (t & 4095) == 0 {
-            // Rolling state-hash series (the scalar engine's cadence); the
-            // hash covers all K lanes. Telemetry only.
+            // Rolling state-hash series: the digest of the exact engine
+            // state (all K lanes) at this cycle boundary. A run restored
+            // from a snapshot emits the same values — divergence pinpoints
+            // the first 4096-cycle block where two runs differ. Telemetry
+            // only: reads state, mutates nothing.
             noc_trace::emit(
                 "series",
                 "sim.state_hash",
@@ -779,9 +904,21 @@ impl BatchSimulator {
             let measure = *measure_mask & (1 << l) != 0;
             let lane = &mut lanes[l];
             let flit_bits = lane.config.flit_bits;
-            for node in 0..nodes {
-                if let Some(spec) = lane.workload.generate(node, &mut lane.rng) {
-                    pending.push((node as u32, spec.bits, spec.dst as u32));
+            match &mut lane.source {
+                Source::Workload(workload) => {
+                    for node in 0..nodes {
+                        if let Some(spec) = workload.generate(node, &mut lane.rng) {
+                            pending.push((node as u32, spec.bits, spec.dst as u32));
+                        }
+                    }
+                }
+                Source::Trace { trace, next } => {
+                    let events = trace.events();
+                    while *next < events.len() && events[*next].cycle <= t {
+                        let e = events[*next];
+                        *next += 1;
+                        pending.push((e.src as u32, e.bits, e.dst as u32));
+                    }
                 }
             }
             for &(node, bits, dst) in pending.iter() {
@@ -838,30 +975,34 @@ impl BatchSimulator {
         }
     }
 
-    /// Dispatches the merged RC/VA/SA pass to a lane-count-specialized
-    /// instantiation: with the lane count a compile-time constant the
-    /// lane-inner predicate loops have fixed trip counts and vectorize at
-    /// full machine width. `KC = 0` is the dynamic fallback.
+    /// Dispatches the merged RC/VA/SA pass to a shape-specialized
+    /// instantiation: with the lane count `KC` and the request-mask width
+    /// `WC` compile-time constants, the lane-inner predicate loops have
+    /// fixed trip counts and vectorize at full machine width, and
+    /// single-word masks compile to plain `u64` arithmetic. `0` means
+    /// "read it at run time"; every shape runs the same source.
     fn arbitrate_dispatch(&mut self, t: u64) {
-        match self.k {
-            8 => self.arbitrate::<8>(t),
-            16 => self.arbitrate::<16>(t),
-            32 => self.arbitrate::<32>(t),
-            64 => self.arbitrate::<64>(t),
-            _ => self.arbitrate::<0>(t),
+        match (self.k, self.words) {
+            (1, 1) => self.arbitrate::<1, 1>(t),
+            (8, 1) => self.arbitrate::<8, 1>(t),
+            (16, 1) => self.arbitrate::<16, 1>(t),
+            (32, 1) => self.arbitrate::<32, 1>(t),
+            (64, 1) => self.arbitrate::<64, 1>(t),
+            (_, 1) => self.arbitrate::<0, 1>(t),
+            _ => self.arbitrate::<0, 0>(t),
         }
     }
 
     /// One merged per-router pass: RC + request build, VA, then SA/ST for
-    /// router `r` before moving to `r + 1`. The scalar engine sweeps all
-    /// routers per stage instead, but no same-cycle dataflow crosses
+    /// router `r` before moving to `r + 1`. No same-cycle dataflow crosses
     /// routers — SA's link arrivals land `span + 1 ≥ 2` cycles out and
-    /// credits apply next cycle — so the per-router order is bit-identical
-    /// while the router's group slab (front words, rov, eligibility) stays
-    /// in L1 across all three phases.
-    fn arbitrate<const KC: usize>(&mut self, t: u64) {
+    /// credits apply next cycle — so the router's group slab (front words,
+    /// rov, eligibility) stays in L1 across all three phases.
+    fn arbitrate<const KC: usize, const WC: usize>(&mut self, t: u64) {
         let k = if KC == 0 { self.k } else { KC };
+        let words = if WC == 0 { self.words } else { WC };
         debug_assert!(KC == 0 || KC == self.k);
+        debug_assert!(WC == 0 || WC == self.words);
         let BatchSimulator {
             tables,
             lanes,
@@ -913,11 +1054,6 @@ impl BatchSimulator {
         let credit_slot = ((t + 1) & 1) as usize;
         let horizon = *horizon as usize;
         let slot0 = (t % horizon as u64) as usize;
-        let input_mask = if vcs >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << vcs) - 1
-        };
 
         for r in 0..routers {
             let rmask = router_lanes_of(active_inputs, live, r, k);
@@ -944,13 +1080,14 @@ impl BatchSimulator {
             // `req`/`req_sa` words are dirty-tracked by `wantnz`/`rdynz`
             // and cleared surgically when consumed, never memset.
             let rovs = &mut vc_rov[gb0..gb0 + glen];
-            let words = &front_word[gb0..gb0 + glen];
+            let fronts = &front_word[gb0..gb0 + glen];
             let route_row = &tables.route[r * routers..(r + 1) * routers];
             for idx in 0..total_vcs {
                 let g = base + idx;
                 let gb = idx * k;
                 let rg = &mut rovs[gb..gb + k];
-                let wg = &words[gb..gb + k];
+                let wg = &fronts[gb..gb + k];
+                let (iw, ibit) = (idx >> 6, 1u64 << (idx & 63));
                 let un = grp_unrouted[g];
                 let no = grp_noovc[g];
                 let head = grp_head[g];
@@ -982,7 +1119,7 @@ impl BatchSimulator {
                     let l = m.trailing_zeros() as usize;
                     m &= m - 1;
                     let route = (rg[l] & ROV_ROUTE) as usize;
-                    req[route * k + l] |= 1u64 << idx;
+                    req[(route * k + l) * words + iw] |= ibit;
                     wantnz[route] |= 1u64 << l;
                 }
                 let mut m = rdy & rmask;
@@ -990,7 +1127,7 @@ impl BatchSimulator {
                     let l = m.trailing_zeros() as usize;
                     m &= m - 1;
                     let route = (rg[l] & ROV_ROUTE) as usize;
-                    req_sa[route * k + l] |= 1u64 << idx;
+                    req_sa[(route * k + l) * words + iw] |= ibit;
                     rdynz[route] |= 1u64 << l;
                 }
             }
@@ -998,38 +1135,30 @@ impl BatchSimulator {
             // --- VA ----------------------------------------------------
             // Free output VCs go to the first requesting input VC at or
             // after each lane's round-robin pointer (a wrapped
-            // first-set-bit). The ovc-outer order is per-lane identical to
-            // the scalar engine's ovc-inner loop — lanes are independent and
-            // each lane still sees output VCs in ascending order — but lets
-            // the free-lane mask skip (port, lane) pairs with nothing free
-            // or nothing requested.
+            // first-set-bit). Each lane sees output VCs in ascending
+            // order; the ovc-outer loop lets the free-lane mask skip
+            // (port, lane) pairs with nothing free or nothing requested.
             for o in out_lo..out_hi {
                 let lo_i = o - out_lo;
                 let ro = lo_i * k;
-                // Lanes whose request word is non-empty (scatter pass
+                // Lanes whose request mask is non-empty (scatter pass
                 // tracked them; only `rmask` lanes ever set bits).
                 let mut reqnz = std::mem::take(&mut wantnz[lo_i]);
                 if reqnz == 0 {
                     continue;
                 }
-                let rq = &mut req[ro..ro + k];
+                let rq = &mut req[ro * words..(ro + k) * words];
                 for ovc in 0..vcs {
                     let fo = o * vcs + ovc;
                     let mut m = ovc_free[fo] & reqnz;
                     while m != 0 {
                         let l = m.trailing_zeros() as usize;
                         m &= m - 1;
-                        let mw = rq[l];
+                        let mw = &mut rq[l * words..(l + 1) * words];
                         let start = out_va_rr[o * k + l] as usize;
-                        let at_or_after = mw & (u64::MAX << start);
-                        let pick = if at_or_after != 0 {
-                            at_or_after.trailing_zeros()
-                        } else {
-                            mw.trailing_zeros()
-                        } as usize;
-                        let next_word = mw & !(1u64 << pick);
-                        rq[l] = next_word;
-                        if next_word == 0 {
+                        let pick = wrapped_first(mw, start).expect("requesting lane");
+                        mw[pick >> 6] &= !(1u64 << (pick & 63));
+                        if mw.iter().all(|&w| w == 0) {
                             reqnz &= !(1u64 << l);
                         }
                         let lb = 1u64 << l;
@@ -1060,7 +1189,7 @@ impl BatchSimulator {
                 while reqnz != 0 {
                     let l = reqnz.trailing_zeros() as usize;
                     reqnz &= reqnz - 1;
-                    rq[l] = 0;
+                    rq[l * words..(l + 1) * words].fill(0);
                 }
             }
 
@@ -1074,7 +1203,7 @@ impl BatchSimulator {
             while lm != 0 {
                 let l = lm.trailing_zeros() as usize;
                 lm &= lm - 1;
-                used_vcs[l] = 0;
+                used_vcs[l * words..(l + 1) * words].fill(0);
             }
 
             for o in out_lo..out_hi {
@@ -1086,35 +1215,34 @@ impl BatchSimulator {
                 while lm != 0 {
                     let l = lm.trailing_zeros() as usize;
                     lm &= lm - 1;
-                    let mut m = std::mem::take(&mut req_sa[ro + l]) & !used_vcs[l];
+                    let used = &mut used_vcs[l * words..(l + 1) * words];
+                    let m = &mut req_sa[(ro + l) * words..(ro + l + 1) * words];
+                    for (w, &u) in m.iter_mut().zip(used.iter()) {
+                        *w &= !u;
+                    }
                     let start = out_sa_rr[o * k + l] as usize;
                     let winner = loop {
-                        if m == 0 {
+                        let Some(pick) = wrapped_first(m, start) else {
                             break None;
-                        }
-                        let at_or_after = m & (u64::MAX << start);
-                        let pick = if at_or_after != 0 {
-                            at_or_after.trailing_zeros()
-                        } else {
-                            m.trailing_zeros()
-                        } as usize;
+                        };
                         let ovc = (rovs[pick * k + l] >> 16) as usize;
                         if ovc_credits[(o * vcs + ovc) * k + l] == 0 {
-                            m &= !(1u64 << pick);
+                            m[pick >> 6] &= !(1u64 << (pick & 63));
                             continue;
                         }
                         break Some((pick, ovc));
                     };
+                    m.fill(0);
                     let Some((pick, ovc)) = winner else {
                         continue;
                     };
-                    let (i8, v8) = pick_iv[pick];
-                    let (i, v) = (i8 as usize, v8 as usize);
+                    let (i16, v16) = pick_iv[pick];
+                    let (i, v) = (i16 as usize, v16 as usize);
                     let gi = (base + pick) * k + l;
                     let gl = pick * k + l;
                     let next = pick + 1;
                     out_sa_rr[o * k + l] = if next == total_vcs { 0 } else { next } as u32;
-                    used_vcs[l] |= input_mask << (i * vcs);
+                    set_bits(used, i * vcs, vcs);
                     let word = front_word[gi];
                     let g = base + pick;
                     let lb = 1u64 << l;
@@ -1229,7 +1357,7 @@ impl BatchSimulator {
     }
 
     /// Telemetry only: per-lane buffered-flit occupancy, sampled every 64
-    /// measure-window cycles when tracing is on (the scalar cadence).
+    /// measure-window cycles when tracing is on.
     fn sample_occupancy(&mut self) {
         let k = self.k;
         let vcs = self.tables.vcs;
@@ -1282,16 +1410,18 @@ impl BatchSimulator {
             p99_latency: p99,
             accepted_throughput: lane.ejected_in_window as f64
                 / (lane.config.measure_cycles.max(1) as f64 * nodes as f64),
-            offered_rate: lane.workload.injection_rate(),
+            offered_rate: lane.source.offered_rate(),
             avg_flits_per_packet: lane.flit_sum as f64 / lane.measured_total.max(1) as f64,
             activity,
             drained,
         }
     }
 
-    /// Telemetry only: the scalar engine's `sim.link` / `sim.router`
-    /// series for one lane, emitted after every lane has finished (lane
-    /// order matches K sequential scalar runs).
+    /// Telemetry only: the per-link and per-router accumulators gathered
+    /// during one lane's measure window, published as `sim.link` /
+    /// `sim.router` series after every lane has finished (lane order
+    /// matches K sequential one-lane runs). Reads state, mutates nothing
+    /// the engine uses, so fingerprints cannot be affected.
     fn emit_trace(&self, l: usize, stats: &SimStats) {
         use noc_trace::FieldValue;
         let k = self.k;
@@ -1375,7 +1505,10 @@ impl BatchSimulator {
         w.write_u64(self.masked_cycles);
         for lane in &self.lanes {
             w.write_u64(lane.config.fingerprint());
-            w.write_u64(workload_fingerprint(&lane.workload));
+            let (tag, fingerprint, cursor) = lane.source.identity();
+            w.write_u8(tag);
+            w.write_u64(fingerprint);
+            w.write_u64(cursor);
             w.write_u64s(&lane.rng.state());
             w.write_u64(lane.measured_total);
             w.write_u64(lane.completed_measured);
@@ -1493,7 +1626,7 @@ impl BatchSimulator {
         Self::with_tables(tables, replicas).apply_snapshot(bytes)
     }
 
-    fn apply_snapshot(mut self, bytes: &[u8]) -> Result<Self, SnapshotError> {
+    pub(crate) fn apply_snapshot(mut self, bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = Reader::new(bytes, BATCH_KIND)?;
         let k = self.k;
         let vcs = self.tables.vcs;
@@ -1527,10 +1660,30 @@ impl BatchSimulator {
                     field: "lane config",
                 });
             }
-            if r.read_u64()? != workload_fingerprint(&lane.workload) {
+            let tag = r.read_u8()?;
+            let fingerprint = r.read_u64()?;
+            let cursor = r.read_u64()?;
+            let (want_tag, want_fingerprint, _) = lane.source.identity();
+            if tag != want_tag {
                 return Err(SnapshotError::Mismatch {
-                    field: "lane workload",
+                    field: "lane source kind",
                 });
+            }
+            if fingerprint != want_fingerprint {
+                return Err(SnapshotError::Mismatch {
+                    field: match lane.source {
+                        Source::Workload(_) => "lane workload",
+                        Source::Trace { .. } => "lane trace",
+                    },
+                });
+            }
+            if let Source::Trace { trace, next } = &mut lane.source {
+                if cursor > trace.events().len() as u64 {
+                    return Err(SnapshotError::Corrupt {
+                        field: "lane trace cursor",
+                    });
+                }
+                *next = cursor as usize;
             }
             let state = r.read_u64s()?;
             let state: [u64; 4] = state.try_into().map_err(|_| SnapshotError::Corrupt {
@@ -1714,7 +1867,9 @@ impl BatchSimulator {
                 field: "occupancy sums",
             });
         }
-        // Telemetry follows the current sink state (see the scalar engine).
+        // Telemetry follows the *current* sink state, not the snapshot's:
+        // a restore under tracing starts zeroed series if the original run
+        // had none, and a restore without tracing drops them.
         if self.trace_on {
             self.link_flits = if link_flits.is_empty() {
                 vec![0; total_outputs * k]

@@ -1,185 +1,21 @@
-//! The cycle-driven simulation engine.
-//!
-//! Each cycle executes, in order: credit returns, link arrivals (BW),
-//! injection, RC + VA, and SA/ST. The stage gating reproduces the 3-stage
-//! pipeline timing: a flit buffer-written at cycle `t` may be VC-allocated
-//! at `t+1` and switch-traverse at `t+2`; a flit issued at `u` lands in the
-//! downstream buffer at `u + 1 + span`, making an uncontended hop cost
-//! exactly `T_r + span·T_l = 3 + span` cycles buffer-to-buffer.
-//!
-//! Hot path. The loop allocates nothing per cycle: in-flight flits live in
-//! a fixed event wheel of `max_span + 2` buckets indexed by `cycle %
-//! horizon` (a flit issued at `t` arrives at `t + 1 + span`, so no pending
-//! arrival ever wraps onto the bucket being drained), credit returns use a
-//! two-slot wheel (always a 1-cycle wire delay), injection reuses a scratch
-//! vector, and routers whose `active_inputs` count is zero are skipped
-//! entirely — safe because round-robin pointers only advance on
-//! assignments, which require an active input VC.
+//! [`Simulator`]: one cycle-level run of one workload (or recorded trace)
+//! on one topology — a one-lane [`BatchSimulator`]. The engine, its
+//! snapshot codec and its state hash live in [`crate::batch`]; this type
+//! only fixes the lane count at one and reports the lane's own verdict.
 
+use crate::batch::{BatchSimulator, Source};
 use crate::config::SimConfig;
-use crate::flit::{Flit, PacketRecord};
-use crate::network::{NetTables, Network, NONE_U16, NONE_U32};
-use crate::stats::{ActivityCounters, SimStats};
-use noc_model::fingerprint::Fnv1a;
-use noc_rng::rngs::SmallRng;
-use noc_rng::SeedableRng;
+use crate::network::NetTables;
+use crate::stats::SimStats;
 use noc_routing::DorRouter;
-use noc_snapshot::{Reader, SnapshotError, Writer};
+use noc_snapshot::SnapshotError;
 use noc_topology::MeshTopology;
 use noc_traffic::{Trace, Workload};
 use std::sync::Arc;
 
-/// Where injected packets come from: a stochastic workload or a recorded
-/// trace replayed cycle-exactly.
-enum Source {
-    Workload(Workload),
-    Trace { trace: Trace, next: usize },
-}
-
-/// A flit in flight on a link, parked in the event wheel until its arrival
-/// cycle.
-#[derive(Debug, Clone, Copy)]
-struct ArrivalEvent {
-    /// Destination flat input port.
-    port: u32,
-    /// Destination VC (the allocated downstream VC).
-    vc: u16,
-    /// The flit itself.
-    flit: Flit,
-}
-
-/// Reusable run-to-run scratch storage: the packet ledger and latency
-/// sample vector a [`Simulator::run_with_scratch`] call borrows its
-/// capacity from and returns it to. Replicated runs (sweeps, replicated
-/// experiment points) reuse one scratch instead of growing fresh vectors
-/// from empty each time.
-#[derive(Debug, Default)]
-pub struct SimScratch {
-    packets: Vec<PacketRecord>,
-    latencies: Vec<u32>,
-}
-
-impl SimScratch {
-    /// An empty scratch; capacity grows on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// A cycle-level simulation of one workload on one topology.
 pub struct Simulator {
-    network: Network,
-    config: SimConfig,
-    source: Source,
-    rng: SmallRng,
-    cycle: u64,
-    packets: Vec<PacketRecord>,
-    latencies: Vec<u32>,
-    /// Injection scratch: `(src node, bits, dst)` gathered per cycle.
-    pending: Vec<(u32, u32, u32)>,
-    /// Link-arrival event wheel; bucket `t % horizon` holds cycle-`t`
-    /// arrivals.
-    arrivals: Vec<Vec<ArrivalEvent>>,
-    /// Credit-return wheel: a credit issued at `t` applies at `t+1`, so two
-    /// slots indexed by `cycle & 1` suffice. Entries are flat output-VC
-    /// indices.
-    credit_wheel: [Vec<u32>; 2],
-    /// Per-local-output-port request masks (one bit per input VC of the
-    /// router being processed), rebuilt by the VA and SA stages each cycle.
-    req: Vec<u128>,
-    horizon: u64,
-    /// Expected packet-ledger size, from the injection rate and window.
-    est_packets: usize,
-    /// Expected measured-sample count.
-    est_latencies: usize,
-    activity: Vec<ActivityCounters>,
-    measured_total: u64,
-    completed_measured: u64,
-    latency_sum: u64,
-    head_latency_sum: u64,
-    max_latency: u64,
-    flit_sum: u64,
-    ejected_in_window: u64,
-    /// Whether the global trace sink was enabled when this simulator was
-    /// built. Telemetry below only ever *reads* simulation state — the
-    /// RNG stream, arbitration, and [`SimStats`] are bit-identical with
-    /// tracing on or off (pinned by the golden-fingerprint tests).
-    trace_on: bool,
-    /// Per-output-port flits traversed inside the measure window
-    /// (telemetry only; empty when tracing is off).
-    link_flits: Vec<u64>,
-    /// Per-router buffered-flit occupancy, summed over samples taken every
-    /// 64 cycles of the measure window (telemetry only).
-    occ_sum: Vec<u64>,
-    /// Number of occupancy samples taken.
-    occ_samples: u64,
-    /// Terminal verdict once the run schedule has completed: `Some(drained)`
-    /// after the first post-step state where the measurement window is over
-    /// and either every measured packet drained or the drain budget ran out.
-    /// Kept so [`Simulator::run_until`] / [`Simulator::finish`] never step
-    /// past the exact cycle the one-shot loop would have stopped at.
-    done: Option<bool>,
-    /// Whether this simulator was restored from a snapshot. Restored runs
-    /// own their packet ledger already, so the scratch swap in
-    /// [`Simulator::run_with_scratch`] is skipped to preserve it.
-    resumed: bool,
-}
-
-/// Snapshot kind tag for scalar [`Simulator`] snapshots.
-pub const SIM_KIND: &str = "sim-scalar";
-
-/// Order-sensitive FNV-1a fingerprint of a workload: matrix side and rates,
-/// injection rate, and the packet-size mix. Used to pair a snapshot with the
-/// workload it must be resumed under.
-pub fn workload_fingerprint(w: &Workload) -> u64 {
-    let mut fp = Fnv1a::with_tag("sim-workload");
-    fp.write_u64(w.matrix().side() as u64);
-    for &rate in w.matrix().as_slice() {
-        fp.write_f64(rate);
-    }
-    fp.write_f64(w.injection_rate());
-    for class in w.mix().classes() {
-        fp.write_u32(class.bits);
-        fp.write_f64(class.fraction);
-    }
-    fp.finish()
-}
-
-/// Order-sensitive FNV-1a fingerprint of a recorded trace (side and every
-/// injection event). Used to pair a snapshot with its replay source.
-pub fn trace_fingerprint(trace: &Trace) -> u64 {
-    let mut fp = Fnv1a::with_tag("sim-trace");
-    fp.write_u64(trace.side() as u64);
-    fp.write_u64(trace.events().len() as u64);
-    for e in trace.events() {
-        fp.write_u64(e.cycle);
-        fp.write_u64(e.src as u64);
-        fp.write_u64(e.dst as u64);
-        fp.write_u32(e.bits);
-    }
-    fp.finish()
-}
-
-fn write_flit(w: &mut Writer, f: Flit) {
-    w.write_u32(f.packet);
-    w.write_u16(f.seq);
-    w.write_bool(f.tail);
-    w.write_u16(f.dst);
-}
-
-fn read_flit(r: &mut Reader) -> Result<Flit, SnapshotError> {
-    Ok(Flit {
-        packet: r.read_u32()?,
-        seq: r.read_u16()?,
-        tail: r.read_bool()?,
-        dst: r.read_u16()?,
-    })
-}
-
-fn hash_flit(fp: &mut Fnv1a, f: Flit) {
-    fp.write_u32(f.packet);
-    fp.write_u32(f.seq as u32 | (f.dst as u32) << 16);
-    fp.write_u32(f.tail as u32);
+    batch: BatchSimulator,
 }
 
 impl Simulator {
@@ -197,26 +33,15 @@ impl Simulator {
         workload: Workload,
         config: SimConfig,
     ) -> Self {
-        assert_eq!(
-            workload.matrix().side(),
-            topology.side(),
-            "workload and topology sizes must match"
-        );
-        Self::with_source(topology, dor, Source::Workload(workload), config)
+        let tables = Arc::new(NetTables::build(topology, dor, config.vcs_per_port));
+        Self::with_tables(tables, workload, config)
     }
 
     /// Builds a simulator over pre-built shared network tables (see
     /// [`NetTables`]): the routing solve and port wiring are reused
     /// read-only, so a sweep or batch builds them once per topology.
-    /// Statistics are bit-identical to [`Simulator::new`].
     pub fn with_tables(tables: Arc<NetTables>, workload: Workload, config: SimConfig) -> Self {
-        assert_eq!(
-            workload.matrix().side(),
-            tables.side,
-            "workload and topology sizes must match"
-        );
-        let network = Network::from_tables(tables, &config);
-        Self::from_network(network, Source::Workload(workload), config)
+        Self::with_source(tables, Source::Workload(workload), config)
     }
 
     /// Builds a simulator that replays a recorded [`Trace`] cycle-exactly
@@ -229,153 +54,25 @@ impl Simulator {
             "trace and topology sizes must match"
         );
         let dor = DorRouter::new(topology, config.weights);
-        Self::with_source(topology, &dor, Source::Trace { trace, next: 0 }, config)
+        let tables = Arc::new(NetTables::build(topology, &dor, config.vcs_per_port));
+        Self::with_source(tables, Source::Trace { trace, next: 0 }, config)
     }
 
-    fn with_source(
-        topology: &MeshTopology,
-        dor: &DorRouter,
-        source: Source,
-        config: SimConfig,
-    ) -> Self {
-        let network = Network::build(topology, dor, &config);
-        Self::from_network(network, source, config)
-    }
-
-    fn from_network(network: Network, source: Source, config: SimConfig) -> Self {
-        let routers = network.routers_len();
-        // Arrivals land `1..=1 + max_span` cycles out, so `max_span + 2`
-        // buckets keep every pending event clear of the bucket being
-        // drained.
-        let horizon = network.max_span() as u64 + 2;
-        let max_outputs = (0..routers)
-            .map(|r| network.output_ports(r).len())
-            .max()
-            .unwrap_or(0);
-        let (est_packets, est_latencies) = match &source {
-            Source::Workload(w) => {
-                let per_cycle = w.injection_rate() * routers as f64;
-                let window = (config.warmup_cycles + config.measure_cycles) as f64;
-                let expect = (per_cycle * window).ceil() as usize;
-                let measured = (per_cycle * config.measure_cycles as f64).ceil() as usize;
-                (expect + expect / 8 + 64, measured + measured / 8 + 16)
-            }
-            Source::Trace { trace, .. } => (trace.events().len(), trace.events().len()),
-        };
-        let trace_on = noc_trace::enabled();
-        let total_outputs = network.tables.out_port_off[routers] as usize;
+    fn with_source(tables: Arc<NetTables>, source: Source, config: SimConfig) -> Self {
         Simulator {
-            network,
-            config,
-            source,
-            rng: SmallRng::seed_from_u64(config.seed),
-            cycle: 0,
-            packets: Vec::new(),
-            latencies: Vec::new(),
-            pending: Vec::new(),
-            arrivals: vec![Vec::new(); horizon as usize],
-            credit_wheel: [Vec::new(), Vec::new()],
-            req: vec![0u128; max_outputs],
-            horizon,
-            est_packets,
-            est_latencies,
-            activity: vec![ActivityCounters::default(); routers],
-            measured_total: 0,
-            completed_measured: 0,
-            latency_sum: 0,
-            head_latency_sum: 0,
-            max_latency: 0,
-            flit_sum: 0,
-            ejected_in_window: 0,
-            trace_on,
-            link_flits: if trace_on {
-                vec![0; total_outputs]
-            } else {
-                Vec::new()
-            },
-            occ_sum: if trace_on {
-                vec![0; routers]
-            } else {
-                Vec::new()
-            },
-            occ_samples: 0,
-            done: None,
-            resumed: false,
+            batch: BatchSimulator::with_sources(tables, vec![(source, config)]),
         }
     }
 
     /// Current cycle.
     pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn in_measure_window(&self) -> bool {
-        self.cycle >= self.config.warmup_cycles
-            && self.cycle < self.config.warmup_cycles + self.config.measure_cycles
+        self.batch.cycle()
     }
 
     /// Runs the full warmup + measurement + drain schedule and returns the
     /// collected statistics.
     pub fn run(self) -> SimStats {
-        self.run_with_scratch(&mut SimScratch::new())
-    }
-
-    /// Like [`run`](Self::run), but borrows the packet ledger and latency
-    /// vector capacity from `scratch` and returns it (cleared) afterwards,
-    /// so replicated runs do not re-grow them from empty. Statistics are
-    /// bit-identical to [`run`](Self::run).
-    pub fn run_with_scratch(mut self, scratch: &mut SimScratch) -> SimStats {
-        // A restored simulator already owns its (partially filled) packet
-        // ledger; swapping scratch in would discard it.
-        let use_scratch = !self.resumed;
-        if use_scratch {
-            std::mem::swap(&mut self.packets, &mut scratch.packets);
-            std::mem::swap(&mut self.latencies, &mut scratch.latencies);
-            self.packets.clear();
-            self.latencies.clear();
-            self.packets.reserve(self.est_packets);
-            self.latencies.reserve(self.est_latencies);
-        }
-
-        let drained = loop {
-            if let Some(drained) = self.advance() {
-                break drained;
-            }
-        };
-
-        let stats = self.compute_stats(drained);
-        if self.trace_on {
-            self.emit_trace(&stats);
-        }
-        if use_scratch {
-            self.packets.clear();
-            self.latencies.clear();
-            std::mem::swap(&mut self.packets, &mut scratch.packets);
-            std::mem::swap(&mut self.latencies, &mut scratch.latencies);
-        }
-        stats
-    }
-
-    /// Steps one cycle unless the run schedule already completed; returns
-    /// the terminal verdict (`Some(drained)`) once the run is over. The
-    /// stepping sequence is exactly the one-shot loop's: step, then check
-    /// whether the window has closed and either all measured packets
-    /// drained or the drain budget is exhausted. Idempotent once terminal.
-    fn advance(&mut self) -> Option<bool> {
-        if self.done.is_some() {
-            return self.done;
-        }
-        self.step();
-        if self.cycle >= self.config.warmup_cycles + self.config.measure_cycles {
-            let drained = self.completed_measured == self.measured_total;
-            let hard_end = self.config.warmup_cycles
-                + self.config.measure_cycles
-                + self.config.drain_cycles_max;
-            if drained || self.cycle >= hard_end {
-                self.done = Some(drained);
-            }
-        }
-        self.done
+        self.finish()
     }
 
     /// Runs until the cycle counter reaches `target_cycle` or the schedule
@@ -385,965 +82,32 @@ impl Simulator {
     /// [`Simulator::snapshot`]. Interleaving `run_until` calls at any cycle
     /// granularity is bit-identical to [`Simulator::run`].
     pub fn run_until(&mut self, target_cycle: u64) -> Option<bool> {
-        while self.done.is_none() && self.cycle < target_cycle {
-            self.advance();
-        }
-        self.done
+        self.batch.run_until(target_cycle);
+        self.batch.lane_verdict(0)
     }
 
     /// Runs the remaining schedule to completion and returns the collected
     /// statistics. `run_until` followed by `finish` (possibly across a
     /// snapshot/restore boundary) is bit-identical to [`Simulator::run`].
-    pub fn finish(mut self) -> SimStats {
-        let drained = loop {
-            if let Some(drained) = self.advance() {
-                break drained;
-            }
-        };
-        let stats = self.compute_stats(drained);
-        if self.trace_on {
-            self.emit_trace(&stats);
-        }
-        stats
+    pub fn finish(self) -> SimStats {
+        self.batch.run().pop().expect("one lane")
     }
 
-    /// Advances the simulation by one cycle.
-    pub fn step(&mut self) {
-        let t = self.cycle;
-        if self.trace_on && (t & 4095) == 0 {
-            // Rolling state-hash series: the digest of the exact engine
-            // state at this cycle boundary. A run restored from a snapshot
-            // emits the same values — divergence pinpoints the first 4096-
-            // cycle block where two runs differ. Telemetry only: reads
-            // state, mutates nothing.
-            noc_trace::emit(
-                "series",
-                "sim.state_hash",
-                vec![
-                    ("cycle", noc_trace::FieldValue::U64(t)),
-                    ("hash", noc_trace::FieldValue::U64(self.state_hash())),
-                ],
-            );
-        }
-        self.apply_credits(t);
-        self.process_arrivals(t);
-        self.inject(t);
-        self.route_and_allocate(t);
-        self.switch_traversal(t);
-        if self.trace_on && (t & 63) == 0 && self.in_measure_window() {
-            self.sample_occupancy();
-        }
-        self.cycle = t + 1;
-    }
-
-    /// Telemetry only: accumulates the number of buffered flits per router
-    /// (sampled every 64 measure-window cycles when tracing is on).
-    fn sample_occupancy(&mut self) {
-        self.occ_samples += 1;
-        let net = &self.network;
-        let vcs = net.tables.vcs;
-        for r in 0..net.tables.routers {
-            let lo = net.tables.in_port_off[r] as usize * vcs;
-            let hi = net.tables.in_port_off[r + 1] as usize * vcs;
-            let mut buffered = 0u64;
-            for g in lo..hi {
-                buffered += net.vc_len[g] as u64;
-            }
-            self.occ_sum[r] += buffered;
-        }
-    }
-
-    fn apply_credits(&mut self, t: u64) {
-        let Simulator {
-            network: net,
-            credit_wheel,
-            ..
-        } = self;
-        let slot = &mut credit_wheel[(t & 1) as usize];
-        for &ovc in slot.iter() {
-            net.ovc_credits[ovc as usize] += 1;
-        }
-        slot.clear();
-    }
-
-    fn process_arrivals(&mut self, t: u64) {
-        let measure = self.in_measure_window();
-        let slot = (t % self.horizon) as usize;
-        let Simulator {
-            network: net,
-            activity,
-            arrivals,
-            ..
-        } = self;
-        let vcs = net.tables.vcs;
-        let bucket = &mut arrivals[slot];
-        for ev in bucket.iter() {
-            let g = ev.port as usize * vcs + ev.vc as usize;
-            net.push_flit(g, ev.flit, t + 2);
-            if measure {
-                activity[net.tables.in_port_router[ev.port as usize] as usize].buffer_writes += 1;
-            }
-        }
-        bucket.clear();
-    }
-
-    fn inject(&mut self, t: u64) {
-        let nodes = self.network.routers_len();
-        // Gather this cycle's injections from the source.
-        self.pending.clear();
-        match &mut self.source {
-            Source::Workload(workload) => {
-                for node in 0..nodes {
-                    if let Some(spec) = workload.generate(node, &mut self.rng) {
-                        self.pending.push((node as u32, spec.bits, spec.dst as u32));
-                    }
-                }
-            }
-            Source::Trace { trace, next } => {
-                let events = trace.events();
-                while *next < events.len() && events[*next].cycle <= t {
-                    let e = events[*next];
-                    *next += 1;
-                    self.pending.push((e.src as u32, e.bits, e.dst as u32));
-                }
-            }
-        }
-        let measure = self.in_measure_window();
-        let flit_bits = self.config.flit_bits;
-        let Simulator {
-            network: net,
-            packets,
-            pending,
-            measured_total,
-            flit_sum,
-            ..
-        } = self;
-        let vcs = net.tables.vcs;
-        for &(node, bits, dst) in pending.iter() {
-            let node = node as usize;
-            let flits = bits.div_ceil(flit_bits).max(1);
-            let packet_id = packets.len() as u32;
-            packets.push(PacketRecord {
-                src: node as u16,
-                dst: dst as u16,
-                flits,
-                created: t as u32,
-                head_done: crate::flit::PENDING,
-                tail_done: crate::flit::PENDING,
-                measured: measure,
-            });
-            if measure {
-                *measured_total += 1;
-                *flit_sum += flits as u64;
-            }
-            // Enqueue into the least-loaded injection VC (the NI's queues).
-            let inj = net.tables.in_port_off[node + 1] as usize - 1;
-            let vc_idx = (0..vcs)
-                .min_by_key(|&v| net.vc_len[inj * vcs + v])
-                .expect("at least one VC");
-            let g = inj * vcs + vc_idx;
-            for seq in 0..flits {
-                net.push_flit(
-                    g,
-                    Flit {
-                        packet: packet_id,
-                        seq: seq as u16,
-                        tail: seq + 1 == flits,
-                        dst: dst as u16,
-                    },
-                    t + 2,
-                );
-            }
-        }
-    }
-
-    fn route_and_allocate(&mut self, t: u64) {
-        let measure = self.in_measure_window();
-        let Simulator {
-            network: net,
-            activity,
-            req,
-            ..
-        } = self;
-        let vcs = net.tables.vcs;
-        let routers = net.tables.routers;
-        // `r` indexes several parallel SoA arrays, not just `activity` — a
-        // range loop is the honest shape here.
-        #[allow(clippy::needless_range_loop)]
-        for r in 0..routers {
-            if net.active_inputs[r] == 0 {
-                continue;
-            }
-            let in_lo = net.tables.in_port_off[r] as usize;
-            let in_hi = net.tables.in_port_off[r + 1] as usize;
-            let base = in_lo * vcs;
-            let total_vcs = (in_hi - in_lo) * vcs;
-            let out_lo = net.tables.out_port_off[r] as usize;
-            let out_hi = net.tables.out_port_off[r + 1] as usize;
-
-            if total_vcs <= 128 {
-                // Fused RC + request-mask build: one pass over the input VCs
-                // computes routes and records, per local output port, a bit
-                // per input VC that requests a downstream VC this cycle.
-                for m in req[..out_hi - out_lo].iter_mut() {
-                    *m = 0;
-                }
-                for idx in 0..total_vcs {
-                    let g = base + idx;
-                    let mut route = net.vc_route[g];
-                    let head = net.front_flit[g].is_head();
-                    if route == NONE_U16 {
-                        if !head {
-                            continue;
-                        }
-                        route = net.tables.route[r * routers + net.front_flit[g].dst as usize];
-                        net.vc_route[g] = route;
-                    }
-                    if net.vc_out_vc[g] == NONE_U16 && head && t + 1 >= net.front_eligible[g] {
-                        req[route as usize] |= 1u128 << idx;
-                    }
-                }
-                // VA: first requesting VC at or after the round-robin pointer
-                // is a wrapped first-set-bit lookup.
-                for o in out_lo..out_hi {
-                    let o_local = o - out_lo;
-                    for ovc in 0..vcs {
-                        let ov = o * vcs + ovc;
-                        if net.ovc_owner[ov] != NONE_U32 {
-                            continue;
-                        }
-                        let m = req[o_local];
-                        if m == 0 {
-                            break;
-                        }
-                        let start = net.out_va_rr[o] as usize;
-                        let at_or_after = m & (u128::MAX << start);
-                        let pick = if at_or_after != 0 {
-                            at_or_after.trailing_zeros()
-                        } else {
-                            m.trailing_zeros()
-                        } as usize;
-                        let g = base + pick;
-                        req[o_local] &= !(1u128 << pick);
-                        net.ovc_owner[ov] = g as u32;
-                        net.vc_out_vc[g] = ovc as u16;
-                        net.vc_va_done[g] = t;
-                        let next = pick + 1;
-                        net.out_va_rr[o] = if next == total_vcs { 0 } else { next } as u32;
-                        if measure {
-                            activity[r].vc_allocations += 1;
-                        }
-                    }
-                }
-                continue;
-            }
-
-            // Wide-router fallback (more than 128 input VCs): the plain
-            // round-robin scans.
-            // RC: head flits at buffer fronts compute their output port
-            // (empty VCs hold a non-head sentinel).
-            for g in base..in_hi * vcs {
-                if net.vc_route[g] == NONE_U16 && net.front_flit[g].is_head() {
-                    net.vc_route[g] =
-                        net.tables.route[r * routers + net.front_flit[g].dst as usize];
-                }
-            }
-            // VA: hand free output VCs to requesting input VCs, round-robin.
-            for o in out_lo..out_hi {
-                let o_local = (o - out_lo) as u16;
-                for ovc in 0..vcs {
-                    let ov = o * vcs + ovc;
-                    if net.ovc_owner[ov] != NONE_U32 {
-                        continue;
-                    }
-                    let mut idx = net.out_va_rr[o] as usize;
-                    let mut assigned = None;
-                    for _ in 0..total_vcs {
-                        let g = base + idx;
-                        let requesting = net.vc_route[g] == o_local
-                            && net.vc_out_vc[g] == NONE_U16
-                            && net.front_flit[g].is_head()
-                            && t + 1 >= net.front_eligible[g];
-                        if requesting {
-                            assigned = Some(g);
-                            break;
-                        }
-                        idx += 1;
-                        if idx == total_vcs {
-                            idx = 0;
-                        }
-                    }
-                    if let Some(g) = assigned {
-                        net.ovc_owner[ov] = g as u32;
-                        net.vc_out_vc[g] = ovc as u16;
-                        net.vc_va_done[g] = t;
-                        idx += 1;
-                        net.out_va_rr[o] = if idx == total_vcs { 0 } else { idx } as u32;
-                        if measure {
-                            activity[r].vc_allocations += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn switch_traversal(&mut self, t: u64) {
-        let measure = self.in_measure_window();
-        let window_start = self.config.warmup_cycles;
-        let window_end = window_start + self.config.measure_cycles;
-        let horizon = self.horizon;
-        let trace_links = self.trace_on && measure;
-        let Simulator {
-            network: net,
-            activity,
-            packets,
-            latencies,
-            arrivals,
-            credit_wheel,
-            req,
-            completed_measured,
-            latency_sum,
-            head_latency_sum,
-            max_latency,
-            ejected_in_window,
-            link_flits,
-            ..
-        } = self;
-        let vcs = net.tables.vcs;
-        let routers = net.tables.routers;
-        let credit_slot = ((t + 1) & 1) as usize;
-        let horizon = horizon as usize;
-        let slot0 = (t % horizon as u64) as usize;
-
-        // As in `route_and_allocate`: `r` indexes many SoA arrays at once.
-        #[allow(clippy::needless_range_loop)]
-        for r in 0..routers {
-            if net.active_inputs[r] == 0 {
-                continue;
-            }
-            let in_lo = net.tables.in_port_off[r] as usize;
-            let in_hi = net.tables.in_port_off[r + 1] as usize;
-            let base = in_lo * vcs;
-            let injection_local = in_hi - in_lo - 1;
-            let out_lo = net.tables.out_port_off[r] as usize;
-            let out_hi = net.tables.out_port_off[r + 1] as usize;
-            let ejection = out_hi - 1;
-            let total_vcs = (in_hi - in_lo) * vcs;
-            let mut used_inputs: u64 = 0;
-            let fast = total_vcs <= 128;
-
-            if fast {
-                // One pass builds, per local output port, the mask of input
-                // VCs whose front flit could traverse this cycle (all SA
-                // conditions except credits and the one-per-input rule,
-                // which are resolved at pick time). The snapshot is exact:
-                // nothing earlier in this stage mutates this router, and a
-                // popped VC only ever requested the already-processed port.
-                for m in req[..out_hi - out_lo].iter_mut() {
-                    *m = 0;
-                }
-                for idx in 0..total_vcs {
-                    let g = base + idx;
-                    let route = net.vc_route[g];
-                    if route == NONE_U16 || net.vc_out_vc[g] == NONE_U16 {
-                        continue;
-                    }
-                    if net.front_eligible[g] > t {
-                        continue;
-                    }
-                    if net.front_flit[g].is_head() && t <= net.vc_va_done[g] {
-                        continue;
-                    }
-                    req[route as usize] |= 1u128 << idx;
-                }
-            }
-            // Input VCs of already-used input ports, as a VC-bit mask.
-            let mut used_vcs: u128 = 0;
-            let input_mask = if vcs >= 128 {
-                u128::MAX
-            } else {
-                (1u128 << vcs) - 1
-            };
-
-            for o in out_lo..out_hi {
-                let o_local = (o - out_lo) as u16;
-                let winner = if fast {
-                    let mut m = req[o - out_lo] & !used_vcs;
-                    let start = net.out_sa_rr[o] as usize;
-                    loop {
-                        if m == 0 {
-                            break None;
-                        }
-                        let at_or_after = m & (u128::MAX << start);
-                        let pick = if at_or_after != 0 {
-                            at_or_after.trailing_zeros()
-                        } else {
-                            m.trailing_zeros()
-                        } as usize;
-                        let g = base + pick;
-                        let ovc = net.vc_out_vc[g] as usize;
-                        if net.ovc_credits[o * vcs + ovc] == 0 {
-                            m &= !(1u128 << pick);
-                            continue;
-                        }
-                        break Some((g, pick / vcs, pick % vcs, ovc, pick));
-                    }
-                } else {
-                    // Wide-router fallback: plain round-robin scan tracking
-                    // (input port, vc) incrementally.
-                    let mut idx = net.out_sa_rr[o] as usize;
-                    let mut i = idx / vcs;
-                    let mut v = idx - i * vcs;
-                    let mut winner = None;
-                    'scan: for _ in 0..total_vcs {
-                        'check: {
-                            if used_inputs & (1 << i) != 0 {
-                                break 'check;
-                            }
-                            let g = base + idx;
-                            if net.vc_route[g] != o_local {
-                                break 'check;
-                            }
-                            let ovc = net.vc_out_vc[g];
-                            if ovc == NONE_U16 {
-                                break 'check;
-                            }
-                            if net.front_eligible[g] > t {
-                                break 'check;
-                            }
-                            if net.front_flit[g].is_head() && t <= net.vc_va_done[g] {
-                                break 'check;
-                            }
-                            if net.ovc_credits[o * vcs + ovc as usize] == 0 {
-                                break 'check;
-                            }
-                            winner = Some((g, i, v, ovc as usize, idx));
-                            break 'scan;
-                        }
-                        idx += 1;
-                        v += 1;
-                        if v == vcs {
-                            v = 0;
-                            i += 1;
-                        }
-                        if idx == total_vcs {
-                            idx = 0;
-                            i = 0;
-                            v = 0;
-                        }
-                    }
-                    winner
-                };
-
-                let Some((g, i, v, ovc, idx)) = winner else {
-                    continue;
-                };
-                let next = idx + 1;
-                net.out_sa_rr[o] = if next == total_vcs { 0 } else { next } as u32;
-                used_inputs |= 1 << i;
-                if fast {
-                    used_vcs |= input_mask << (i * vcs);
-                }
-                let flit = net.pop_front(g);
-
-                if measure {
-                    activity[r].crossbar_traversals += 1;
-                    if i != injection_local {
-                        activity[r].buffer_reads += 1;
-                    }
-                }
-
-                if o == ejection {
-                    // Flit leaves the network; completion is at end of cycle.
-                    let record = &mut packets[flit.packet as usize];
-                    if flit.is_head() {
-                        record.head_done = (t + 1) as u32;
-                    }
-                    if flit.tail {
-                        record.tail_done = (t + 1) as u32;
-                        if t >= window_start && t < window_end {
-                            *ejected_in_window += 1;
-                        }
-                        if record.measured {
-                            *completed_measured += 1;
-                            let latency = (t + 1) as u32 - record.created;
-                            *latency_sum += latency as u64;
-                            *max_latency = (*max_latency).max(latency as u64);
-                            latencies.push(latency);
-                            *head_latency_sum += (record.head_done - record.created) as u64;
-                        }
-                    }
-                } else {
-                    net.ovc_credits[o * vcs + ovc] -= 1;
-                    let span = net.tables.out_span[o] as usize;
-                    // `1 + span < horizon`, so one conditional wrap suffices.
-                    let mut slot = slot0 + 1 + span;
-                    if slot >= horizon {
-                        slot -= horizon;
-                    }
-                    arrivals[slot].push(ArrivalEvent {
-                        port: net.tables.out_dst_port[o],
-                        vc: ovc as u16,
-                        flit,
-                    });
-                    if measure {
-                        activity[r].link_flit_segments += span as u64;
-                    }
-                    if trace_links {
-                        link_flits[o] += 1;
-                    }
-                }
-
-                if flit.tail {
-                    net.vc_route[g] = NONE_U16;
-                    net.vc_out_vc[g] = NONE_U16;
-                    net.vc_va_done[g] = u64::MAX;
-                    net.ovc_owner[o * vcs + ovc] = NONE_U32;
-                }
-                if net.vc_len[g] == 0 && net.vc_route[g] == NONE_U16 {
-                    net.active_inputs[r] -= 1;
-                }
-
-                // Return the freed buffer slot upstream (1-cycle credit wire).
-                let base = net.tables.in_credit_base[in_lo + i];
-                if base != NONE_U32 {
-                    credit_wheel[credit_slot].push(base + v as u32);
-                }
-            }
-        }
-    }
-
-    /// Telemetry only: publishes the per-link and per-router accumulators
-    /// gathered during the measure window as `sim.link` / `sim.router`
-    /// events. Runs once, after the statistics are final; it reads
-    /// `stats` and the telemetry vectors but mutates nothing the engine
-    /// uses, so fingerprints cannot be affected.
-    fn emit_trace(&self, stats: &SimStats) {
-        use noc_trace::FieldValue;
-        let net = &self.network;
-        let measure = self.config.measure_cycles.max(1) as f64;
-        for r in 0..net.routers_len() {
-            let ejection = net.ejection_port(r);
-            for o in net.output_ports(r) {
-                if o == ejection || self.link_flits[o] == 0 {
-                    continue;
-                }
-                let flits = self.link_flits[o];
-                noc_trace::emit(
-                    "series",
-                    "sim.link",
-                    vec![
-                        ("src", FieldValue::U64(r as u64)),
-                        ("dst", FieldValue::U64(net.out_to_router(o) as u64)),
-                        ("span", FieldValue::U64(net.out_span(o) as u64)),
-                        ("flits", FieldValue::U64(flits)),
-                        ("util", FieldValue::F64(flits as f64 / measure)),
-                    ],
-                );
-            }
-            let counters = &stats.activity[r];
-            let avg_occupancy = if self.occ_samples == 0 {
-                0.0
-            } else {
-                self.occ_sum[r] as f64 / self.occ_samples as f64
-            };
-            noc_trace::emit(
-                "series",
-                "sim.router",
-                vec![
-                    ("router", FieldValue::U64(r as u64)),
-                    (
-                        "crossbar_util",
-                        FieldValue::F64(counters.crossbar_traversals as f64 / measure),
-                    ),
-                    ("buffer_writes", FieldValue::U64(counters.buffer_writes)),
-                    ("buffer_reads", FieldValue::U64(counters.buffer_reads)),
-                    ("avg_occupancy", FieldValue::F64(avg_occupancy)),
-                    ("occ_samples", FieldValue::U64(self.occ_samples)),
-                ],
-            );
-        }
-    }
-
-    /// Cheap rolling FNV-1a digest of the complete dynamic engine state at
-    /// the current cycle boundary: cycle, RNG, counters, every buffered
-    /// flit with its VC bookkeeping, credits, arbitration pointers, and
-    /// both event wheels. Two engines with equal hashes at every boundary
-    /// are in bit-identical states; a snapshot/restore round trip preserves
-    /// the hash exactly.
+    /// Rolling FNV-1a digest of the complete dynamic engine state at the
+    /// current cycle boundary; a snapshot/restore round trip preserves it
+    /// exactly.
     pub fn state_hash(&self) -> u64 {
-        let mut fp = Fnv1a::with_tag("sim-state");
-        fp.write_u64(self.cycle);
-        for s in self.rng.state() {
-            fp.write_u64(s);
-        }
-        fp.write_u64(self.packets.len() as u64);
-        fp.write_u64(self.measured_total);
-        fp.write_u64(self.completed_measured);
-        fp.write_u64(self.latency_sum);
-        fp.write_u64(self.head_latency_sum);
-        fp.write_u64(self.max_latency);
-        fp.write_u64(self.flit_sum);
-        fp.write_u64(self.ejected_in_window);
-        let net = &self.network;
-        for g in 0..net.front_flit.len() {
-            fp.write_u32(net.vc_len[g]);
-            if net.vc_len[g] > 0 {
-                hash_flit(&mut fp, net.front_flit[g]);
-                fp.write_u64(net.front_eligible[g]);
-                for b in net.vc_buf[g].iter() {
-                    hash_flit(&mut fp, b.flit);
-                    fp.write_u64(b.eligible);
-                }
-            }
-            fp.write_u32(net.vc_route[g] as u32 | (net.vc_out_vc[g] as u32) << 16);
-            fp.write_u64(net.vc_va_done[g]);
-        }
-        for &v in &net.ovc_owner {
-            fp.write_u32(v);
-        }
-        for &v in &net.ovc_credits {
-            fp.write_u32(v);
-        }
-        for &v in &net.out_va_rr {
-            fp.write_u32(v);
-        }
-        for &v in &net.out_sa_rr {
-            fp.write_u32(v);
-        }
-        for &v in &net.active_inputs {
-            fp.write_u32(v);
-        }
-        for bucket in &self.arrivals {
-            fp.write_u64(bucket.len() as u64);
-            for ev in bucket {
-                fp.write_u32(ev.port);
-                fp.write_u32(ev.vc as u32);
-                hash_flit(&mut fp, ev.flit);
-            }
-        }
-        for slot in &self.credit_wheel {
-            fp.write_u64(slot.len() as u64);
-            for &ovc in slot {
-                fp.write_u32(ovc);
-            }
-        }
-        fp.finish()
+        self.batch.state_hash()
     }
 
     /// Serializes the complete dynamic engine state at the current cycle
-    /// boundary into a versioned, digest-protected snapshot (kind
-    /// [`SIM_KIND`]). Restoring with the same topology, source, and config
-    /// and running to completion is bit-identical to never having stopped.
-    /// Call only between cycles — i.e. after construction, [`Simulator::step`],
-    /// or [`Simulator::run_until`] — never from inside a stage.
+    /// boundary into a versioned, digest-protected one-lane snapshot (kind
+    /// [`crate::BATCH_KIND`]). Restoring with the same topology, source,
+    /// and config and running to completion is bit-identical to never
+    /// having stopped. Call only between cycles — after construction or
+    /// [`Simulator::run_until`].
     pub fn snapshot(&self) -> Vec<u8> {
-        let net = &self.network;
-        let total_in_vcs = net.front_flit.len();
-        let mut w = Writer::new(SIM_KIND);
-        w.write_u64(self.config.fingerprint());
-        match &self.source {
-            Source::Workload(wl) => {
-                w.write_u8(0);
-                w.write_u64(workload_fingerprint(wl));
-                w.write_u64(0);
-            }
-            Source::Trace { trace, next } => {
-                w.write_u8(1);
-                w.write_u64(trace_fingerprint(trace));
-                w.write_u64(*next as u64);
-            }
-        }
-        w.write_u64(net.tables.routers as u64);
-        w.write_u64(net.tables.vcs as u64);
-        w.write_u64(total_in_vcs as u64);
-        w.write_u64(net.ovc_owner.len() as u64);
-        w.write_u64(self.horizon);
-        w.write_u8(match self.done {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        });
-        w.write_u64(self.cycle);
-        w.write_u64s(&self.rng.state());
-        w.write_u64(self.measured_total);
-        w.write_u64(self.completed_measured);
-        w.write_u64(self.latency_sum);
-        w.write_u64(self.head_latency_sum);
-        w.write_u64(self.max_latency);
-        w.write_u64(self.flit_sum);
-        w.write_u64(self.ejected_in_window);
-        w.write_len(self.packets.len());
-        for p in &self.packets {
-            w.write_u16(p.src);
-            w.write_u16(p.dst);
-            w.write_u32(p.flits);
-            w.write_u32(p.created);
-            w.write_u32(p.head_done);
-            w.write_u32(p.tail_done);
-            w.write_bool(p.measured);
-        }
-        w.write_u32s(&self.latencies);
-        w.write_len(self.activity.len());
-        for a in &self.activity {
-            w.write_u64(a.buffer_writes);
-            w.write_u64(a.buffer_reads);
-            w.write_u64(a.crossbar_traversals);
-            w.write_u64(a.link_flit_segments);
-            w.write_u64(a.vc_allocations);
-        }
-        for bucket in &self.arrivals {
-            w.write_len(bucket.len());
-            for ev in bucket {
-                w.write_u32(ev.port);
-                w.write_u16(ev.vc);
-                write_flit(&mut w, ev.flit);
-            }
-        }
-        for slot in &self.credit_wheel {
-            w.write_u32s(slot);
-        }
-        w.write_u64(self.occ_samples);
-        w.write_u64s(&self.link_flits);
-        w.write_u64s(&self.occ_sum);
-        for g in 0..total_in_vcs {
-            w.write_u32(net.vc_len[g]);
-            if net.vc_len[g] > 0 {
-                write_flit(&mut w, net.front_flit[g]);
-                w.write_u64(net.front_eligible[g]);
-                w.write_len(net.vc_buf[g].len());
-                for b in net.vc_buf[g].iter() {
-                    write_flit(&mut w, b.flit);
-                    w.write_u64(b.eligible);
-                }
-            }
-            w.write_u16(net.vc_route[g]);
-            w.write_u16(net.vc_out_vc[g]);
-            w.write_u64(net.vc_va_done[g]);
-        }
-        w.write_u32s(&net.ovc_owner);
-        w.write_u32s(&net.ovc_credits);
-        w.write_u32s(&net.out_va_rr);
-        w.write_u32s(&net.out_sa_rr);
-        w.write_u32s(&net.active_inputs);
-        w.finish()
-    }
-
-    /// Restores a snapshot into a freshly built simulator, validating the
-    /// wire format, the config/source fingerprints, and every dimension
-    /// against the rebuilt network.
-    fn apply_snapshot(mut self, bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = Reader::new(bytes, SIM_KIND)?;
-        if r.read_u64()? != self.config.fingerprint() {
-            return Err(SnapshotError::Mismatch {
-                field: "sim config",
-            });
-        }
-        let source_tag = r.read_u8()?;
-        let source_fp = r.read_u64()?;
-        let cursor = r.read_u64()? as usize;
-        match &mut self.source {
-            Source::Workload(wl) => {
-                if source_tag != 0 {
-                    return Err(SnapshotError::Mismatch {
-                        field: "source kind",
-                    });
-                }
-                if source_fp != workload_fingerprint(wl) {
-                    return Err(SnapshotError::Mismatch { field: "workload" });
-                }
-            }
-            Source::Trace { trace, next } => {
-                if source_tag != 1 {
-                    return Err(SnapshotError::Mismatch {
-                        field: "source kind",
-                    });
-                }
-                if source_fp != trace_fingerprint(trace) {
-                    return Err(SnapshotError::Mismatch { field: "trace" });
-                }
-                if cursor > trace.events().len() {
-                    return Err(SnapshotError::Corrupt {
-                        field: "trace cursor",
-                    });
-                }
-                *next = cursor;
-            }
-        }
-        let routers = self.network.tables.routers;
-        let vcs = self.network.tables.vcs;
-        let total_in_vcs = self.network.front_flit.len();
-        let total_ovcs = self.network.ovc_owner.len();
-        let total_outputs = self.network.out_va_rr.len();
-        for (field, expected) in [
-            ("router count", routers),
-            ("vc count", vcs),
-            ("input vc count", total_in_vcs),
-            ("output vc count", total_ovcs),
-            ("event horizon", self.horizon as usize),
-        ] {
-            if r.read_u64()? != expected as u64 {
-                return Err(SnapshotError::Mismatch { field });
-            }
-        }
-        self.done = match r.read_u8()? {
-            0 => None,
-            1 => Some(false),
-            2 => Some(true),
-            _ => {
-                return Err(SnapshotError::Corrupt {
-                    field: "terminal verdict",
-                })
-            }
-        };
-        self.cycle = r.read_u64()?;
-        let rng_state = r.read_u64s()?;
-        let rng_state: [u64; 4] = rng_state
-            .try_into()
-            .map_err(|_| SnapshotError::Corrupt { field: "rng state" })?;
-        self.rng = SmallRng::from_state(rng_state);
-        self.measured_total = r.read_u64()?;
-        self.completed_measured = r.read_u64()?;
-        self.latency_sum = r.read_u64()?;
-        self.head_latency_sum = r.read_u64()?;
-        self.max_latency = r.read_u64()?;
-        self.flit_sum = r.read_u64()?;
-        self.ejected_in_window = r.read_u64()?;
-        let packet_count = r.read_len(21)?;
-        self.packets = Vec::with_capacity(packet_count);
-        for _ in 0..packet_count {
-            self.packets.push(PacketRecord {
-                src: r.read_u16()?,
-                dst: r.read_u16()?,
-                flits: r.read_u32()?,
-                created: r.read_u32()?,
-                head_done: r.read_u32()?,
-                tail_done: r.read_u32()?,
-                measured: r.read_bool()?,
-            });
-        }
-        self.latencies = r.read_u32s()?;
-        let activity_len = r.read_len(40)?;
-        if activity_len != routers {
-            return Err(SnapshotError::Mismatch {
-                field: "activity counters",
-            });
-        }
-        self.activity = Vec::with_capacity(routers);
-        for _ in 0..routers {
-            self.activity.push(ActivityCounters {
-                buffer_writes: r.read_u64()?,
-                buffer_reads: r.read_u64()?,
-                crossbar_traversals: r.read_u64()?,
-                link_flit_segments: r.read_u64()?,
-                vc_allocations: r.read_u64()?,
-            });
-        }
-        for bucket in self.arrivals.iter_mut() {
-            bucket.clear();
-            let events = r.read_len(15)?;
-            bucket.reserve(events);
-            for _ in 0..events {
-                let port = r.read_u32()?;
-                let vc = r.read_u16()?;
-                let flit = read_flit(&mut r)?;
-                if port as usize * vcs >= total_in_vcs || vc as usize >= vcs {
-                    return Err(SnapshotError::Corrupt {
-                        field: "arrival event port",
-                    });
-                }
-                bucket.push(ArrivalEvent { port, vc, flit });
-            }
-        }
-        for slot in self.credit_wheel.iter_mut() {
-            *slot = r.read_u32s()?;
-            if slot.iter().any(|&ovc| ovc as usize >= total_ovcs) {
-                return Err(SnapshotError::Corrupt {
-                    field: "credit wheel entry",
-                });
-            }
-        }
-        self.occ_samples = r.read_u64()?;
-        let link_flits = r.read_u64s()?;
-        let occ_sum = r.read_u64s()?;
-        if !link_flits.is_empty() && link_flits.len() != total_outputs {
-            return Err(SnapshotError::Mismatch {
-                field: "link flits",
-            });
-        }
-        if !occ_sum.is_empty() && occ_sum.len() != routers {
-            return Err(SnapshotError::Mismatch {
-                field: "occupancy sums",
-            });
-        }
-        // Telemetry follows the *current* sink state, not the snapshot's:
-        // a restore under tracing starts zeroed series if the original run
-        // had none, and a restore without tracing drops them.
-        if self.trace_on {
-            self.link_flits = if link_flits.is_empty() {
-                vec![0; total_outputs]
-            } else {
-                link_flits
-            };
-            self.occ_sum = if occ_sum.is_empty() {
-                vec![0; routers]
-            } else {
-                occ_sum
-            };
-        } else {
-            self.link_flits = Vec::new();
-            self.occ_sum = Vec::new();
-        }
-        let net = &mut self.network;
-        for g in 0..total_in_vcs {
-            let len = r.read_u32()?;
-            net.vc_len[g] = len;
-            net.vc_buf[g].clear();
-            if len > 0 {
-                net.front_flit[g] = read_flit(&mut r)?;
-                net.front_eligible[g] = r.read_u64()?;
-                let queued = r.read_len(17)?;
-                if queued != len as usize - 1 {
-                    return Err(SnapshotError::Corrupt {
-                        field: "vc queue length",
-                    });
-                }
-                net.vc_buf[g].reserve(queued);
-                for _ in 0..queued {
-                    let flit = read_flit(&mut r)?;
-                    let eligible = r.read_u64()?;
-                    net.vc_buf[g].push_back(crate::network::BufferedFlit { flit, eligible });
-                }
-            } else {
-                net.front_flit[g] = Flit {
-                    packet: 0,
-                    seq: 1,
-                    tail: false,
-                    dst: 0,
-                };
-                net.front_eligible[g] = u64::MAX;
-            }
-            net.vc_route[g] = r.read_u16()?;
-            net.vc_out_vc[g] = r.read_u16()?;
-            net.vc_va_done[g] = r.read_u64()?;
-        }
-        for (field, dst, expected) in [
-            ("output vc owners", &mut net.ovc_owner, total_ovcs),
-            ("output vc credits", &mut net.ovc_credits, total_ovcs),
-            ("va round-robin", &mut net.out_va_rr, total_outputs),
-            ("sa round-robin", &mut net.out_sa_rr, total_outputs),
-            ("active input counts", &mut net.active_inputs, routers),
-        ] {
-            let vs = r.read_u32s()?;
-            if vs.len() != expected {
-                return Err(SnapshotError::Mismatch { field });
-            }
-            *dst = vs;
-        }
-        r.finish()?;
-        self.resumed = true;
-        Ok(self)
+        self.batch.snapshot()
     }
 
     /// Rebuilds a simulator from a [`Simulator::snapshot`], re-solving the
@@ -1357,8 +121,7 @@ impl Simulator {
         config: SimConfig,
         bytes: &[u8],
     ) -> Result<Self, SnapshotError> {
-        let dor = DorRouter::new(topology, config.weights);
-        Self::with_router(topology, &dor, workload, config).apply_snapshot(bytes)
+        Self::new(topology, workload, config).apply_snapshot(bytes)
     }
 
     /// Like [`Simulator::restore`], but over pre-built shared network
@@ -1384,41 +147,10 @@ impl Simulator {
         Self::from_trace(topology, trace, config).apply_snapshot(bytes)
     }
 
-    fn compute_stats(&mut self, drained: bool) -> SimStats {
-        let completed = self.completed_measured;
-        let denom = completed.max(1) as f64;
-        self.latencies.sort_unstable();
-        let pct = |q: f64| -> f64 {
-            if self.latencies.is_empty() {
-                0.0
-            } else {
-                let idx = ((self.latencies.len() - 1) as f64 * q).round() as usize;
-                self.latencies[idx] as f64
-            }
-        };
-        let (p50, p95, p99) = (pct(0.50), pct(0.95), pct(0.99));
-        SimStats {
-            cycles: self.cycle,
-            measure_cycles: self.config.measure_cycles,
-            nodes: self.network.routers_len(),
-            measured_packets: self.measured_total,
-            completed_packets: completed,
-            avg_packet_latency: self.latency_sum as f64 / denom,
-            avg_head_latency: self.head_latency_sum as f64 / denom,
-            max_packet_latency: self.max_latency,
-            p50_latency: p50,
-            p95_latency: p95,
-            p99_latency: p99,
-            accepted_throughput: self.ejected_in_window as f64
-                / (self.config.measure_cycles.max(1) as f64 * self.network.routers_len() as f64),
-            offered_rate: match &self.source {
-                Source::Workload(w) => w.injection_rate(),
-                Source::Trace { trace, .. } => trace.mean_rate(),
-            },
-            avg_flits_per_packet: self.flit_sum as f64 / self.measured_total.max(1) as f64,
-            activity: std::mem::take(&mut self.activity),
-            drained,
-        }
+    fn apply_snapshot(self, bytes: &[u8]) -> Result<Self, SnapshotError> {
+        Ok(Simulator {
+            batch: self.batch.apply_snapshot(bytes)?,
+        })
     }
 }
 
@@ -1562,21 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_matches_fresh_runs() {
-        // run_with_scratch must be statistically invisible: same stats as
-        // run(), across repeated reuse of one scratch.
-        let topo = MeshTopology::mesh(4);
-        let mut scratch = SimScratch::new();
-        for seed in [5, 7, 11] {
-            let config = SimConfig::latency_run(256, seed);
-            let fresh = Simulator::new(&topo, workload(4, 0.03), config).run();
-            let reused =
-                Simulator::new(&topo, workload(4, 0.03), config).run_with_scratch(&mut scratch);
-            assert_eq!(fresh.fingerprint(), reused.fingerprint());
-        }
-    }
-
-    #[test]
     fn run_until_and_finish_match_one_shot_run() {
         let topo = MeshTopology::mesh(4);
         let config = SimConfig::latency_run(256, 7);
@@ -1640,20 +357,22 @@ mod tests {
         assert!(matches!(
             Simulator::restore(&topo, workload(4, 0.05), other, &bytes),
             Err(SnapshotError::Mismatch {
-                field: "sim config"
+                field: "lane config"
             })
         ));
         // Wrong workload (different rate).
         assert!(matches!(
             Simulator::restore(&topo, workload(4, 0.06), config, &bytes),
-            Err(SnapshotError::Mismatch { field: "workload" })
+            Err(SnapshotError::Mismatch {
+                field: "lane workload"
+            })
         ));
         // Wrong source kind.
         let trace = Trace::new(4, Vec::new());
         assert!(matches!(
             Simulator::restore_trace(&topo, trace, config, &bytes),
             Err(SnapshotError::Mismatch {
-                field: "source kind"
+                field: "lane source kind"
             })
         ));
     }

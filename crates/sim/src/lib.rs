@@ -30,6 +30,10 @@
 //!
 //! Activity counters (buffer writes/reads, crossbar traversals, link
 //! flit-segments) feed the `noc-power` DSENT-substitute model.
+//!
+//! There is one engine: [`BatchSimulator`] runs K replicas of a topology
+//! in lockstep, and [`Simulator`] is a batch of one. The golden
+//! fingerprints in `tests/golden.rs` pin its cycle-exact behaviour.
 
 pub mod batch;
 pub mod config;
@@ -39,9 +43,9 @@ pub mod network;
 pub mod stats;
 pub mod throughput;
 
-pub use batch::{BatchSimulator, BATCH_KIND, MAX_LANES};
+pub use batch::{trace_fingerprint, workload_fingerprint, BatchSimulator, BATCH_KIND, MAX_LANES};
 pub use config::SimConfig;
-pub use engine::{trace_fingerprint, workload_fingerprint, SimScratch, Simulator, SIM_KIND};
+pub use engine::Simulator;
 pub use network::NetTables;
 pub use stats::{ActivityCounters, SimStats};
 pub use throughput::{saturation_sweep, SweepRunner, SweepSample, ThroughputResult};

@@ -1,5 +1,5 @@
-//! Flattened (struct-of-arrays) network state: ports, virtual channels and
-//! compiled routing tables live in contiguous flat arrays indexed by
+//! Flattened (struct-of-arrays) network structure: ports, virtual channels
+//! and compiled routing tables live in contiguous flat arrays indexed by
 //! precomputed offsets, so the per-cycle engine loops walk linear memory
 //! instead of chasing nested `Vec`s.
 //!
@@ -8,44 +8,27 @@
 //! injection port last), and its output ports occupy
 //! `out_port_off[r]..out_port_off[r+1]` (ejection last). Every port has the
 //! same number of VCs `V`, so input VC `(port p, vc v)` lives at flat index
-//! `p·V + v` in the `vc_*` arrays and output VC state at `o·V + v` in the
-//! `ovc_*` arrays. The port construction order is exactly the order the
-//! previous nested representation used (links in `topology.links()` order,
-//! the `a→b` direction before `b→a`), which keeps round-robin arbitration —
-//! and therefore every simulation statistic — bit-identical.
+//! `p·V + v` and output VC state at `o·V + v`. The port construction order
+//! (links in `topology.links()` order, the `a→b` direction before `b→a`)
+//! fixes round-robin arbitration, and therefore every simulation
+//! statistic.
 //!
-//! The static structure (port offsets, wiring, spans, compiled route table)
-//! is split into [`NetTables`] and shared behind an `Arc`: a rate ladder,
+//! [`NetTables`] is immutable and shared behind an `Arc`: a rate ladder,
 //! a Monte-Carlo seed batch, or a lockstep [`crate::BatchSimulator`] run
 //! builds the tables once per topology and every replica — across worker
-//! threads and batch lanes alike — reads them without copying.
+//! threads and batch lanes alike — reads them without copying. The dynamic
+//! per-replica state lives in the engine ([`crate::batch`]).
 
-use crate::config::SimConfig;
-use crate::flit::Flit;
 use noc_routing::DorRouter;
 use noc_topology::MeshTopology;
-use std::collections::VecDeque;
-use std::sync::Arc;
 
-/// Sentinel for "no port/VC" in `u16` fields.
-pub const NONE_U16: u16 = u16::MAX;
 /// Sentinel for "no port/VC" in `u32` fields.
 pub const NONE_U32: u32 = u32::MAX;
-
-/// A flit sitting in a VC buffer with its earliest switch-traversal cycle
-/// (`arrival + 2`: BW+RC, VA, then SA — the 3-stage pipeline).
-#[derive(Debug, Clone, Copy)]
-pub struct BufferedFlit {
-    /// The flit itself.
-    pub flit: Flit,
-    /// Earliest cycle this flit may win switch allocation.
-    pub eligible: u64,
-}
 
 /// The immutable, per-topology part of the network: port offsets, link
 /// wiring, spans, and the compiled DOR route table. Built once per
 /// topology and shared read-only (behind an `Arc`) by every simulation
-/// replica — scalar sweep workers and lockstep batch lanes alike.
+/// replica.
 #[derive(Debug)]
 pub struct NetTables {
     /// Mesh side length.
@@ -140,9 +123,8 @@ impl NetTables {
             .unwrap_or(0)
     }
 
-    /// Largest per-router input-VC count — the request-mask width the
-    /// arbitration fast paths need (`<= 64` for the batch engine's `u64`
-    /// request words; the scalar engine's `u128` masks go twice as far).
+    /// Largest per-router input-VC count: the width, in bits, of the
+    /// engine's per-router arbitration request masks.
     pub fn max_total_vcs(&self) -> usize {
         (0..self.routers)
             .map(|r| self.input_ports(r).len() * self.vcs)
@@ -157,7 +139,7 @@ impl NetTables {
         let n = topology.side();
         let routers = topology.routers();
 
-        // Per-router port lists in the legacy construction order: links in
+        // Per-router port lists in construction order: links in
         // `topology.links()` order, the a→b direction before b→a, then the
         // injection/ejection ports. `usize::MAX` marks not-yet-known flat
         // indices resolved after flattening.
@@ -279,240 +261,20 @@ impl NetTables {
     }
 }
 
-/// The complete network state: shared static tables plus the per-replica
-/// dynamic arrays.
-#[derive(Debug, Clone)]
-pub struct Network {
-    /// Static structure shared across replicas of the same topology.
-    pub(crate) tables: Arc<NetTables>,
-    // ---- dynamic state ----
-    /// Per input VC: the buffered flits *behind* the front one (depth is
-    /// enforced upstream via credits; injection VCs are unbounded NI source
-    /// queues). The front flit itself is mirrored into the flat
-    /// `front_flit`/`front_eligible` arrays so the per-cycle stages read
-    /// contiguous memory instead of chasing per-deque heap pointers.
-    pub(crate) vc_buf: Vec<VecDeque<BufferedFlit>>,
-    /// Per input VC: the front (oldest) flit. When the VC is empty this is
-    /// a sentinel with a non-zero `seq`, so `is_head()` is false without a
-    /// separate length check.
-    pub(crate) front_flit: Vec<Flit>,
-    /// Per input VC: the front flit's earliest SA cycle; `u64::MAX` when
-    /// the VC is empty, so every eligibility comparison fails naturally.
-    pub(crate) front_eligible: Vec<u64>,
-    /// Per input VC: buffered flit count (front + queued).
-    pub(crate) vc_len: Vec<u32>,
-    /// Per input VC: local output port of the owning packet ([`NONE_U16`]
-    /// until RC).
-    pub(crate) vc_route: Vec<u16>,
-    /// Per input VC: allocated downstream VC ([`NONE_U16`] until VA).
-    pub(crate) vc_out_vc: Vec<u16>,
-    /// Per input VC: cycle VA succeeded (`u64::MAX` = not yet), gating SA
-    /// to the following cycle.
-    pub(crate) vc_va_done: Vec<u64>,
-    /// Per output VC: global input-VC index of the packet owning the
-    /// downstream VC ([`NONE_U32`] = free).
-    pub(crate) ovc_owner: Vec<u32>,
-    /// Per output VC: credits (free downstream buffer slots).
-    pub(crate) ovc_credits: Vec<u32>,
-    /// Per output port: round-robin pointer for VC allocation.
-    pub(crate) out_va_rr: Vec<u32>,
-    /// Per output port: round-robin pointer for switch allocation.
-    pub(crate) out_sa_rr: Vec<u32>,
-    /// Per router: input VCs that are non-empty or hold route state. A
-    /// router at 0 is provably idle and RC/VA/SA skip it entirely — the
-    /// skip cannot change arbitration because round-robin pointers only
-    /// advance on assignments, which require an active input VC.
-    pub(crate) active_inputs: Vec<u32>,
-}
-
-impl Network {
-    /// Number of routers.
-    pub fn routers_len(&self) -> usize {
-        self.tables.routers
-    }
-
-    /// Virtual channels per port.
-    pub fn vcs_per_port(&self) -> usize {
-        self.tables.vcs
-    }
-
-    /// Longest link span of any output port (0 on an empty network).
-    pub fn max_span(&self) -> usize {
-        self.tables.max_span()
-    }
-
-    /// Input ports of router `r` as a flat range (injection port last).
-    pub fn input_ports(&self, r: usize) -> std::ops::Range<usize> {
-        self.tables.input_ports(r)
-    }
-
-    /// Output ports of router `r` as a flat range (ejection port last).
-    pub fn output_ports(&self, r: usize) -> std::ops::Range<usize> {
-        self.tables.output_ports(r)
-    }
-
-    /// Flat index of router `r`'s injection input port.
-    pub fn injection_port(&self, r: usize) -> usize {
-        self.tables.injection_port(r)
-    }
-
-    /// Flat index of router `r`'s ejection output port.
-    pub fn ejection_port(&self, r: usize) -> usize {
-        self.tables.ejection_port(r)
-    }
-
-    /// Owning router of a flat input port.
-    pub fn port_router(&self, port: usize) -> usize {
-        self.tables.in_port_router[port] as usize
-    }
-
-    /// Destination router of a flat output port ([`NONE_U32`] for ejection).
-    pub fn out_to_router(&self, port: usize) -> u32 {
-        self.tables.out_dst_router[port]
-    }
-
-    /// Destination flat input port of a flat output port.
-    pub fn out_dst_port(&self, port: usize) -> u32 {
-        self.tables.out_dst_port[port]
-    }
-
-    /// Link span of a flat output port.
-    pub fn out_span(&self, port: usize) -> u32 {
-        self.tables.out_span[port]
-    }
-
-    /// Upstream flat output-VC base of a flat input port.
-    pub fn credit_base(&self, port: usize) -> u32 {
-        self.tables.in_credit_base[port]
-    }
-
-    /// Credits of a flat output VC.
-    pub fn credits(&self, ovc: usize) -> u32 {
-        self.ovc_credits[ovc]
-    }
-
-    /// Local output port toward `dst` at router `r`.
-    pub fn route_port(&self, r: usize, dst: usize) -> u16 {
-        self.tables.route[r * self.tables.routers + dst]
-    }
-
-    /// Buffered-flit count of the global input VC `g`.
-    pub fn buffer_len(&self, g: usize) -> usize {
-        self.vc_len[g] as usize
-    }
-
-    /// Applies one returned credit to a flat output VC.
-    #[inline]
-    pub fn apply_credit(&mut self, ovc: usize) {
-        self.ovc_credits[ovc] += 1;
-    }
-
-    /// Pushes a flit into global input VC `g`, maintaining the front-flit
-    /// mirror and the router's active count.
-    #[inline]
-    pub fn push_flit(&mut self, g: usize, flit: Flit, eligible: u64) {
-        if self.vc_len[g] == 0 {
-            if self.vc_route[g] == NONE_U16 {
-                self.active_inputs[self.tables.in_port_router[g / self.tables.vcs] as usize] += 1;
-            }
-            self.front_flit[g] = flit;
-            self.front_eligible[g] = eligible;
-        } else {
-            self.vc_buf[g].push_back(BufferedFlit { flit, eligible });
-        }
-        self.vc_len[g] += 1;
-    }
-
-    /// Pops the front flit of global input VC `g`, refilling the mirror
-    /// from the queue. The VC must be non-empty.
-    #[inline]
-    pub(crate) fn pop_front(&mut self, g: usize) -> Flit {
-        let flit = self.front_flit[g];
-        self.vc_len[g] -= 1;
-        match self.vc_buf[g].pop_front() {
-            Some(next) => {
-                self.front_flit[g] = next.flit;
-                self.front_eligible[g] = next.eligible;
-            }
-            None => {
-                self.front_flit[g].seq = 1;
-                self.front_eligible[g] = u64::MAX;
-            }
-        }
-        flit
-    }
-
-    /// Number of active input VCs at router `r` (see `active_inputs`).
-    pub fn active_inputs(&self, r: usize) -> u32 {
-        self.active_inputs[r]
-    }
-
-    /// Builds the network for a topology: instantiates two directed port
-    /// pairs per physical link, sizes VCs/credits from the config, and
-    /// compiles per-router output-port tables from the DOR solve.
-    pub fn build(topology: &MeshTopology, dor: &DorRouter, config: &SimConfig) -> Self {
-        let tables = Arc::new(NetTables::build(topology, dor, config.vcs_per_port));
-        Self::from_tables(tables, config)
-    }
-
-    /// Builds fresh dynamic state over shared static tables. The result is
-    /// indistinguishable from [`Network::build`] on the same topology.
-    pub fn from_tables(tables: Arc<NetTables>, config: &SimConfig) -> Self {
-        assert_eq!(
-            tables.vcs, config.vcs_per_port,
-            "tables were built for a different VC count"
-        );
-        let routers = tables.routers;
-        let vcs = tables.vcs;
-        let depth = config.buffer_flits_per_vc as u32;
-        let total_in = tables.total_inputs();
-        let total_out = tables.total_outputs();
-
-        // Credits are the buffer depth everywhere except ejection ports,
-        // whose single consumer is effectively infinite.
-        let mut ovc_credits = vec![depth; total_out * vcs];
-        for r in 0..routers {
-            let ej = tables.ejection_port(r);
-            for v in 0..vcs {
-                ovc_credits[ej * vcs + v] = u32::MAX / 2;
-            }
-        }
-
-        Network {
-            tables,
-            vc_buf: (0..total_in * vcs).map(|_| VecDeque::new()).collect(),
-            front_flit: vec![
-                Flit {
-                    packet: 0,
-                    seq: 1,
-                    tail: false,
-                    dst: 0,
-                };
-                total_in * vcs
-            ],
-            front_eligible: vec![u64::MAX; total_in * vcs],
-            vc_len: vec![0u32; total_in * vcs],
-            vc_route: vec![NONE_U16; total_in * vcs],
-            vc_out_vc: vec![NONE_U16; total_in * vcs],
-            vc_va_done: vec![u64::MAX; total_in * vcs],
-            ovc_owner: vec![NONE_U32; total_out * vcs],
-            ovc_credits,
-            out_va_rr: vec![0u32; total_out],
-            out_sa_rr: vec![0u32; total_out],
-            active_inputs: vec![0u32; routers],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use noc_routing::HopWeights;
     use noc_topology::RowPlacement;
 
-    fn build(topo: &MeshTopology) -> Network {
+    fn build(topo: &MeshTopology) -> NetTables {
         let dor = DorRouter::new(topo, HopWeights::PAPER);
-        Network::build(topo, &dor, &SimConfig::latency_run(256, 0))
+        NetTables::build(topo, &dor, 2)
+    }
+
+    /// Local output port toward `dst` at router `r`, as a flat port.
+    fn route_port(net: &NetTables, r: usize, dst: usize) -> usize {
+        net.output_ports(r).start + net.route[r * net.routers + dst] as usize
     }
 
     #[test]
@@ -527,6 +289,7 @@ mod tests {
         // Directed channels: 2 per bidirectional link; 24 links on 4x4.
         let link_outs: usize = (0..16).map(|r| net.output_ports(r).len() - 1).sum();
         assert_eq!(link_outs, 48);
+        assert_eq!(net.max_total_vcs(), 5 * 2);
     }
 
     #[test]
@@ -539,20 +302,27 @@ mod tests {
     }
 
     #[test]
+    fn star_hub_is_the_widest_router() {
+        // Row links (0,k) for every k make router 0 a hub: 2(n-1) link
+        // inputs + injection, far beyond one 64-bit request word.
+        let links: Vec<_> = (2..32).map(|k| (0, k)).collect();
+        let row = RowPlacement::with_links(32, links).unwrap();
+        let net = build(&MeshTopology::uniform(32, &row));
+        assert_eq!(net.input_ports(0).len(), 63);
+        assert_eq!(net.max_total_vcs(), 126);
+    }
+
+    #[test]
     fn route_tables_point_dimension_order() {
         let net = build(&MeshTopology::mesh(4));
-        let base = net.output_ports(0).start;
         // Destination 0 (self) -> ejection.
-        assert_eq!(base + net.route_port(0, 0) as usize, net.ejection_port(0));
+        assert_eq!(route_port(&net, 0, 0), net.ejection_port(0));
         // Destination (2,0) = id 2: X first -> port toward router 1.
-        let p = base + net.route_port(0, 2) as usize;
-        assert_eq!(net.out_to_router(p), 1);
+        assert_eq!(net.out_to_router(route_port(&net, 0, 2)), 1);
         // Destination (0,2) = id 8: same column -> toward router 4.
-        let p = base + net.route_port(0, 8) as usize;
-        assert_eq!(net.out_to_router(p), 4);
+        assert_eq!(net.out_to_router(route_port(&net, 0, 8)), 4);
         // Destination (1,1) = id 5: X first.
-        let p = base + net.route_port(0, 5) as usize;
-        assert_eq!(net.out_to_router(p), 1);
+        assert_eq!(net.out_to_router(route_port(&net, 0, 5)), 1);
     }
 
     #[test]
@@ -560,7 +330,7 @@ mod tests {
         let row = RowPlacement::with_links(8, [(0, 7)]).unwrap();
         let net = build(&MeshTopology::uniform(8, &row));
         // From (0,0) to (7,0): the direct express link.
-        let p = net.output_ports(0).start + net.route_port(0, 7) as usize;
+        let p = route_port(&net, 0, 7);
         assert_eq!(net.out_to_router(p), 7);
         assert_eq!(net.out_span(p), 7);
         assert_eq!(net.max_span(), 7);
@@ -573,62 +343,22 @@ mod tests {
         for r in 0..net.routers_len() {
             for o in net.output_ports(r) {
                 if o == net.ejection_port(r) {
-                    assert_eq!(net.out_dst_port(o), NONE_U32);
+                    assert_eq!(net.out_dst_port[o], NONE_U32);
                     continue;
                 }
                 // The destination input port's credit base points back here.
-                let dst_port = net.out_dst_port(o) as usize;
-                assert_eq!(net.credit_base(dst_port) as usize, o * net.vcs_per_port());
-                assert_eq!(net.port_router(dst_port), net.out_to_router(o) as usize);
+                let dst_port = net.out_dst_port[o] as usize;
+                assert_eq!(
+                    net.in_credit_base[dst_port] as usize,
+                    o * net.vcs_per_port()
+                );
+                assert_eq!(
+                    net.in_port_router[dst_port] as usize,
+                    net.out_to_router(o) as usize
+                );
             }
             // Injection ports return no credits.
-            assert_eq!(net.credit_base(net.injection_port(r)), NONE_U32);
-        }
-    }
-
-    #[test]
-    fn credits_match_buffer_depth() {
-        let config = SimConfig::latency_run(256, 0);
-        let topo = MeshTopology::mesh(4);
-        let dor = DorRouter::new(&topo, HopWeights::PAPER);
-        let net = Network::build(&topo, &dor, &config);
-        for r in 0..net.routers_len() {
-            for o in net.output_ports(r) {
-                for v in 0..net.vcs_per_port() {
-                    let got = net.credits(o * net.vcs_per_port() + v);
-                    if o == net.ejection_port(r) {
-                        assert!(
-                            got > 1 << 30,
-                            "ejection credits must be effectively infinite"
-                        );
-                    } else {
-                        assert_eq!(got as usize, config.buffer_flits_per_vc);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shared_tables_match_fresh_build() {
-        // `from_tables` over a shared Arc must equal a fresh `build`.
-        let topo = MeshTopology::mesh(4);
-        let dor = DorRouter::new(&topo, HopWeights::PAPER);
-        let config = SimConfig::latency_run(256, 0);
-        let tables = Arc::new(NetTables::build(&topo, &dor, config.vcs_per_port));
-        let shared = Network::from_tables(tables.clone(), &config);
-        let fresh = Network::build(&topo, &dor, &config);
-        assert_eq!(shared.tables.route, fresh.tables.route);
-        assert_eq!(shared.ovc_credits, fresh.ovc_credits);
-        assert_eq!(shared.tables.in_port_off, fresh.tables.in_port_off);
-        assert_eq!(tables.max_total_vcs(), 5 * 2);
-    }
-
-    #[test]
-    fn fresh_network_is_idle() {
-        let net = build(&MeshTopology::mesh(4));
-        for r in 0..net.routers_len() {
-            assert_eq!(net.active_inputs(r), 0);
+            assert_eq!(net.in_credit_base[net.injection_port(r)], NONE_U32);
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::batch::{BatchSimulator, MAX_LANES};
 use crate::config::SimConfig;
-use crate::engine::{SimScratch, Simulator};
+use crate::engine::Simulator;
 use crate::network::NetTables;
 use crate::stats::SimStats;
 use noc_routing::DorRouter;
@@ -90,10 +90,10 @@ const SMALL_FANOUT_THRESHOLD: usize = 3;
 /// workers, packing rate points into [`BatchSimulator`] lockstep lanes
 /// (`batch_lanes` per pass). Results are returned in input order and are
 /// **bit-identical** for any worker count *and* any lane count, including
-/// the sequential scalar reference: each simulation is internally
-/// deterministic, the routing/structure tables are shared read-only, the
-/// batch engine is replica-exact, and worker assignment only changes
-/// *which thread* runs a point, never its inputs. Adaptive sweeps
+/// the sequential one-lane reference: each simulation is internally
+/// deterministic, the routing/structure tables are shared read-only,
+/// lanes never interact, and worker assignment only changes *which
+/// thread* runs a point, never its inputs. Adaptive sweeps
 /// speculate: the whole rate ladder is simulated in wave-sized chunks and
 /// the sequential stopping rule is applied afterwards, discarding any
 /// points the sequential walk would not have reached.
@@ -118,7 +118,7 @@ impl SweepRunner {
         }
     }
 
-    /// The single-threaded, single-lane scalar reference runner.
+    /// The single-threaded, one-lane reference runner.
     pub fn sequential() -> Self {
         SweepRunner {
             workers: 1,
@@ -128,7 +128,7 @@ impl SweepRunner {
 
     /// Sets the lockstep width: how many load points one
     /// [`BatchSimulator`] pass carries. `0` restores the default; `1`
-    /// forces the scalar engine; values above [`MAX_LANES`] are clamped.
+    /// runs one replica per pass; values above [`MAX_LANES`] are clamped.
     pub fn with_batch_lanes(mut self, lanes: usize) -> Self {
         self.batch_lanes = match lanes {
             0 => DEFAULT_BATCH_LANES,
@@ -179,35 +179,24 @@ impl SweepRunner {
         config: &SimConfig,
         rates: &[f64],
     ) -> Vec<SimStats> {
+        // Pack lane-sized groups of load points into one batch pass each
+        // and fan the groups across workers.
         let lanes = self.batch_lanes.min(rates.len().max(1));
-        if lanes > 1 && BatchSimulator::supported(tables, lanes) {
-            // Lockstep path: pack lane-sized groups of load points into one
-            // batch pass each and fan the groups across workers.
-            let groups: Vec<Vec<f64>> = rates.chunks(lanes).map(<[f64]>::to_vec).collect();
-            let stats = noc_par::par_map_with(
-                groups,
-                self.effective_workers(rates.len().div_ceil(lanes)),
-                || (),
-                |(), group| {
-                    let replicas = group
-                        .iter()
-                        .map(|&rate| (workload.at_rate(rate), *config))
-                        .collect();
-                    BatchSimulator::with_tables(Arc::clone(tables), replicas).run()
-                },
-            );
-            stats.into_iter().flatten().collect()
-        } else {
-            noc_par::par_map_with(
-                rates.to_vec(),
-                self.effective_workers(rates.len()),
-                SimScratch::new,
-                |scratch, rate| {
-                    Simulator::with_tables(Arc::clone(tables), workload.at_rate(rate), *config)
-                        .run_with_scratch(scratch)
-                },
-            )
-        }
+        let groups: Vec<Vec<f64>> = rates.chunks(lanes).map(<[f64]>::to_vec).collect();
+        let workers = self.effective_workers(groups.len());
+        let stats = noc_par::par_map_with(
+            groups,
+            workers,
+            || (),
+            |(), group| {
+                let replicas = group
+                    .iter()
+                    .map(|&rate| (workload.at_rate(rate), *config))
+                    .collect();
+                BatchSimulator::with_tables(Arc::clone(tables), replicas).run()
+            },
+        );
+        stats.into_iter().flatten().collect()
     }
 
     /// Sweeps offered load geometrically from `start_rate` until the
@@ -340,7 +329,7 @@ mod tests {
 
         let fp =
             |stats: &[SimStats]| -> Vec<u64> { stats.iter().map(SimStats::fingerprint).collect() };
-        // Scalar single-worker reference (the small-batch fallback path).
+        // One-lane, single-worker reference.
         let reference = SweepRunner::sequential().run_rates(&topo, &workload, &config, &rates);
         for lanes in [1usize, 4, 8] {
             for workers in [1usize, 2] {
@@ -349,7 +338,7 @@ mod tests {
                 assert_eq!(
                     fp(&result),
                     fp(&reference),
-                    "lanes={lanes} workers={workers} must be bit-identical to scalar"
+                    "lanes={lanes} workers={workers} must be bit-identical to one-lane runs"
                 );
             }
         }

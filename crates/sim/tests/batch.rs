@@ -1,8 +1,9 @@
-//! Per-replica bit-identity: a [`BatchSimulator`] lane must reproduce the
-//! scalar [`Simulator`] run of the same (workload, config) **bit for bit**
-//! — same fingerprints, lane count 1/4/8, heterogeneous rates/seeds/flit
-//! widths/windows, express links, and with tracing enabled. Batching is a
-//! performance layer, not a semantics.
+//! Per-replica independence: each lane of a K-lane [`BatchSimulator`] must
+//! reproduce the one-lane [`Simulator`] run of the same (workload, config)
+//! **bit for bit** — same fingerprints, lane count 1/4/8, heterogeneous
+//! rates/seeds/flit widths/windows, express links, hub routers wider than
+//! one request word, and with tracing enabled. Batching is a performance
+//! layer, not a semantics.
 
 use noc_model::PacketMix;
 use noc_sim::{BatchSimulator, NetTables, SimConfig, SimStats, Simulator};
@@ -48,47 +49,50 @@ fn random_replicas(n: usize, k: usize, salt: u64) -> Vec<(Workload, SimConfig)> 
         .collect()
 }
 
-fn scalar_reference(topology: &MeshTopology, replicas: &[(Workload, SimConfig)]) -> Vec<SimStats> {
+fn one_lane_reference(
+    topology: &MeshTopology,
+    replicas: &[(Workload, SimConfig)],
+) -> Vec<SimStats> {
     replicas
         .iter()
         .map(|(w, c)| Simulator::new(topology, w.clone(), *c).run())
         .collect()
 }
 
-fn assert_bit_identical(batch: &[SimStats], scalar: &[SimStats]) {
-    assert_eq!(batch.len(), scalar.len());
-    for (l, (b, s)) in batch.iter().zip(scalar).enumerate() {
+fn assert_bit_identical(batch: &[SimStats], single: &[SimStats]) {
+    assert_eq!(batch.len(), single.len());
+    for (l, (b, s)) in batch.iter().zip(single).enumerate() {
         assert_eq!(
             b.fingerprint(),
             s.fingerprint(),
-            "lane {l} diverged from its scalar run:\nbatch:  {b:?}\nscalar: {s:?}"
+            "lane {l} diverged from its one-lane run:\nbatch:  {b:?}\nsingle: {s:?}"
         );
     }
 }
 
 #[test]
-fn random_replicas_match_scalar_across_lane_counts() {
+fn random_replicas_match_one_lane_runs_across_lane_counts() {
     let topology = MeshTopology::mesh(4);
     for &k in &[1usize, 4, 8] {
         let replicas = random_replicas(4, k, k as u64);
-        let scalar = scalar_reference(&topology, &replicas);
+        let single = one_lane_reference(&topology, &replicas);
         let batch = BatchSimulator::new(&topology, replicas).run();
-        assert_bit_identical(&batch, &scalar);
+        assert_bit_identical(&batch, &single);
     }
 }
 
 #[test]
-fn express_topology_replicas_match_scalar() {
+fn express_topology_replicas_match_one_lane_runs() {
     let row = RowPlacement::with_links(4, [(0, 3), (1, 3)]).unwrap();
     let topology = MeshTopology::uniform(4, &row);
     let replicas = random_replicas(4, 6, 0xe);
-    let scalar = scalar_reference(&topology, &replicas);
+    let single = one_lane_reference(&topology, &replicas);
     let batch = BatchSimulator::new(&topology, replicas).run();
-    assert_bit_identical(&batch, &scalar);
+    assert_bit_identical(&batch, &single);
 }
 
 #[test]
-fn saturated_golden_config_replicas_match_scalar() {
+fn saturated_golden_config_replicas_match_one_lane_runs() {
     // The mesh8_ur_saturated golden shape: heavy contention exercises every
     // arbitration path (credit stalls, round-robin wrap, drain timeout).
     let topology = MeshTopology::mesh(8);
@@ -103,9 +107,32 @@ fn saturated_golden_config_replicas_match_scalar() {
             )
         })
         .collect();
-    let scalar = scalar_reference(&topology, &replicas);
+    let single = one_lane_reference(&topology, &replicas);
     let batch = BatchSimulator::new(&topology, replicas).run();
-    assert_bit_identical(&batch, &scalar);
+    assert_bit_identical(&batch, &single);
+}
+
+#[test]
+fn wide_hub_replicas_match_one_lane_runs() {
+    // Row links (0,k) for every k make router 0 a hub with 2·19 + 1 input
+    // ports (78 input VCs): its request masks span two words, so this runs
+    // the multi-word arbitration path with a run-time lane count.
+    let links: Vec<_> = (2..20).map(|k| (0, k)).collect();
+    let topology = MeshTopology::uniform(20, &RowPlacement::with_links(20, links).unwrap());
+    let replicas: Vec<_> = (0..3)
+        .map(|i| {
+            let mut config = SimConfig::latency_run(256, 40 + i);
+            config.warmup_cycles = 100;
+            config.measure_cycles = 300;
+            (
+                workload(SyntheticPattern::UniformRandom, 20, 0.01 + 0.01 * i as f64),
+                config,
+            )
+        })
+        .collect();
+    let single = one_lane_reference(&topology, &replicas);
+    let batch = BatchSimulator::new(&topology, replicas).run();
+    assert_bit_identical(&batch, &single);
 }
 
 #[test]
@@ -115,7 +142,6 @@ fn shared_tables_constructor_matches_fresh_build() {
     let config = replicas[0].1;
     let dor = noc_routing::DorRouter::new(&topology, config.weights);
     let tables = Arc::new(NetTables::build(&topology, &dor, config.vcs_per_port));
-    assert!(BatchSimulator::supported(&tables, replicas.len()));
     let fresh = BatchSimulator::new(&topology, replicas.clone()).run();
     let shared = BatchSimulator::with_tables(tables, replicas).run();
     assert_bit_identical(&shared, &fresh);

@@ -1,6 +1,6 @@
 //! Batch-engine snapshot/restore: resumed lockstep batches must be
-//! bit-identical, lane for lane, to uninterrupted runs — and to the scalar
-//! engine, which the batch already mirrors.
+//! bit-identical, lane for lane, to uninterrupted runs — and to one-lane
+//! runs of each replica.
 
 use noc_model::PacketMix;
 use noc_sim::{BatchSimulator, SimConfig, Simulator};
@@ -56,11 +56,11 @@ fn batch_snapshot_roundtrip_preserves_bytes() {
 }
 
 #[test]
-fn batch_resume_matches_scalar_engine() {
-    // The chain of guarantees end to end: scalar run == batch lane ==
+fn batch_resume_matches_one_lane_runs() {
+    // The chain of guarantees end to end: one-lane run == batch lane ==
     // resumed batch lane.
     let topo = MeshTopology::mesh(4);
-    let scalar: Vec<u64> = replicas(4)
+    let single: Vec<u64> = replicas(4)
         .into_iter()
         .map(|(w, c)| Simulator::new(&topo, w, c).run().fingerprint())
         .collect();
@@ -74,7 +74,7 @@ fn batch_resume_matches_scalar_engine() {
         .iter()
         .map(|s| s.fingerprint())
         .collect();
-    assert_eq!(resumed, scalar);
+    assert_eq!(resumed, single);
 }
 
 #[test]

@@ -34,8 +34,9 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"NSNP";
 
 /// Current snapshot format version. Any layout change bumps this; a
-/// reader only accepts snapshots of exactly this version.
-pub const VERSION: u16 = 1;
+/// reader only accepts snapshots of exactly this version. Version 2 added
+/// a per-lane packet-source tag and replay cursor to `sim-batch`.
+pub const VERSION: u16 = 2;
 
 /// Structured failure when decoding a snapshot. Every malformed input
 /// maps to one of these variants — decoding never panics.
@@ -104,7 +105,7 @@ pub struct Writer {
 
 impl Writer {
     /// Starts a snapshot of the given engine `kind` (e.g. `"sa-job"`,
-    /// `"sim-scalar"`). The kind is the first payload field and is
+    /// `"sim-batch"`). The kind is the first payload field and is
     /// checked by [`Reader::new`].
     pub fn new(kind: &str) -> Self {
         let mut w = Writer {

@@ -33,7 +33,7 @@ fn sim_config(flit: u32, seed: u64) -> SimConfig {
 }
 
 #[test]
-fn scalar_sim_roundtrip_is_bit_identical_at_random_cycles() {
+fn simulator_roundtrip_is_bit_identical_at_random_cycles() {
     let mut pick = SmallRng::seed_from_u64(0x5eed_0001);
     let topo = {
         let row = RowPlacement::with_links(8, [(0, 3), (3, 7)]).unwrap();
@@ -69,7 +69,7 @@ fn scalar_sim_roundtrip_is_bit_identical_at_random_cycles() {
 }
 
 #[test]
-fn scalar_sim_snapshot_after_completion_still_roundtrips() {
+fn simulator_snapshot_after_completion_still_roundtrips() {
     // Snapshotting a finished run is legal: the restored simulator's
     // `finish` must return the same statistics without stepping further.
     let topo = MeshTopology::mesh(4);

@@ -42,6 +42,36 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+/// Writes formatted output to stdout. A closed stdout (`... | head`) ends
+/// the process quietly with success instead of std's "failed printing to
+/// stdout" panic; any other write error still panics.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    let written = std::io::stdout().lock().write_fmt(args);
+    if let Err(e) = written {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+// Every `print!` / `println!` in this file goes through `write_stdout`.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
@@ -163,7 +193,8 @@ commands:
             resolved scenario (name, fingerprint, axes), 'run' executes the
             whole batch and streams one NDJSON result line per scenario plus
             a summary line — byte-identical for any --workers and any
-            --batch-lanes (lockstep replica lanes; 0 = default, 1 = scalar);
+            --batch-lanes (lockstep replica lanes; 0 = default, 1 = one
+            replica per pass);
             with --addr the manifest is sent to a running daemon instead and
             its streamed response is printed verbatim
   frontier  --n <N> [--base-flit BITS] [--weight-steps K] [--moves M] [--seed S]

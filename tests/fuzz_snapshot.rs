@@ -10,7 +10,7 @@ use express_noc::placement::{InitialStrategy, SaParams, SolveJob};
 use express_noc::rng::rngs::SmallRng;
 use express_noc::rng::{Rng, SeedableRng};
 use express_noc::sim::{BatchSimulator, SimConfig, Simulator};
-use express_noc::snapshot::{SnapshotError, MAGIC, VERSION};
+use express_noc::snapshot::{SnapshotError, Writer, MAGIC, VERSION};
 use express_noc::topology::MeshTopology;
 use express_noc::traffic::{SyntheticPattern, TrafficMatrix, Workload};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,13 +38,13 @@ type Decoder = Box<dyn Fn(&[u8]) -> Result<(), SnapshotError>>;
 fn subjects() -> Vec<(&'static str, Vec<u8>, Decoder)> {
     let mut out: Vec<(&'static str, Vec<u8>, Decoder)> = Vec::new();
 
-    // Scalar simulator, paused mid-measurement.
+    // Simulator (a one-lane batch), paused mid-measurement.
     let topo = MeshTopology::mesh(4);
     let mut sim = Simulator::new(&topo, workload(4, 0.05), sim_config(1));
     sim.run_until(300);
     let bytes = sim.snapshot();
     out.push((
-        "sim-scalar",
+        "sim",
         bytes,
         Box::new(move |b| {
             Simulator::restore(&MeshTopology::mesh(4), workload(4, 0.05), sim_config(1), b)
@@ -214,10 +214,15 @@ fn docs_spec_matches_the_code() {
         spec.contains(magic),
         "docs/SNAPSHOTS.md no longer names the `{magic}` magic"
     );
-    assert!(
-        spec.contains("version 1") && VERSION == 1 || spec.contains(&format!("version {VERSION}")),
-        "docs/SNAPSHOTS.md does not document format version {VERSION}"
-    );
+    for needle in [
+        format!("(`NSNP`, version {VERSION})"),
+        format!("currently **{VERSION}**"),
+    ] {
+        assert!(
+            spec.contains(&needle),
+            "docs/SNAPSHOTS.md does not document format version {VERSION} ({needle:?})"
+        );
+    }
     for counter in [
         "snapshot.saved",
         "snapshot.resumed",
@@ -245,5 +250,31 @@ fn wrong_kind_is_a_structured_mismatch() {
     match sim_decoder(&sa_bytes) {
         Err(SnapshotError::Mismatch { .. }) => {}
         other => panic!("{name}: cross-engine restore produced {other:?}, not Mismatch"),
+    }
+}
+
+#[test]
+fn retired_scalar_kind_is_a_structured_mismatch() {
+    // Snapshots of the retired scalar engine (kind `sim-scalar`) are
+    // well-formed streams the simulator no longer reads: refused by kind,
+    // never a panic.
+    let mut w = Writer::new("sim-scalar");
+    w.write_u64(sim_config(1).fingerprint());
+    w.write_u8(0);
+    w.write_u64(0);
+    let bytes = w.finish();
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        Simulator::restore(
+            &MeshTopology::mesh(4),
+            workload(4, 0.05),
+            sim_config(1),
+            &bytes,
+        )
+        .map(|_| ())
+    }));
+    match result {
+        Ok(Err(SnapshotError::Mismatch { .. })) => {}
+        Ok(other) => panic!("stale sim-scalar stream produced {other:?}, not Mismatch"),
+        Err(_) => panic!("stale sim-scalar stream PANICKED"),
     }
 }

@@ -118,7 +118,7 @@ fn ladder_is_a_100_plus_batch_byte_identical_across_workers() {
         );
     }
     // Lane packing of the lockstep fast path is an execution detail only:
-    // `--batch-lanes 1` forces the scalar path, other values repack the
+    // `--batch-lanes 1` runs each scenario on its own, other values repack the
     // lockstep passes, and every per-scenario fingerprint (and the rest of
     // each item, byte for byte) must be unchanged — the ordering note in
     // docs/SCENARIOS.md.

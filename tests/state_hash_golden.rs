@@ -4,7 +4,9 @@
 //! and for the resumable annealer cut at a fixed move budget across four
 //! solve configurations. The hashes fold the complete mutable state of
 //! each engine (RNG streams included), so any change to in-flight state
-//! evolution — not just to final statistics — trips these pins.
+//! evolution — not just to final statistics — trips these pins. A run
+//! resumed from the paused snapshot must still reach the golden final
+//! statistics.
 //!
 //! To regenerate after an *intentional* semantic change:
 //!
@@ -26,16 +28,32 @@ const PAUSE_CYCLE: u64 = 400;
 
 /// Reference simulator state hashes at [`PAUSE_CYCLE`].
 const SIM_GOLDEN: &[(&str, u64)] = &[
-    ("mesh4_ur_low", 0x85067f701540608d),
-    ("mesh4_tp_hot", 0xbe0fc45f02e81dc0),
-    ("mesh4_ur_1vc", 0xc360e1ec31d78ee9),
-    ("express4_ur_128b", 0xd5191c21591d3b23),
-    ("mesh8_ur_saturated", 0x911f0e603f3ae115),
-    ("express8_br_64b", 0x9d384d4e2a5dbda8),
-    ("hfb8_shuffle", 0x379684f978fa9b39),
-    ("mesh8_nn_deep_buffers", 0x65b5f76d1715c7d9),
-    ("mesh4_burst_trace", 0xa488f280bf3c9c2a),
-    ("mesh16_ur_low", 0x56e13825ffff09a4),
+    ("mesh4_ur_low", 0x224f79147d793378),
+    ("mesh4_tp_hot", 0x119a78cf8a58bf14),
+    ("mesh4_ur_1vc", 0x2e685488e2f642a0),
+    ("express4_ur_128b", 0x1816b4af59073772),
+    ("mesh8_ur_saturated", 0xae65d4b83687bfce),
+    ("express8_br_64b", 0xa805c92745fcc38f),
+    ("hfb8_shuffle", 0x14f79fbd70153c6c),
+    ("mesh8_nn_deep_buffers", 0x7666e172e504b8b8),
+    ("mesh4_burst_trace", 0x1a8b65c15075e9dd),
+    ("mesh16_ur_low", 0x48e58cd03f840495),
+];
+
+/// The final `SimStats` fingerprints of the same ten cases — the `GOLDEN`
+/// table of `crates/sim/tests/golden.rs`, which a run resumed from the
+/// [`PAUSE_CYCLE`] snapshot must reproduce.
+const STATS_GOLDEN: &[(&str, u64)] = &[
+    ("mesh4_ur_low", 0x8f15d90ccec1227e),
+    ("mesh4_tp_hot", 0xe761567f1a688a67),
+    ("mesh4_ur_1vc", 0x2101d1c05ba84bcb),
+    ("express4_ur_128b", 0x51e2b8a0630f92bb),
+    ("mesh8_ur_saturated", 0xd6d2bb1ab55b5a9e),
+    ("express8_br_64b", 0x318ee105cfd238fd),
+    ("hfb8_shuffle", 0xc20ebfd2731978f7),
+    ("mesh8_nn_deep_buffers", 0xa998b02b3df5d017),
+    ("mesh4_burst_trace", 0xaa4388d3a3fd9da2),
+    ("mesh16_ur_low", 0x24d2030bc4daded0),
 ];
 
 /// Reference annealer state hashes: (name, moves run before hashing, hash).
@@ -65,18 +83,77 @@ fn express(n: usize, links: &[(usize, usize)]) -> MeshTopology {
     MeshTopology::uniform(n, &row)
 }
 
-/// Builds one named simulation case — the same matrix as the golden
-/// fingerprint suite in `crates/sim/tests/golden.rs`, but returned
-/// un-run so the caller can pause it mid-flight.
+/// A simulation case's inputs: everything needed to build it fresh or
+/// restore it from a snapshot.
+struct Case {
+    topology: MeshTopology,
+    source: Source,
+    config: SimConfig,
+}
+
+enum Source {
+    Workload(Workload),
+    Trace(Trace),
+}
+
+impl Case {
+    fn workload(topology: &MeshTopology, workload: Workload, config: SimConfig) -> Self {
+        let source = Source::Workload(workload);
+        let topology = topology.clone();
+        Case {
+            topology,
+            source,
+            config,
+        }
+    }
+
+    fn trace(topology: &MeshTopology, trace: Trace, config: SimConfig) -> Self {
+        let source = Source::Trace(trace);
+        let topology = topology.clone();
+        Case {
+            topology,
+            source,
+            config,
+        }
+    }
+
+    fn build(&self) -> Simulator {
+        match &self.source {
+            Source::Workload(w) => Simulator::new(&self.topology, w.clone(), self.config),
+            Source::Trace(t) => Simulator::from_trace(&self.topology, t.clone(), self.config),
+        }
+    }
+
+    fn restore(&self, bytes: &[u8]) -> Simulator {
+        match &self.source {
+            Source::Workload(w) => {
+                Simulator::restore(&self.topology, w.clone(), self.config, bytes)
+            }
+            Source::Trace(t) => {
+                Simulator::restore_trace(&self.topology, t.clone(), self.config, bytes)
+            }
+        }
+        .expect("a snapshot taken by the engine restores")
+    }
+}
+
+/// Builds one named simulation case un-run, so the caller can pause it
+/// mid-flight.
 fn build_case(name: &str) -> Simulator {
+    case(name).build()
+}
+
+/// One named simulation case — the same matrix as the golden fingerprint
+/// suite in `crates/sim/tests/golden.rs`.
+fn case(name: &str) -> Case {
     use SyntheticPattern::*;
     match name {
-        "mesh4_ur_low" => Simulator::new(
+        "mesh4_ur_low" => Case::workload(
             &MeshTopology::mesh(4),
             workload(UniformRandom, 4, 0.02),
             short(SimConfig::latency_run(256, 1), 500, 2_000),
         ),
-        "mesh4_tp_hot" => Simulator::new(
+        "mesh4_tp_hot" => Case::workload(
             &MeshTopology::mesh(4),
             workload(Transpose, 4, 0.10),
             short(SimConfig::latency_run(256, 2), 500, 2_000),
@@ -85,28 +162,28 @@ fn build_case(name: &str) -> Simulator {
             let mut config = short(SimConfig::latency_run(256, 3), 500, 2_000);
             config.vcs_per_port = 1;
             config.buffer_flits_per_vc = 2;
-            Simulator::new(
+            Case::workload(
                 &MeshTopology::mesh(4),
                 workload(UniformRandom, 4, 0.05),
                 config,
             )
         }
-        "express4_ur_128b" => Simulator::new(
+        "express4_ur_128b" => Case::workload(
             &express(4, &[(0, 3)]),
             workload(UniformRandom, 4, 0.03),
             short(SimConfig::latency_run(128, 4), 500, 2_000),
         ),
-        "mesh8_ur_saturated" => Simulator::new(
+        "mesh8_ur_saturated" => Case::workload(
             &MeshTopology::mesh(8),
             workload(UniformRandom, 8, 0.30),
             short(SimConfig::throughput_run(256, 5), 500, 1_500),
         ),
-        "express8_br_64b" => Simulator::new(
+        "express8_br_64b" => Case::workload(
             &express(8, &[(0, 3), (3, 7)]),
             workload(BitReverse, 8, 0.02),
             short(SimConfig::latency_run(64, 6), 500, 2_000),
         ),
-        "hfb8_shuffle" => Simulator::new(
+        "hfb8_shuffle" => Case::workload(
             &hfb_mesh(8),
             workload(Shuffle, 8, 0.05),
             short(SimConfig::latency_run(64, 7), 500, 2_000),
@@ -114,7 +191,7 @@ fn build_case(name: &str) -> Simulator {
         "mesh8_nn_deep_buffers" => {
             let mut config = short(SimConfig::latency_run(256, 8), 500, 2_000);
             config.buffer_flits_per_vc = 8;
-            Simulator::new(
+            Case::workload(
                 &MeshTopology::mesh(8),
                 workload(NearNeighbour, 8, 0.08),
                 config,
@@ -132,9 +209,9 @@ fn build_case(name: &str) -> Simulator {
             let trace = Trace::new(4, events);
             let mut config = short(SimConfig::latency_run(128, 9), 0, 1_000);
             config.drain_cycles_max = 50_000;
-            Simulator::from_trace(&MeshTopology::mesh(4), trace, config)
+            Case::trace(&MeshTopology::mesh(4), trace, config)
         }
-        "mesh16_ur_low" => Simulator::new(
+        "mesh16_ur_low" => Case::workload(
             &MeshTopology::mesh(16),
             workload(UniformRandom, 16, 0.02),
             short(SimConfig::latency_run(256, 10), 300, 800),
@@ -214,6 +291,22 @@ fn simulator_state_hashes_match_golden() {
             failures.is_empty(),
             "sim state-hash mismatches:\n{}",
             failures.join("\n")
+        );
+    }
+}
+
+#[test]
+fn simulator_resumes_from_pause_to_golden_stats() {
+    // Snapshot at the pause cycle, restore, finish: every case must land
+    // on its golden `SimStats` fingerprint, as the uninterrupted run does.
+    for &(name, expected) in STATS_GOLDEN {
+        let case = case(name);
+        let mut sim = case.build();
+        assert_eq!(sim.run_until(PAUSE_CYCLE), None, "{name}");
+        let got = case.restore(&sim.snapshot()).finish().fingerprint();
+        assert_eq!(
+            got, expected,
+            "{name}: resumed run {got:#018x} != golden {expected:#018x}"
         );
     }
 }
