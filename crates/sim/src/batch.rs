@@ -23,6 +23,19 @@
 //! router with more than 64 input VCs takes the same code path as a mesh
 //! router.
 //!
+//! The arbitration pass visits only state that holds work. Three derived
+//! occupancy masks (`Occupancy`) track which lanes of each input VC,
+//! which input VCs of each router, and which routers hold a flit; they
+//! change only where a VC's length crosses zero (a push into an empty VC,
+//! a pop of its last flit). The pass walks occupied routers in ascending
+//! order, their occupied VCs in ascending order, and then only the output
+//! ports that received a VA or SA request. Skipping is exact: every
+//! RC/VA/SA predicate needs a front flit and the head/eligibility masks
+//! are clear on an empty VC, so a skipped VC cannot request, win, or move
+//! a round-robin pointer, and ascending order keeps every pointer update,
+//! the one-winner-per-input rule and the arrival-wheel push order of a
+//! full scan.
+//!
 //! Two layout choices keep the lockstep pass memory-lean:
 //!
 //! - Flits are packed into one `u64` word (`packet | seq/tail | dst`), so a
@@ -67,6 +80,11 @@ pub const MAX_LANES: usize = 64;
 
 /// Snapshot kind tag for [`BatchSimulator`] snapshots.
 pub const BATCH_KIND: &str = "sim-batch";
+
+/// Longest packet the engine carries, in flits. The packed flit word keeps
+/// 15 bits of sequence number, so flit 32,768 of a longer packet would wrap
+/// to sequence 0 and be read as a second head at ejection.
+pub const MAX_PACKET_FLITS: u32 = 1 << 15;
 
 /// Order-sensitive FNV-1a fingerprint of a workload: matrix side and rates,
 /// injection rate, and the packet-size mix. Used to pair a snapshot with the
@@ -131,12 +149,93 @@ impl Source {
             Source::Trace { trace, next } => (1, trace_fingerprint(trace), *next as u64),
         }
     }
+
+    /// Size in bits of the largest packet this source can inject: the
+    /// mix's largest class, or the trace's largest event.
+    fn max_packet_bits(&self) -> u32 {
+        let largest = match self {
+            Source::Workload(w) => w.mix().classes().iter().map(|c| c.bits).max(),
+            Source::Trace { trace, .. } => trace.events().iter().map(|e| e.bits).max(),
+        };
+        largest.unwrap_or(0)
+    }
+}
+
+/// Derived occupancy masks over `vc_len` (see the module docs). They change
+/// only where a VC's length crosses zero, and are never serialized: a
+/// restore rebuilds them with [`Occupancy::of`].
+#[derive(Debug, PartialEq, Eq)]
+struct Occupancy {
+    /// Words per router mask, shared with the request masks: one bit per
+    /// input VC of the widest router (`max_total_vcs` rounded up to whole
+    /// `u64`s).
+    words: usize,
+    /// Per input-VC group `g`: bit `l` set iff lane `l`'s VC holds a flit.
+    lanes: Vec<u64>,
+    /// Per router, `r·words + word`: bit `idx` set iff local input VC `idx`
+    /// holds a flit in any lane.
+    vcs: Vec<u64>,
+    /// One bit per router (`r / 64`, bit `r % 64`): any input VC holds a
+    /// flit in any lane.
+    routers: Vec<u64>,
+}
+
+impl Occupancy {
+    /// The masks of a lane-major `vc_len` array (`g·k + lane`).
+    fn of(tables: &NetTables, k: usize, words: usize, vc_len: &[u32]) -> Self {
+        let mut occ = Occupancy {
+            words,
+            lanes: vec![0; tables.total_inputs() * tables.vcs],
+            vcs: vec![0; tables.routers * words],
+            routers: vec![0; tables.routers.div_ceil(64)],
+        };
+        for r in 0..tables.routers {
+            let base = tables.in_port_off[r] as usize * tables.vcs;
+            let hi = tables.in_port_off[r + 1] as usize * tables.vcs;
+            for g in base..hi {
+                for l in 0..k {
+                    if vc_len[g * k + l] > 0 {
+                        occ.fill(g, l, r, g - base);
+                    }
+                }
+            }
+        }
+        occ
+    }
+
+    /// Lane `l` of input VC group `g` — local VC `idx` of router `r` —
+    /// received its first flit. The router bits change only when no other
+    /// lane of the group held one.
+    #[inline(always)]
+    fn fill(&mut self, g: usize, l: usize, r: usize, idx: usize) {
+        let others = self.lanes[g];
+        self.lanes[g] = others | 1 << l;
+        if others == 0 {
+            self.vcs[r * self.words + (idx >> 6)] |= 1 << (idx & 63);
+            self.routers[r >> 6] |= 1 << (r & 63);
+        }
+    }
+
+    /// Lane `l` of input VC group `g` — local VC `idx` of router `r` —
+    /// popped its last flit.
+    #[inline(always)]
+    fn drain(&mut self, g: usize, l: usize, r: usize, idx: usize) {
+        self.lanes[g] &= !(1 << l);
+        if self.lanes[g] != 0 {
+            return;
+        }
+        let row = &mut self.vcs[r * self.words..(r + 1) * self.words];
+        row[idx >> 6] &= !(1 << (idx & 63));
+        if row.iter().all(|&w| w == 0) {
+            self.routers[r >> 6] &= !(1 << (r & 63));
+        }
+    }
 }
 
 /// Packed-flit word layout: `packet` in bits 0..32, `seq` in bits 32..47,
 /// `tail` at bit 47, `dst` in bits 48..64. The sequence field is 15 bits —
-/// one less than [`Flit::seq`] — which holds every packet the flit-width
-/// grid can produce.
+/// one less than [`Flit::seq`] — which holds every packet of up to
+/// [`MAX_PACKET_FLITS`] flits; the constructors reject longer packets.
 const SEQ_SHIFT: u32 = 32;
 const SEQ_BITS: u64 = 0x7FFF << SEQ_SHIFT;
 const TAIL_BIT: u64 = 1 << 47;
@@ -285,10 +384,12 @@ pub struct BatchSimulator {
     ovc_credits: Vec<u32>,
     out_va_rr: Vec<u32>,
     out_sa_rr: Vec<u32>,
+    /// Per `router·K + lane`: input VCs that hold a flit or a packet's
+    /// route. Snapshot state only; arbitration walks [`Self::occ`].
     active_inputs: Vec<u32>,
-    /// Words per request mask: one bit per input VC of the widest router
-    /// (`max_total_vcs` rounded up to whole `u64`s).
-    words: usize,
+    /// Derived occupancy masks over [`Self::vc_len`]; never serialized.
+    /// Its `words` is also the request-mask width.
+    occ: Occupancy,
     /// VA request masks, `((local output port)·K + lane)·words + word`,
     /// rebuilt per router.
     req: Vec<u64>,
@@ -306,6 +407,11 @@ pub struct BatchSimulator {
     /// surgically (only touched words) instead of memset per router.
     wantnz: Vec<u64>,
     rdynz: Vec<u64>,
+    /// Local output ports with a non-empty `wantnz` / `rdynz` entry, one
+    /// bit per port in `max_outputs` rounded up to whole `u64`s, so VA and
+    /// SA visit only ports that got a request.
+    va_ports: Vec<u64>,
+    sa_ports: Vec<u64>,
     /// `pick → (input port, VC)` split, avoiding a hardware divide in the
     /// winner bodies (`vcs` is runtime-valued).
     pick_iv: Vec<(u16, u16)>,
@@ -327,11 +433,13 @@ pub struct BatchSimulator {
     occ_sum: Vec<u64>,
 }
 
-/// Pushes a packed flit word into flat input VC `g` of lane `l` (free
-/// function so the inject/arrival paths can call it under split borrows).
-/// `ring_depth > 0` routes the queue tail to the flat ring (network VCs);
-/// `0` keeps it on the per-VC deque (injection VCs, or ring disabled).
-#[inline]
+/// Pushes a packed flit word into VC `v` of flat input port `port`, lane
+/// `l` (free function so the inject/arrival paths can call it under split
+/// borrows). `ring_depth > 0` routes the queue tail to the flat ring
+/// (network VCs); `0` keeps it on the per-VC deque (injection VCs, or ring
+/// disabled). Always inlined: it runs once per flit push, and as a call
+/// most of its arguments would travel through the stack.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn push_word_at(
     tables: &NetTables,
@@ -346,17 +454,21 @@ fn push_word_at(
     vc_len: &mut [u32],
     vc_rov: &[u32],
     active_inputs: &mut [u32],
-    g: usize,
+    occ: &mut Occupancy,
+    port: usize,
+    v: usize,
     l: usize,
     word: u64,
     eligible: u32,
 ) {
+    let g = port * tables.vcs + v;
     let gi = g * k + l;
     if vc_len[gi] == 0 {
+        let r = tables.in_port_router[port] as usize;
         if vc_rov[gi] & ROV_ROUTE == ROV_ROUTE {
-            let r = tables.in_port_router[g / tables.vcs] as usize;
             active_inputs[r * k + l] += 1;
         }
+        occ.fill(g, l, r, g - tables.in_port_off[r] as usize * tables.vcs);
         front_word[gi] = word;
         // The VC was empty, so its head/eligibility bits are clear; the
         // new front becomes eligible 2 cycles out via the wheel.
@@ -373,47 +485,6 @@ fn push_word_at(
         vc_buf[gi].push_back((word, eligible));
     }
     vc_len[gi] += 1;
-}
-
-/// Lanes of `live` with any active input VC at router `r` (free function so
-/// stage bodies can call it while holding split borrows of the state
-/// arrays). A lane at zero is provably idle — skipping it cannot change
-/// arbitration because round-robin pointers only advance on assignments.
-#[inline(always)]
-fn router_lanes_of(active_inputs: &[u32], live: u64, r: usize, k: usize) -> u64 {
-    let row = &active_inputs[r * k..r * k + k];
-    let mut b = [0u8; MAX_LANES];
-    for (x, &a) in b[..k].iter_mut().zip(row) {
-        *x = (a > 0) as u8;
-    }
-    pack_mask(&b[..k]) & live
-}
-
-/// Packs a slice of 0/1 bytes into a bitmask (byte `i` → bit `i`).
-///
-/// The lane predicates are computed into byte arrays first because plain
-/// elementwise byte stores autovectorize, while the direct
-/// `mask |= (pred as u64) << lane` or-reduction does not (LLVM emits it
-/// fully scalar). Each aligned 8-byte chunk collapses via the classic
-/// multiply trick: with bytes in {0, 1}, byte sums never carry into the
-/// top byte, so `(chunk · 0x0102_0408_1020_4080) >> 56` yields
-/// `b0 | b1·2 | … | b7·128`.
-#[inline(always)]
-fn pack_mask(bytes: &[u8]) -> u64 {
-    debug_assert!(bytes.len() <= 64);
-    let mut out = 0u64;
-    let mut chunks = bytes.chunks_exact(8);
-    let mut i = 0;
-    for c in &mut chunks {
-        let chunk = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-        out |= (chunk.wrapping_mul(0x0102_0408_1020_4080) >> 56) << i;
-        i += 8;
-    }
-    for &b in chunks.remainder() {
-        out |= ((b & 1) as u64) << i;
-        i += 1;
-    }
-    out
 }
 
 /// The round-robin pick over a multi-word request mask: the first set bit
@@ -456,6 +527,10 @@ impl BatchSimulator {
     /// the topology's structural parameters (VC count, hop weights — they
     /// select the shared route tables); seeds, rates, workloads, flit
     /// widths, buffer depths, and window lengths vary freely per lane.
+    ///
+    /// # Panics
+    /// Panics if a lane's largest packet would exceed
+    /// [`MAX_PACKET_FLITS`] flits at its flit width.
     pub fn new(topology: &MeshTopology, replicas: Vec<(Workload, SimConfig)>) -> Self {
         assert!(!replicas.is_empty(), "batch needs at least one replica");
         let first = replicas[0].1;
@@ -497,6 +572,14 @@ impl BatchSimulator {
             assert_eq!(
                 config.weights, first.weights,
                 "all lanes must share the tables' hop weights"
+            );
+            let bits = source.max_packet_bits();
+            let flits = bits.div_ceil(config.flit_bits).max(1);
+            assert!(
+                flits <= MAX_PACKET_FLITS,
+                "a {bits}-bit packet is {flits} flits of {} bits, over the \
+                 {MAX_PACKET_FLITS}-flit packet limit",
+                config.flit_bits
             );
         }
 
@@ -572,6 +655,9 @@ impl BatchSimulator {
         };
         let max_total_vcs = tables.max_total_vcs();
         let words = max_total_vcs.div_ceil(64).max(1);
+        let port_words = max_outputs.div_ceil(64).max(1);
+        let vc_len = vec![0u32; total_in_vcs * k];
+        let occ = Occupancy::of(&tables, k, words, &vc_len);
         let pick_iv = (0..max_total_vcs)
             .map(|p| ((p / vcs) as u16, (p % vcs) as u16))
             .collect();
@@ -598,7 +684,7 @@ impl BatchSimulator {
             },
             ring_depth,
             front_word: vec![FRONT_EMPTY; total_in_vcs * k],
-            vc_len: vec![0u32; total_in_vcs * k],
+            vc_len,
             vc_rov: vec![ROV_NONE; total_in_vcs * k],
             grp_unrouted: vec![u64::MAX; total_in_vcs],
             grp_noovc: vec![u64::MAX; total_in_vcs],
@@ -611,12 +697,14 @@ impl BatchSimulator {
             out_va_rr: vec![0u32; total_outputs * k],
             out_sa_rr: vec![0u32; total_outputs * k],
             active_inputs: vec![0u32; routers * k],
-            words,
+            occ,
             req: vec![0u64; max_outputs * k * words],
             req_sa: vec![0u64; max_outputs * k * words],
             used_vcs: vec![0u64; k * words],
             wantnz: vec![0u64; max_outputs],
             rdynz: vec![0u64; max_outputs],
+            va_ports: vec![0u64; port_words],
+            sa_ports: vec![0u64; port_words],
             pick_iv,
             activity: vec![ActivityCounters::default(); routers * k],
             credit_wheel: [Vec::new(), Vec::new()],
@@ -833,19 +921,18 @@ impl BatchSimulator {
             vc_len,
             vc_rov,
             active_inputs,
+            occ,
             activity,
             arrivals,
             ..
         } = self;
         let elig_slot = &mut elig_wheel[((t + 2) & 3) as usize];
         let tables: &NetTables = tables;
-        let vcs = tables.vcs;
         let measure_mask = *measure_mask;
         let ring_depth = *ring_depth;
         let eligible = (t + 2) as u32;
         let mut bucket = std::mem::take(&mut arrivals[slot]);
         for ev in bucket.iter() {
-            let g = ev.port as usize * vcs + ev.vc as usize;
             let l = ev.lane as usize;
             push_word_at(
                 tables,
@@ -860,7 +947,9 @@ impl BatchSimulator {
                 vc_len,
                 vc_rov,
                 active_inputs,
-                g,
+                occ,
+                ev.port as usize,
+                ev.vc as usize,
                 l,
                 ev.word,
                 eligible,
@@ -888,6 +977,7 @@ impl BatchSimulator {
             vc_len,
             vc_rov,
             active_inputs,
+            occ,
             pending,
             ..
         } = self;
@@ -943,7 +1033,6 @@ impl BatchSimulator {
                 let vc_idx = (0..vcs)
                     .min_by_key(|&v| vc_len[(inj * vcs + v) * k + l])
                     .expect("at least one VC");
-                let g = inj * vcs + vc_idx;
                 for seq in 0..flits {
                     let word = pack_flit(Flit {
                         packet: packet_id,
@@ -965,7 +1054,9 @@ impl BatchSimulator {
                         vc_len,
                         vc_rov,
                         active_inputs,
-                        g,
+                        occ,
+                        inj,
+                        vc_idx,
                         l,
                         word,
                         eligible,
@@ -982,7 +1073,7 @@ impl BatchSimulator {
     /// single-word masks compile to plain `u64` arithmetic. `0` means
     /// "read it at run time"; every shape runs the same source.
     fn arbitrate_dispatch(&mut self, t: u64) {
-        match (self.k, self.words) {
+        match (self.k, self.occ.words) {
             (1, 1) => self.arbitrate::<1, 1>(t),
             (8, 1) => self.arbitrate::<8, 1>(t),
             (16, 1) => self.arbitrate::<16, 1>(t),
@@ -993,16 +1084,17 @@ impl BatchSimulator {
         }
     }
 
-    /// One merged per-router pass: RC + request build, VA, then SA/ST for
-    /// router `r` before moving to `r + 1`. No same-cycle dataflow crosses
-    /// routers — SA's link arrivals land `span + 1 ≥ 2` cycles out and
-    /// credits apply next cycle — so the router's group slab (front words,
-    /// rov, eligibility) stays in L1 across all three phases.
+    /// One merged per-router pass over the occupied routers: RC + request
+    /// build, VA, then SA/ST for router `r` before moving to the next. No
+    /// same-cycle dataflow crosses routers — SA's link arrivals land
+    /// `span + 1 ≥ 2` cycles out and credits apply next cycle — so the
+    /// router's group slab (front words, rov, eligibility) stays in L1
+    /// across all three phases.
     fn arbitrate<const KC: usize, const WC: usize>(&mut self, t: u64) {
         let k = if KC == 0 { self.k } else { KC };
-        let words = if WC == 0 { self.words } else { WC };
+        let words = if WC == 0 { self.occ.words } else { WC };
         debug_assert!(KC == 0 || KC == self.k);
-        debug_assert!(WC == 0 || WC == self.words);
+        debug_assert!(WC == 0 || WC == self.occ.words);
         let BatchSimulator {
             tables,
             lanes,
@@ -1028,11 +1120,14 @@ impl BatchSimulator {
             out_va_rr,
             out_sa_rr,
             active_inputs,
+            occ,
             req,
             req_sa,
             used_vcs,
             wantnz,
             rdynz,
+            va_ports,
+            sa_ports,
             pick_iv,
             activity,
             credit_wheel,
@@ -1055,301 +1150,333 @@ impl BatchSimulator {
         let horizon = *horizon as usize;
         let slot0 = (t % horizon as u64) as usize;
 
-        for r in 0..routers {
-            let rmask = router_lanes_of(active_inputs, live, r, k);
-            if rmask == 0 {
-                continue;
-            }
-            let in_lo = tables.in_port_off[r] as usize;
-            let in_hi = tables.in_port_off[r + 1] as usize;
-            let base = in_lo * vcs;
-            let injection_local = in_hi - in_lo - 1;
-            let out_lo = tables.out_port_off[r] as usize;
-            let out_hi = tables.out_port_off[r + 1] as usize;
-            let ejection = out_hi - 1;
-            let total_vcs = (in_hi - in_lo) * vcs;
-            let gb0 = base * k;
-            let glen = total_vcs * k;
+        // Occupied routers in ascending order. No same-cycle push lands in
+        // the pass and a router's pops touch only its own bits, so each
+        // router word is read once, when the walk reaches it.
+        for rw in 0..occ.routers.len() {
+            let mut rbits = occ.routers[rw];
+            while rbits != 0 {
+                let r = rw * 64 + rbits.trailing_zeros() as usize;
+                rbits &= rbits - 1;
+                let in_lo = tables.in_port_off[r] as usize;
+                let in_hi = tables.in_port_off[r + 1] as usize;
+                let base = in_lo * vcs;
+                let injection_local = in_hi - in_lo - 1;
+                let out_lo = tables.out_port_off[r] as usize;
+                let out_hi = tables.out_port_off[r + 1] as usize;
+                let ejection = out_hi - 1;
+                let total_vcs = (in_hi - in_lo) * vcs;
+                let gb0 = base * k;
+                let glen = total_vcs * k;
 
-            // --- RC + VA request build ---------------------------------
-            // Pure mask algebra per input VC: every predicate lives as a
-            // pre-maintained per-group lane mask, so the scan is a few u64
-            // ops and only the rarer actions scatter over set bits. A
-            // freshly-routed eligible head always requests (RC never yields
-            // "no route"), so the RC lanes merge straight into `want`.
-            // `req`/`req_sa` words are dirty-tracked by `wantnz`/`rdynz`
-            // and cleared surgically when consumed, never memset.
-            let rovs = &mut vc_rov[gb0..gb0 + glen];
-            let fronts = &front_word[gb0..gb0 + glen];
-            let route_row = &tables.route[r * routers..(r + 1) * routers];
-            for idx in 0..total_vcs {
-                let g = base + idx;
-                let gb = idx * k;
-                let rg = &mut rovs[gb..gb + k];
-                let wg = &fronts[gb..gb + k];
-                let (iw, ibit) = (idx >> 6, 1u64 << (idx & 63));
-                let un = grp_unrouted[g];
-                let no = grp_noovc[g];
-                let head = grp_head[g];
-                let e1 = grp_e1[g];
-                let e0 = grp_e0[g];
-                // Heads still unrouted this cycle take RC now.
-                let rc = un & head;
-                let need_rc = rc & rmask;
-                // VA request: route known (or freshly routed this cycle —
-                // RC never yields "no route"), no output VC yet, head
-                // flit, eligible next cycle.
-                let want = ((!un & no & head) | rc) & e1;
-                // SA-ready: route + output VC known, eligible now. The
-                // heads-wait-a-cycle-after-VA rule is folded into the
-                // eligibility masks at grant time, and a same-cycle VA
-                // grant can't make a head ready, so the set is complete
-                // before VA runs.
-                let rdy = !un & !no & e0;
-                grp_unrouted[g] = un & !need_rc;
-                let mut m = need_rc;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let route = route_row[word_dst(wg[l]) as usize];
-                    rg[l] = (rg[l] & !ROV_ROUTE) | route as u32;
-                }
-                let mut m = want & rmask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let route = (rg[l] & ROV_ROUTE) as usize;
-                    req[(route * k + l) * words + iw] |= ibit;
-                    wantnz[route] |= 1u64 << l;
-                }
-                let mut m = rdy & rmask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let route = (rg[l] & ROV_ROUTE) as usize;
-                    req_sa[(route * k + l) * words + iw] |= ibit;
-                    rdynz[route] |= 1u64 << l;
-                }
-            }
-
-            // --- VA ----------------------------------------------------
-            // Free output VCs go to the first requesting input VC at or
-            // after each lane's round-robin pointer (a wrapped
-            // first-set-bit). Each lane sees output VCs in ascending
-            // order; the ovc-outer loop lets the free-lane mask skip
-            // (port, lane) pairs with nothing free or nothing requested.
-            for o in out_lo..out_hi {
-                let lo_i = o - out_lo;
-                let ro = lo_i * k;
-                // Lanes whose request mask is non-empty (scatter pass
-                // tracked them; only `rmask` lanes ever set bits).
-                let mut reqnz = std::mem::take(&mut wantnz[lo_i]);
-                if reqnz == 0 {
-                    continue;
-                }
-                let rq = &mut req[ro * words..(ro + k) * words];
-                for ovc in 0..vcs {
-                    let fo = o * vcs + ovc;
-                    let mut m = ovc_free[fo] & reqnz;
-                    while m != 0 {
-                        let l = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let mw = &mut rq[l * words..(l + 1) * words];
-                        let start = out_va_rr[o * k + l] as usize;
-                        let pick = wrapped_first(mw, start).expect("requesting lane");
-                        mw[pick >> 6] &= !(1u64 << (pick & 63));
-                        if mw.iter().all(|&w| w == 0) {
-                            reqnz &= !(1u64 << l);
+                // --- RC + VA request build ------------------------------
+                // Pure mask algebra per occupied input VC, in ascending
+                // order: every predicate lives as a pre-maintained
+                // per-group lane mask, so the scan is a few u64 ops and
+                // only the rarer actions scatter over set bits. Every
+                // predicate needs a front flit, so empty VCs are skipped
+                // outright. A freshly-routed eligible head always requests
+                // (RC never yields "no route"), so the RC lanes merge
+                // straight into `want`. `req`/`req_sa` words are
+                // dirty-tracked by `wantnz`/`rdynz` (lanes) and
+                // `va_ports`/`sa_ports` (ports) and cleared surgically
+                // when consumed, never memset.
+                let rovs = &mut vc_rov[gb0..gb0 + glen];
+                let fronts = &front_word[gb0..gb0 + glen];
+                let route_row = &tables.route[r * routers..(r + 1) * routers];
+                // Lanes with any SA request at this router.
+                let mut sa_lanes = 0u64;
+                for w in 0..words {
+                    let mut vbits = occ.vcs[r * words + w];
+                    while vbits != 0 {
+                        let idx = w * 64 + vbits.trailing_zeros() as usize;
+                        vbits &= vbits - 1;
+                        let g = base + idx;
+                        let gb = idx * k;
+                        let rg = &mut rovs[gb..gb + k];
+                        let wg = &fronts[gb..gb + k];
+                        let (iw, ibit) = (idx >> 6, 1u64 << (idx & 63));
+                        let un = grp_unrouted[g];
+                        let no = grp_noovc[g];
+                        let head = grp_head[g];
+                        let e1 = grp_e1[g];
+                        let e0 = grp_e0[g];
+                        // Heads still unrouted this cycle take RC now.
+                        let need_rc = un & head & live;
+                        // VA request: route known (or freshly routed this
+                        // cycle — RC never yields "no route"), no output
+                        // VC yet, head flit, eligible next cycle.
+                        let want = ((!un & no & head) | need_rc) & e1 & live;
+                        // SA-ready: route + output VC known, eligible now.
+                        // The heads-wait-a-cycle-after-VA rule is folded
+                        // into the eligibility masks at grant time, and a
+                        // same-cycle VA grant can't make a head ready, so
+                        // the set is complete before VA runs.
+                        let rdy = !un & !no & e0 & live;
+                        sa_lanes |= rdy;
+                        grp_unrouted[g] = un & !need_rc;
+                        let mut m = need_rc;
+                        while m != 0 {
+                            let l = m.trailing_zeros() as usize;
+                            m &= m - 1;
+                            let route = route_row[word_dst(wg[l]) as usize];
+                            rg[l] = (rg[l] & !ROV_ROUTE) | route as u32;
                         }
-                        let lb = 1u64 << l;
-                        ovc_free[fo] &= !lb;
-                        let g = base + pick;
-                        let gi = pick * k + l;
-                        rovs[gi] = (rovs[gi] & ROV_ROUTE) | ((ovc as u32) << 16);
-                        grp_noovc[g] &= !lb;
-                        // Heads wait a cycle after allocation: drop this
-                        // cycle's eligibility and reschedule for `t + 1`
-                        // (the next-cycle view is unaffected).
-                        if grp_e0[g] & lb != 0 {
-                            grp_e0[g] &= !lb;
-                            elig_wheel[es1].push(((g as u32) << 6) | l as u32);
+                        let mut m = want;
+                        while m != 0 {
+                            let l = m.trailing_zeros() as usize;
+                            m &= m - 1;
+                            let route = (rg[l] & ROV_ROUTE) as usize;
+                            req[(route * k + l) * words + iw] |= ibit;
+                            wantnz[route] |= 1u64 << l;
+                            va_ports[route >> 6] |= 1u64 << (route & 63);
                         }
-                        let next = pick + 1;
-                        out_va_rr[o * k + l] = if next == total_vcs { 0 } else { next } as u32;
-                        if measure_mask & (1 << l) != 0 {
-                            activity[r * k + l].vc_allocations += 1;
+                        let mut m = rdy;
+                        while m != 0 {
+                            let l = m.trailing_zeros() as usize;
+                            m &= m - 1;
+                            let route = (rg[l] & ROV_ROUTE) as usize;
+                            req_sa[(route * k + l) * words + iw] |= ibit;
+                            rdynz[route] |= 1u64 << l;
+                            sa_ports[route >> 6] |= 1u64 << (route & 63);
                         }
                     }
-                    if reqnz == 0 {
-                        break;
+                }
+
+                // --- VA -------------------------------------------------
+                // Free output VCs go to the first requesting input VC at
+                // or after each lane's round-robin pointer (a wrapped
+                // first-set-bit). Requested ports are visited in ascending
+                // order, and each lane sees output VCs in ascending order;
+                // the ovc-outer loop lets the free-lane mask skip
+                // (port, lane) pairs with nothing free or nothing
+                // requested.
+                for (pw, port_word) in va_ports.iter_mut().enumerate() {
+                    let mut pbits = std::mem::take(port_word);
+                    while pbits != 0 {
+                        let lo_i = pw * 64 + pbits.trailing_zeros() as usize;
+                        pbits &= pbits - 1;
+                        let o = out_lo + lo_i;
+                        let ro = lo_i * k;
+                        // Lanes whose request mask is non-empty.
+                        let mut reqnz = std::mem::take(&mut wantnz[lo_i]);
+                        debug_assert!(reqnz != 0, "a requested port has requesting lanes");
+                        let rq = &mut req[ro * words..(ro + k) * words];
+                        for ovc in 0..vcs {
+                            let fo = o * vcs + ovc;
+                            let mut m = ovc_free[fo] & reqnz;
+                            while m != 0 {
+                                let l = m.trailing_zeros() as usize;
+                                m &= m - 1;
+                                let mw = &mut rq[l * words..(l + 1) * words];
+                                let start = out_va_rr[o * k + l] as usize;
+                                let pick = wrapped_first(mw, start).expect("requesting lane");
+                                mw[pick >> 6] &= !(1u64 << (pick & 63));
+                                if mw.iter().all(|&w| w == 0) {
+                                    reqnz &= !(1u64 << l);
+                                }
+                                let lb = 1u64 << l;
+                                ovc_free[fo] &= !lb;
+                                let g = base + pick;
+                                let gi = pick * k + l;
+                                rovs[gi] = (rovs[gi] & ROV_ROUTE) | ((ovc as u32) << 16);
+                                grp_noovc[g] &= !lb;
+                                // Heads wait a cycle after allocation: drop this
+                                // cycle's eligibility and reschedule for `t + 1`
+                                // (the next-cycle view is unaffected).
+                                if grp_e0[g] & lb != 0 {
+                                    grp_e0[g] &= !lb;
+                                    elig_wheel[es1].push(((g as u32) << 6) | l as u32);
+                                }
+                                let next = pick + 1;
+                                out_va_rr[o * k + l] =
+                                    if next == total_vcs { 0 } else { next } as u32;
+                                if measure_mask & (1 << l) != 0 {
+                                    activity[r * k + l].vc_allocations += 1;
+                                }
+                            }
+                            if reqnz == 0 {
+                                break;
+                            }
+                        }
+                        // Lanes still in `reqnz` hold ungranted request bits;
+                        // clear them so the array stays zero without a memset.
+                        while reqnz != 0 {
+                            let l = reqnz.trailing_zeros() as usize;
+                            reqnz &= reqnz - 1;
+                            rq[l * words..(l + 1) * words].fill(0);
+                        }
                     }
                 }
-                // Lanes still in `reqnz` hold ungranted request bits;
-                // clear them so the array stays zero without a memset.
-                while reqnz != 0 {
-                    let l = reqnz.trailing_zeros() as usize;
-                    reqnz &= reqnz - 1;
-                    rq[l * words..(l + 1) * words].fill(0);
-                }
-            }
 
-            // --- SA/ST -------------------------------------------------
-            // The switch-ready masks were built in the first pass (see
-            // `req_sa`); the pick loop resolves credits and the
-            // one-winner-per-input rule per lane.
+                // --- SA/ST ----------------------------------------------
+                // The switch-ready masks were built in the first pass (see
+                // `req_sa`); the pick loop resolves credits and the
+                // one-winner-per-input rule per lane.
 
-            // Input VCs of already-used input ports, as per-lane VC masks.
-            let mut lm = rmask;
-            while lm != 0 {
-                let l = lm.trailing_zeros() as usize;
-                lm &= lm - 1;
-                used_vcs[l * words..(l + 1) * words].fill(0);
-            }
-
-            for o in out_lo..out_hi {
-                let lo_i = o - out_lo;
-                let ro = lo_i * k;
-                // Lanes with any SA request for this output, from the
-                // scatter pass; consumed (and the words zeroed) here.
-                let mut lm = std::mem::take(&mut rdynz[lo_i]);
+                // Input VCs of already-used input ports, as per-lane VC masks.
+                let mut lm = sa_lanes;
                 while lm != 0 {
                     let l = lm.trailing_zeros() as usize;
                     lm &= lm - 1;
-                    let used = &mut used_vcs[l * words..(l + 1) * words];
-                    let m = &mut req_sa[(ro + l) * words..(ro + l + 1) * words];
-                    for (w, &u) in m.iter_mut().zip(used.iter()) {
-                        *w &= !u;
-                    }
-                    let start = out_sa_rr[o * k + l] as usize;
-                    let winner = loop {
-                        let Some(pick) = wrapped_first(m, start) else {
-                            break None;
-                        };
-                        let ovc = (rovs[pick * k + l] >> 16) as usize;
-                        if ovc_credits[(o * vcs + ovc) * k + l] == 0 {
-                            m[pick >> 6] &= !(1u64 << (pick & 63));
-                            continue;
-                        }
-                        break Some((pick, ovc));
-                    };
-                    m.fill(0);
-                    let Some((pick, ovc)) = winner else {
-                        continue;
-                    };
-                    let (i16, v16) = pick_iv[pick];
-                    let (i, v) = (i16 as usize, v16 as usize);
-                    let gi = (base + pick) * k + l;
-                    let gl = pick * k + l;
-                    let next = pick + 1;
-                    out_sa_rr[o * k + l] = if next == total_vcs { 0 } else { next } as u32;
-                    set_bits(used, i * vcs, vcs);
-                    let word = front_word[gi];
-                    let g = base + pick;
-                    let lb = 1u64 << l;
-                    vc_len[gi] -= 1;
-                    if vc_len[gi] > 0 {
-                        // Promote the next queued flit to the front arrays.
-                        let (w, e) = if i == injection_local || ring_depth == 0 {
-                            vc_buf[gi].pop_front().expect("queue non-empty")
-                        } else {
-                            let h = ring_head[gi] as usize;
-                            let next = h + 1;
-                            ring_head[gi] = if next == ring_depth { 0 } else { next } as u8;
-                            ring[gi * ring_depth + h]
-                        };
-                        front_word[gi] = w;
-                        grp_head[g] = (grp_head[g] & !lb) | if word_is_head(w) { lb } else { 0 };
-                        // Re-derive the front's eligibility bits: queued
-                        // flits became eligible at most 2 cycles out from
-                        // their arrival, so `e ∈ {..t, t+1, t+2}`.
-                        if e <= t32 {
-                            grp_e0[g] |= lb;
-                            grp_e1[g] |= lb;
-                        } else {
-                            debug_assert!(e <= t32 + 2);
-                            grp_e0[g] &= !lb;
-                            if e == t1 {
-                                grp_e1[g] |= lb;
-                                elig_wheel[es1].push(((g as u32) << 6) | l as u32);
+                    used_vcs[l * words..(l + 1) * words].fill(0);
+                }
+
+                for (pw, port_word) in sa_ports.iter_mut().enumerate() {
+                    let mut pbits = std::mem::take(port_word);
+                    while pbits != 0 {
+                        let lo_i = pw * 64 + pbits.trailing_zeros() as usize;
+                        pbits &= pbits - 1;
+                        let o = out_lo + lo_i;
+                        let ro = lo_i * k;
+                        // Lanes with any SA request for this output, from
+                        // the scatter pass; consumed (and the words zeroed)
+                        // here.
+                        let mut lm = std::mem::take(&mut rdynz[lo_i]);
+                        while lm != 0 {
+                            let l = lm.trailing_zeros() as usize;
+                            lm &= lm - 1;
+                            let used = &mut used_vcs[l * words..(l + 1) * words];
+                            let m = &mut req_sa[(ro + l) * words..(ro + l + 1) * words];
+                            for (w, &u) in m.iter_mut().zip(used.iter()) {
+                                *w &= !u;
+                            }
+                            let start = out_sa_rr[o * k + l] as usize;
+                            let winner = loop {
+                                let Some(pick) = wrapped_first(m, start) else {
+                                    break None;
+                                };
+                                let ovc = (rovs[pick * k + l] >> 16) as usize;
+                                if ovc_credits[(o * vcs + ovc) * k + l] == 0 {
+                                    m[pick >> 6] &= !(1u64 << (pick & 63));
+                                    continue;
+                                }
+                                break Some((pick, ovc));
+                            };
+                            m.fill(0);
+                            let Some((pick, ovc)) = winner else {
+                                continue;
+                            };
+                            let (i16, v16) = pick_iv[pick];
+                            let (i, v) = (i16 as usize, v16 as usize);
+                            let gi = (base + pick) * k + l;
+                            let gl = pick * k + l;
+                            let next = pick + 1;
+                            out_sa_rr[o * k + l] = if next == total_vcs { 0 } else { next } as u32;
+                            set_bits(used, i * vcs, vcs);
+                            let word = front_word[gi];
+                            let g = base + pick;
+                            let lb = 1u64 << l;
+                            vc_len[gi] -= 1;
+                            if vc_len[gi] > 0 {
+                                // Promote the next queued flit to the front arrays.
+                                let (w, e) = if i == injection_local || ring_depth == 0 {
+                                    vc_buf[gi].pop_front().expect("queue non-empty")
+                                } else {
+                                    let h = ring_head[gi] as usize;
+                                    let next = h + 1;
+                                    ring_head[gi] = if next == ring_depth { 0 } else { next } as u8;
+                                    ring[gi * ring_depth + h]
+                                };
+                                front_word[gi] = w;
+                                grp_head[g] =
+                                    (grp_head[g] & !lb) | if word_is_head(w) { lb } else { 0 };
+                                // Re-derive the front's eligibility bits: queued
+                                // flits became eligible at most 2 cycles out from
+                                // their arrival, so `e ∈ {..t, t+1, t+2}`.
+                                if e <= t32 {
+                                    grp_e0[g] |= lb;
+                                    grp_e1[g] |= lb;
+                                } else {
+                                    debug_assert!(e <= t32 + 2);
+                                    grp_e0[g] &= !lb;
+                                    if e == t1 {
+                                        grp_e1[g] |= lb;
+                                        elig_wheel[es1].push(((g as u32) << 6) | l as u32);
+                                    } else {
+                                        grp_e1[g] &= !lb;
+                                        elig_wheel[es2].push(((g as u32) << 6) | l as u32);
+                                    }
+                                }
                             } else {
+                                front_word[gi] = FRONT_EMPTY;
+                                grp_head[g] &= !lb;
+                                grp_e0[g] &= !lb;
                                 grp_e1[g] &= !lb;
-                                elig_wheel[es2].push(((g as u32) << 6) | l as u32);
+                                occ.drain(g, l, r, pick);
                             }
-                        }
-                    } else {
-                        front_word[gi] = FRONT_EMPTY;
-                        grp_head[g] &= !lb;
-                        grp_e0[g] &= !lb;
-                        grp_e1[g] &= !lb;
-                    }
-                    let tail = word_is_tail(word);
-                    let measure = measure_mask & (1 << l) != 0;
+                            let tail = word_is_tail(word);
+                            let measure = measure_mask & (1 << l) != 0;
 
-                    if measure {
-                        let counters = &mut activity[r * k + l];
-                        counters.crossbar_traversals += 1;
-                        if i != injection_local {
-                            counters.buffer_reads += 1;
-                        }
-                    }
-
-                    if o == ejection {
-                        // Flit leaves the network; completion at end of cycle.
-                        let lane = &mut lanes[l];
-                        let record = &mut lane.packets[word_packet(word) as usize];
-                        if word_is_head(word) {
-                            record.head_done = (t + 1) as u32;
-                        }
-                        if tail {
-                            record.tail_done = (t + 1) as u32;
                             if measure {
-                                lane.ejected_in_window += 1;
+                                let counters = &mut activity[r * k + l];
+                                counters.crossbar_traversals += 1;
+                                if i != injection_local {
+                                    counters.buffer_reads += 1;
+                                }
                             }
-                            if record.measured {
-                                lane.completed_measured += 1;
-                                let latency = (t + 1) as u32 - record.created;
-                                lane.latency_sum += latency as u64;
-                                lane.max_latency = lane.max_latency.max(latency as u64);
-                                lane.latencies.push(latency);
-                                lane.head_latency_sum += (record.head_done - record.created) as u64;
-                            }
-                        }
-                    } else {
-                        ovc_credits[(o * vcs + ovc) * k + l] -= 1;
-                        let span = tables.out_span[o] as usize;
-                        // `1 + span < horizon`: one conditional wrap suffices.
-                        let mut slot = slot0 + 1 + span;
-                        if slot >= horizon {
-                            slot -= horizon;
-                        }
-                        arrivals[slot].push(ArrivalEvent {
-                            port: tables.out_dst_port[o],
-                            vc: ovc as u16,
-                            lane: l as u16,
-                            word,
-                        });
-                        if measure {
-                            activity[r * k + l].link_flit_segments += span as u64;
-                            if trace_on {
-                                link_flits[o * k + l] += 1;
-                            }
-                        }
-                    }
 
-                    if tail {
-                        rovs[gl] = ROV_NONE;
-                        grp_unrouted[g] |= lb;
-                        grp_noovc[g] |= lb;
-                        ovc_free[o * vcs + ovc] |= lb;
-                    }
-                    if vc_len[gi] == 0 && rovs[gl] & ROV_ROUTE == ROV_ROUTE {
-                        active_inputs[r * k + l] -= 1;
-                    }
+                            if o == ejection {
+                                // Flit leaves the network; completion at end of cycle.
+                                let lane = &mut lanes[l];
+                                let record = &mut lane.packets[word_packet(word) as usize];
+                                if word_is_head(word) {
+                                    record.head_done = (t + 1) as u32;
+                                }
+                                if tail {
+                                    record.tail_done = (t + 1) as u32;
+                                    if measure {
+                                        lane.ejected_in_window += 1;
+                                    }
+                                    if record.measured {
+                                        lane.completed_measured += 1;
+                                        let latency = (t + 1) as u32 - record.created;
+                                        lane.latency_sum += latency as u64;
+                                        lane.max_latency = lane.max_latency.max(latency as u64);
+                                        lane.latencies.push(latency);
+                                        lane.head_latency_sum +=
+                                            (record.head_done - record.created) as u64;
+                                    }
+                                }
+                            } else {
+                                ovc_credits[(o * vcs + ovc) * k + l] -= 1;
+                                let span = tables.out_span[o] as usize;
+                                // `1 + span < horizon`: one conditional wrap suffices.
+                                let mut slot = slot0 + 1 + span;
+                                if slot >= horizon {
+                                    slot -= horizon;
+                                }
+                                arrivals[slot].push(ArrivalEvent {
+                                    port: tables.out_dst_port[o],
+                                    vc: ovc as u16,
+                                    lane: l as u16,
+                                    word,
+                                });
+                                if measure {
+                                    activity[r * k + l].link_flit_segments += span as u64;
+                                    if trace_on {
+                                        link_flits[o * k + l] += 1;
+                                    }
+                                }
+                            }
 
-                    // Return the freed buffer slot upstream (1-cycle wire).
-                    let cb = tables.in_credit_base[in_lo + i];
-                    if cb != NONE_U32 {
-                        credit_wheel[credit_slot].push((cb + v as u32) * k as u32 + l as u32);
+                            if tail {
+                                rovs[gl] = ROV_NONE;
+                                grp_unrouted[g] |= lb;
+                                grp_noovc[g] |= lb;
+                                ovc_free[o * vcs + ovc] |= lb;
+                            }
+                            if vc_len[gi] == 0 && rovs[gl] & ROV_ROUTE == ROV_ROUTE {
+                                active_inputs[r * k + l] -= 1;
+                            }
+
+                            // Return the freed buffer slot upstream (1-cycle wire).
+                            let cb = tables.in_credit_base[in_lo + i];
+                            if cb != NONE_U32 {
+                                credit_wheel[credit_slot]
+                                    .push((cb + v as u32) * k as u32 + l as u32);
+                            }
+                        }
                     }
                 }
             }
@@ -1766,6 +1893,9 @@ impl BatchSimulator {
                 }
             }
         }
+        // Derived state: the occupancy masks follow from the restored
+        // queue lengths and are not part of the format.
+        self.occ = Occupancy::of(&self.tables, k, self.occ.words, &self.vc_len);
         let vc_rov = r.read_u32s()?;
         if vc_rov.len() != total_in_vcs * k {
             return Err(SnapshotError::Mismatch {
@@ -1887,5 +2017,146 @@ impl BatchSimulator {
         }
         r.finish()?;
         Ok(self)
+    }
+}
+
+#[cfg(test)]
+impl BatchSimulator {
+    /// Recomputes the three occupancy masks from `vc_len` and checks them
+    /// against the live ones.
+    fn assert_occupancy_matches_queues(&self) {
+        let fresh = Occupancy::of(&self.tables, self.k, self.occ.words, &self.vc_len);
+        assert_eq!(
+            self.occ, fresh,
+            "occupancy masks drifted from the queue lengths at cycle {}",
+            self.cycle
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use noc_model::PacketMix;
+    use noc_topology::RowPlacement;
+    use noc_traffic::{SyntheticPattern, TrafficMatrix};
+
+    /// SplitMix64: seeded replica parameters without an RNG dependency.
+    fn mix(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+
+    /// `k` seeded replicas with rates up to `max_rate`. Drain caps are short,
+    /// so saturated lanes retire with flits still buffered: the masks must
+    /// keep tracking a dead lane's queues.
+    fn replicas(n: usize, k: usize, max_rate: f64, salt: u64) -> Vec<(Workload, SimConfig)> {
+        use SyntheticPattern::*;
+        (0..k)
+            .map(|i| {
+                let h = mix(salt.wrapping_mul(0x1000) + i as u64);
+                let rate = max_rate * (1 + h % 10) as f64 / 10.0;
+                let pattern = match h % 3 {
+                    0 => UniformRandom,
+                    1 => Transpose,
+                    // Bit reversal needs a power-of-two router count.
+                    _ if n.is_power_of_two() => BitReverse,
+                    _ => NearNeighbour,
+                };
+                let flit = [64, 128, 256][((h >> 8) % 3) as usize];
+                let mut config = SimConfig::latency_run(flit, mix(h));
+                config.warmup_cycles = 100 + (h >> 16) % 100;
+                config.measure_cycles = 300 + (h >> 24) % 200;
+                config.drain_cycles_max = 200 + (h >> 32) % 400;
+                let matrix = TrafficMatrix::from_pattern(pattern, n);
+                (Workload::new(matrix, rate, PacketMix::paper()), config)
+            })
+            .collect()
+    }
+
+    /// The 8×8 mesh, an 8×8 express row, and the `star20_wide` hub, whose
+    /// 78 input VCs need two mask words; with each, its highest rate.
+    fn topologies() -> Vec<(MeshTopology, f64)> {
+        let row = RowPlacement::with_links(8, [(0, 3), (3, 7)]).unwrap();
+        let star = RowPlacement::with_links(20, (2..20).map(|k| (0, k))).unwrap();
+        vec![
+            (MeshTopology::mesh(8), 0.3),
+            (MeshTopology::uniform(8, &row), 0.3),
+            (MeshTopology::uniform(20, &star), 0.03),
+        ]
+    }
+
+    #[test]
+    fn occupancy_masks_match_queue_lengths_after_every_cycle() {
+        for (salt, (topo, max_rate)) in topologies().into_iter().enumerate() {
+            for k in [1, 8] {
+                let reps = replicas(topo.side(), k, max_rate, salt as u64 * 16 + k as u64);
+                let mut batch = BatchSimulator::new(&topo, reps);
+                batch.assert_occupancy_matches_queues();
+                let mut busiest = 0;
+                loop {
+                    let done = batch.run_until(batch.cycle() + 1);
+                    batch.assert_occupancy_matches_queues();
+                    let occupied = batch.occ.routers.iter().map(|w| w.count_ones()).sum();
+                    busiest = busiest.max(occupied);
+                    if done {
+                        break;
+                    }
+                }
+                assert!(
+                    busiest > 0,
+                    "side {} K={k}: no router ever held a flit",
+                    topo.side()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn occupancy_masks_are_rebuilt_on_restore() {
+        for (salt, (topo, max_rate)) in topologies().into_iter().enumerate() {
+            for k in [1, 8] {
+                let seed = 0xc07 + salt as u64 * 16 + k as u64;
+                let reps = || replicas(topo.side(), k, max_rate, seed);
+                let cut = 150 + mix(seed) % 400;
+                let mut batch = BatchSimulator::new(&topo, reps());
+                batch.run_until(cut);
+                assert!(
+                    batch.occ.routers.iter().any(|&w| w != 0),
+                    "cut {cut} is idle"
+                );
+                let bytes = batch.snapshot();
+                let restored = BatchSimulator::restore(&topo, reps(), &bytes).unwrap();
+                restored.assert_occupancy_matches_queues();
+                assert_eq!(restored.occ, batch.occ, "cut {cut}");
+                assert_eq!(restored.snapshot(), bytes, "the masks are not serialized");
+            }
+        }
+    }
+
+    #[test]
+    fn routers_wider_than_one_port_word_deliver_everything() {
+        // Row links (0,k) for every k ≥ 2 at n = 33 give router 0 64 link
+        // outputs plus ejection: the port masks span two words, and a port
+        // lost past the first word would strand its packets.
+        let star = RowPlacement::with_links(33, (2..33).map(|k| (0, k))).unwrap();
+        let topo = MeshTopology::uniform(33, &star);
+        let mut config = SimConfig::latency_run(256, 5);
+        config.warmup_cycles = 50;
+        config.measure_cycles = 200;
+        let matrix = TrafficMatrix::from_pattern(SyntheticPattern::UniformRandom, 33);
+        let workload = Workload::new(matrix, 0.01, PacketMix::paper());
+        let mut batch = BatchSimulator::new(&topo, vec![(workload, config)]);
+        assert_eq!(batch.va_ports.len(), 2);
+        while !batch.run_until(batch.cycle() + 50) {
+            batch.assert_occupancy_matches_queues();
+        }
+        let stats = batch.run().pop().unwrap();
+        assert!(stats.drained);
+        assert!(stats.measured_packets > 0);
+        assert_eq!(stats.completed_packets, stats.measured_packets);
+        assert!(stats.activity[0].crossbar_traversals > 0);
     }
 }

@@ -21,6 +21,11 @@ pub struct Simulator {
 impl Simulator {
     /// Builds a simulator for a topology and workload. The DOR routing solve
     /// is performed internally with the config's hop weights.
+    ///
+    /// # Panics
+    /// Panics if the workload's largest packet class would exceed
+    /// [`crate::MAX_PACKET_FLITS`] flits at the config's flit width (the
+    /// trace constructors apply the same limit to the largest event).
     pub fn new(topology: &MeshTopology, workload: Workload, config: SimConfig) -> Self {
         let dor = DorRouter::new(topology, config.weights);
         Self::with_router(topology, &dor, workload, config)
@@ -506,5 +511,56 @@ mod trace_tests {
         assert_eq!(stats.completed_packets, 20);
         // Later packets queue behind earlier ones.
         assert!(stats.max_packet_latency > stats.p50_latency as u64);
+    }
+
+    /// One packet of `flits` 64-bit flits from router 0 to router 5 of a
+    /// 4×4 mesh (two hops), replayed from a one-event trace.
+    fn long_packet_run(flits: u32) -> SimStats {
+        let trace = Trace::new(
+            4,
+            vec![TraceEvent {
+                cycle: 0,
+                src: 0,
+                dst: 5,
+                bits: flits * 64,
+            }],
+        );
+        let mut config = SimConfig::latency_run(64, 1);
+        config.warmup_cycles = 0;
+        config.measure_cycles = 10;
+        config.drain_cycles_max = 100_000;
+        Simulator::from_trace(&MeshTopology::mesh(4), trace, config).run()
+    }
+
+    #[test]
+    fn longest_packet_keeps_its_head_latency() {
+        // The last flit of the longest packet has sequence number 32,767,
+        // the top of the packed 15-bit field: it must not read as a head
+        // at ejection, so the head latency stays the two-hop 2·4 + 3.
+        let stats = long_packet_run(crate::MAX_PACKET_FLITS);
+        assert!(stats.drained);
+        assert_eq!(stats.completed_packets, 1);
+        assert_eq!(stats.avg_head_latency, 11.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "32768-flit packet limit")]
+    fn trace_packets_over_the_flit_limit_are_rejected() {
+        long_packet_run(crate::MAX_PACKET_FLITS + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "32768-flit packet limit")]
+    fn workload_packets_over_the_flit_limit_are_rejected() {
+        let workload = Workload::new(
+            TrafficMatrix::from_pattern(SyntheticPattern::UniformRandom, 4),
+            0.01,
+            PacketMix::uniform((crate::MAX_PACKET_FLITS + 1) * 64),
+        );
+        Simulator::new(
+            &MeshTopology::mesh(4),
+            workload,
+            SimConfig::latency_run(64, 1),
+        );
     }
 }

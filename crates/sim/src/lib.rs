@@ -43,7 +43,10 @@ pub mod network;
 pub mod stats;
 pub mod throughput;
 
-pub use batch::{trace_fingerprint, workload_fingerprint, BatchSimulator, BATCH_KIND, MAX_LANES};
+pub use batch::{
+    trace_fingerprint, workload_fingerprint, BatchSimulator, BATCH_KIND, MAX_LANES,
+    MAX_PACKET_FLITS,
+};
 pub use config::SimConfig;
 pub use engine::Simulator;
 pub use network::NetTables;
