@@ -7,8 +7,9 @@ use noc_json::{obj, Value};
 use noc_placement::{EvalMode, InitialStrategy};
 use noc_routing::HopWeights;
 use noc_service::protocol::{
-    parse_request, request_line, wire_lines, Envelope, ErrorCode, OptimalRequest, Request,
-    Response, SimulateRequest, SolveRequest, SweepRequest, ThroughputRequest,
+    parse_request, request_line, wire_lines, Envelope, ErrorCode, FrontierRequest, OptimalRequest,
+    Request, Response, ScenarioRequest, SimulateRequest, SolveRequest, SweepRequest,
+    ThroughputRequest,
 };
 use noc_traffic::SyntheticPattern;
 
@@ -86,6 +87,24 @@ fn every_request_variant_round_trips() {
             links: vec![(1, 4)],
             workers: 8,
             lanes: 4,
+        }),
+        Request::Scenario(Box::new(ScenarioRequest {
+            manifest: noc_scenario::Manifest::parse(
+                r#"{"scenario":1,"name":"rt","topology":{"n":4,"links":[[0,2]]},
+                    "placement":{"c":2,"moves":100,"strategy":"greedy"},
+                    "matrix":{"seed":{"range":[1,3]},"pattern":["ur","tp"]}}"#,
+            )
+            .expect("manifest parses"),
+            workers: 3,
+            lanes: 2,
+        })),
+        Request::Frontier(FrontierRequest {
+            n: 6,
+            base_flit: 128,
+            weight_steps: 7,
+            moves: 321,
+            seed: 5,
+            workers: 2,
         }),
         Request::Metrics,
         Request::Health,
