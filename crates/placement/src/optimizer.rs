@@ -17,14 +17,36 @@ use noc_routing::{DorRouter, HopWeights};
 use noc_topology::{MeshTopology, RowPlacement};
 
 /// How the annealer is seeded — the paper's two evaluated schemes (§5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InitialStrategy {
     /// `OnlySA`: a uniformly random connection matrix.
     Random,
     /// `D&C_SA`: the divide-and-conquer Procedure `I(n, C)`.
+    #[default]
     DivideAndConquer,
     /// Ablation baseline: greedy best-link insertion.
     Greedy,
+}
+
+impl InitialStrategy {
+    /// Wire name of each strategy, the one table the daemon protocol, the
+    /// CLI and scenario manifests read.
+    pub const NAMES: [(&'static str, InitialStrategy); 3] = [
+        ("dnc", InitialStrategy::DivideAndConquer),
+        ("random", InitialStrategy::Random),
+        ("greedy", InitialStrategy::Greedy),
+    ];
+
+    /// The strategy a wire name denotes.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::NAMES.iter().find(|r| r.0 == name).map(|r| r.1)
+    }
+
+    /// The strategy's wire name.
+    pub fn name(self) -> &'static str {
+        let row = Self::NAMES.iter().find(|r| r.1 == self);
+        row.expect("every strategy has a row in NAMES").0
+    }
 }
 
 /// Solves the one-dimensional problem `P̂(n, C)` with the chosen scheme.

@@ -26,15 +26,36 @@ use noc_rng::Rng;
 use noc_topology::{ConnectionMatrix, RowPlacement};
 
 /// How the annealer computes candidate objectives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
     /// Use the objective's incremental evaluator when it provides one
     /// (bit-identical to full evaluation, much cheaper per move); fall
     /// back to [`EvalMode::Full`] when it does not.
+    #[default]
     Incremental,
     /// Decode and fully re-evaluate every candidate, as written in the
     /// paper. Useful for cross-checks and as the reference in benchmarks.
     Full,
+}
+
+impl EvalMode {
+    /// Wire name of each mode, the one table the daemon protocol and the
+    /// CLI read.
+    pub const NAMES: [(&'static str, EvalMode); 2] = [
+        ("incremental", EvalMode::Incremental),
+        ("full", EvalMode::Full),
+    ];
+
+    /// The mode a wire name denotes.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::NAMES.iter().find(|r| r.0 == name).map(|r| r.1)
+    }
+
+    /// The mode's wire name.
+    pub fn name(self) -> &'static str {
+        let row = Self::NAMES.iter().find(|r| r.1 == self);
+        row.expect("every mode has a row in NAMES").0
+    }
 }
 
 /// Annealing schedule parameters (paper Table 1) plus the evaluation-mode

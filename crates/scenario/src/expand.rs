@@ -9,6 +9,7 @@
 
 use crate::manifest::{AxisValue, Manifest, ManifestError, MAX_N};
 use noc_placement::fingerprint::Fnv1a;
+use noc_topology::MAX_C;
 
 /// One fully-resolved scenario out of a manifest expansion.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,9 +52,7 @@ fn apply_axis(m: &mut Manifest, axis: &str, value: &AxisValue) -> Result<(), Man
         }
         "pattern" => match value {
             AxisValue::Str(p) => {
-                if !crate::manifest::PATTERN_NAMES.contains(&p.as_str()) {
-                    return Err(invalid(format!("unknown pattern {p:?}")));
-                }
+                crate::manifest::check_pattern(p, &format!("matrix.{axis}"))?;
                 m.traffic.pattern = p.clone();
             }
             _ => return Err(invalid("pattern values must be strings".to_string())),
@@ -66,10 +65,11 @@ fn apply_axis(m: &mut Manifest, axis: &str, value: &AxisValue) -> Result<(), Man
             m.topology.n = n;
         }
         "c" => {
-            let c = as_u64(value)? as usize;
-            if c == 0 {
-                return Err(invalid("c must be at least 1".to_string()));
+            let c = as_u64(value)?;
+            if !(1..=MAX_C as u64).contains(&c) {
+                return Err(invalid(format!("c {c} must be in 1..={MAX_C}")));
             }
+            let c = c as usize;
             if let Some(p) = m.placement.as_mut() {
                 p.c = c;
             }

@@ -7,6 +7,9 @@
 //! can never silently fall back to a default.
 
 use noc_json::Value;
+use noc_placement::InitialStrategy;
+use noc_topology::MAX_C;
+use noc_traffic::SyntheticPattern;
 
 /// The manifest format version this crate reads and writes.
 ///
@@ -428,18 +431,22 @@ fn links_json(links: &[(usize, usize)]) -> Value {
     )
 }
 
-/// Valid pattern wire names (shared with the daemon protocol).
-pub const PATTERN_NAMES: &[&str] = &["ur", "tp", "br", "bc", "sh", "hs", "nn"];
-
-fn check_pattern(name: &str, field: &str) -> Result<(), ManifestError> {
-    if PATTERN_NAMES.contains(&name) {
-        Ok(())
-    } else {
-        Err(ManifestError::Invalid {
+/// Checks a pattern wire name against [`SyntheticPattern::NAMES`].
+pub(crate) fn check_pattern(name: &str, field: &str) -> Result<(), ManifestError> {
+    match SyntheticPattern::from_name(name) {
+        Some(_) => Ok(()),
+        None => Err(ManifestError::Invalid {
             field: field.to_string(),
-            reason: format!("unknown pattern {name:?} (ur|tp|br|bc|sh|hs|nn)"),
-        })
+            reason: format!(
+                "unknown pattern {name:?} ({})",
+                names(&SyntheticPattern::NAMES)
+            ),
+        }),
     }
+}
+
+fn names<T>(table: &[(&str, T)]) -> String {
+    table.iter().map(|e| e.0).collect::<Vec<_>>().join("|")
 }
 
 fn parse_topology(v: &Value) -> Result<TopologySpec, ManifestError> {
@@ -491,10 +498,10 @@ fn parse_placement(v: &Value) -> Result<PlacementSpec, ManifestError> {
         section: "placement",
         field: "c",
     })?;
-    if spec.c == 0 {
+    if !(1..=MAX_C).contains(&spec.c) {
         return Err(ManifestError::Invalid {
             field: "placement.c".to_string(),
-            reason: "must be at least 1".to_string(),
+            reason: format!("must be in 1..={MAX_C}"),
         });
     }
     if spec.moves > 2_000_000 {
@@ -509,10 +516,14 @@ fn parse_placement(v: &Value) -> Result<PlacementSpec, ManifestError> {
             reason: "must be in 1..=64".to_string(),
         });
     }
-    if !["dnc", "random", "greedy"].contains(&spec.strategy.as_str()) {
+    if InitialStrategy::from_name(&spec.strategy).is_none() {
         return Err(ManifestError::Invalid {
             field: "placement.strategy".to_string(),
-            reason: format!("unknown strategy {:?} (dnc|random|greedy)", spec.strategy),
+            reason: format!(
+                "unknown strategy {:?} ({})",
+                spec.strategy,
+                names(&InitialStrategy::NAMES)
+            ),
         });
     }
     Ok(spec)
@@ -1106,6 +1117,15 @@ mod tests {
         assert!(Manifest::parse(r#"{"scenario":1,"traffic":{"pattern":"zz"}}"#).is_err());
         assert!(Manifest::parse(r#"{"scenario":1,"qos":[{"src":0,"dst":1}]}"#).is_err());
         assert!(Manifest::parse(r#"{"scenario":1,"matrix":{"c":[2,3]}}"#).is_err());
+        // A link limit past the widest cross-section of the largest row
+        // would make the solver allocate without bound.
+        let huge_c = r#"{"scenario":1,"placement":{"c":10000000000000}}"#;
+        assert!(Manifest::parse(huge_c).is_err());
+        let huge_axis = Manifest::parse(
+            r#"{"scenario":1,"placement":{"c":2},"matrix":{"c":[2,10000000000000]}}"#,
+        )
+        .unwrap();
+        assert!(crate::expand(&huge_axis).is_err());
         // Oversized expansions are refused at parse time.
         assert!(Manifest::parse(
             r#"{"scenario":1,"matrix":{"seed":{"range":[1,100]},"flit":{"range":[1,100]}}}"#

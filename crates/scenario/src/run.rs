@@ -60,27 +60,6 @@ pub fn compile_fault_schedule(manifest: &Manifest) -> Schedule {
     schedule
 }
 
-fn parse_pattern(name: &str) -> SyntheticPattern {
-    match name {
-        "tp" => SyntheticPattern::Transpose,
-        "br" => SyntheticPattern::BitReverse,
-        "bc" => SyntheticPattern::BitComplement,
-        "sh" => SyntheticPattern::Shuffle,
-        "hs" => SyntheticPattern::Hotspot { weight: 0.4 },
-        "nn" => SyntheticPattern::NearNeighbour,
-        // The manifest parser already validated the name.
-        _ => SyntheticPattern::UniformRandom,
-    }
-}
-
-fn parse_strategy(name: &str) -> InitialStrategy {
-    match name {
-        "random" => InitialStrategy::Random,
-        "greedy" => InitialStrategy::Greedy,
-        _ => InitialStrategy::DivideAndConquer,
-    }
-}
-
 /// A uniform background plus a concentrated component aimed at `target`:
 /// the hotspot-migration traffic model (phases move `target` around).
 fn hotspot_matrix(n: usize, target: usize, weight: f64) -> TrafficMatrix {
@@ -212,7 +191,8 @@ fn resolve_topology(m: &Manifest) -> Result<ResolvedTopology, String> {
             n,
             p.c,
             &objective,
-            parse_strategy(&p.strategy),
+            InitialStrategy::from_name(&p.strategy)
+                .ok_or_else(|| format!("unknown strategy {:?}", p.strategy))?,
             &params,
             m.seed,
         );
@@ -231,13 +211,14 @@ fn resolve_topology(m: &Manifest) -> Result<ResolvedTopology, String> {
     })
 }
 
-fn phase_matrix(m: &Manifest, phase: &PhaseSpec) -> TrafficMatrix {
+fn phase_matrix(m: &Manifest, phase: &PhaseSpec) -> Result<TrafficMatrix, String> {
     let n = m.topology.n;
     if let Some(target) = phase.hotspot.or(m.traffic.hotspot) {
-        return hotspot_matrix(n, target, m.traffic.hotspot_weight);
+        return Ok(hotspot_matrix(n, target, m.traffic.hotspot_weight));
     }
-    let pattern = phase.pattern.as_deref().unwrap_or(&m.traffic.pattern);
-    TrafficMatrix::from_pattern(parse_pattern(pattern), n)
+    let name = phase.pattern.as_deref().unwrap_or(&m.traffic.pattern);
+    let pattern = SyntheticPattern::from_name(name).ok_or(format!("unknown pattern {name:?}"))?;
+    Ok(TrafficMatrix::from_pattern(pattern, n))
 }
 
 fn implicit_phase() -> PhaseSpec {
@@ -280,7 +261,7 @@ struct PhaseSim {
 
 /// Resolves the per-phase simulation inputs of one scenario (everything
 /// `run_scenario` does before touching the simulator, minus faultpoints).
-fn plan_phases(m: &Manifest, resolved: &ResolvedTopology) -> Vec<PhaseSim> {
+fn plan_phases(m: &Manifest, resolved: &ResolvedTopology) -> Result<Vec<PhaseSim>, String> {
     let phases: Vec<PhaseSpec> = if m.phases.is_empty() {
         vec![implicit_phase()]
     } else {
@@ -292,17 +273,17 @@ fn plan_phases(m: &Manifest, resolved: &ResolvedTopology) -> Vec<PhaseSim> {
         .map(|(i, phase)| {
             let topo = apply_link_events(&resolved.topo, &phase.fail_links, &phase.degrade_links);
             let rate = m.traffic.rate * phase.rate_scale;
-            let workload = Workload::new(phase_matrix(m, &phase), rate, PacketMix::paper());
+            let workload = Workload::new(phase_matrix(m, &phase)?, rate, PacketMix::paper());
             let mut config = SimConfig::latency_run(m.sim.flit, phase_seed(m.seed, i));
             config.warmup_cycles = m.sim.warmup;
             config.measure_cycles = phase.cycles.unwrap_or(m.sim.cycles);
-            PhaseSim {
+            Ok(PhaseSim {
                 phase,
                 topo,
                 rate,
                 workload,
                 config,
-            }
+            })
         })
         .collect()
 }
@@ -346,7 +327,7 @@ pub fn run_scenario(scenario: &ResolvedScenario) -> Result<Value, String> {
     count("scenario.run", 1);
     let m = &scenario.manifest;
     let resolved = resolve_topology(m)?;
-    let sims = plan_phases(m, &resolved);
+    let sims = plan_phases(m, &resolved)?;
     let mut totals = PhaseTotals::new();
     for sim in &sims {
         if faultpoint::hit(SITE_PHASE) == Some(faultpoint::Injected::Error) {
@@ -542,11 +523,12 @@ fn run_scenarios_lockstep(
         .into_iter()
         .map(|scenario| {
             count("scenario.run", 1);
-            let plan = match resolve_topology(&scenario.manifest) {
-                Ok(resolved) => {
-                    let sims = plan_phases(&scenario.manifest, &resolved);
-                    Plan::Run(resolved, sims)
-                }
+            let plan = resolve_topology(&scenario.manifest).and_then(|resolved| {
+                let sims = plan_phases(&scenario.manifest, &resolved)?;
+                Ok((resolved, sims))
+            });
+            let plan = match plan {
+                Ok((resolved, sims)) => Plan::Run(resolved, sims),
                 Err(message) => {
                     count("scenario.failed", 1);
                     Plan::Fail(noc_json::obj! {

@@ -3,10 +3,10 @@
 //! Every compute request the service accepts is deterministic given its
 //! parameters (`solve_row`, `exhaustive_optimal`, `optimize_network`, and
 //! the simulator are all seed-deterministic), so responses can be cached
-//! by a structured key of everything the result depends on. The key is a
-//! real struct — not a pre-hashed digest — so unequal requests can never
-//! alias a cache slot (the only collision risk is inside the objective
-//! fingerprints themselves, which cover float payloads bit-exactly).
+//! by a key of everything the result depends on: the fields each request
+//! kind declares keyed (`docs/PROTOCOL.md` lists them). The key holds
+//! their values, not a pre-hashed digest, so unequal requests can never
+//! alias a cache slot (a scenario manifest enters as its fingerprint).
 //!
 //! Sharding bounds lock contention: a key hashes to one of `shards`
 //! independently locked maps. Eviction is LRU per shard via a logical
@@ -34,40 +34,29 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
-/// Cache key: the full determinism domain of a compute request.
+/// Cache key: a compute request's kind plus every field its declaration
+/// marks keyed (see `docs/PROTOCOL.md`), as one compact JSON array of the
+/// values request lines carry (a scenario manifest by its fingerprint).
+/// Two requests share a key exactly when they agree on all of them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Request kind tag (e.g. "solve").
+    /// Request kind (e.g. "solve"), or a snapshot namespace.
     pub kind: &'static str,
-    /// Problem size `n`.
-    pub n: u64,
-    /// Link limit `C` (0 where not applicable).
-    pub c: u64,
-    /// Objective fingerprint (hop weights, rate matrix, …).
-    pub objective_fp: u64,
-    /// Solver/simulator parameter fingerprint (SA schedule, sim config).
-    pub params_fp: u64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Extra discriminant (strategy, pattern + rate bits + links digest).
-    pub extra: u64,
+    /// The keyed fields in declaration order, e.g. `[8,4,"dnc",10000,1,42,3,1]`.
+    pub fields: String,
 }
 
 impl CacheKey {
     /// Platform- and process-stable 64-bit digest of the key, used by the
     /// cluster layer to place keys on the consistent-hash ring. Unlike
     /// [`std::collections::hash_map::DefaultHasher`], this is FNV-1a over
-    /// the key fields, so every node of a cluster — and every run of a
+    /// the key, so every node of a cluster — and every run of a
     /// deterministic cluster simulation — agrees on shard ownership.
     pub fn stable_hash(&self) -> u64 {
         let mut h = Fnv1a::with_tag("cluster-shard-key");
+        h.write_u64(self.kind.len() as u64);
         h.write_bytes(self.kind.as_bytes());
-        h.write_u64(self.n);
-        h.write_u64(self.c);
-        h.write_u64(self.objective_fp);
-        h.write_u64(self.params_fp);
-        h.write_u64(self.seed);
-        h.write_u64(self.extra);
+        h.write_bytes(self.fields.as_bytes());
         h.finish()
     }
 }
@@ -255,12 +244,7 @@ mod tests {
     fn key(seed: u64) -> CacheKey {
         CacheKey {
             kind: "solve",
-            n: 8,
-            c: 4,
-            objective_fp: 1,
-            params_fp: 2,
-            seed,
-            extra: 0,
+            fields: format!("[{seed}]"),
         }
     }
 

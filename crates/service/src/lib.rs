@@ -7,13 +7,14 @@
 //! pieces, all on `std` only:
 //!
 //! * [`protocol`] — the NDJSON wire format: request parsing with bounds
-//!   validation, response building, error codes.
+//!   validation, response building, error codes. Every request kind is
+//!   declared once in [`spec`], which drives parsing, request lines, cache
+//!   keys and metrics labels; `docs/PROTOCOL.md` tabulates it.
 //! * [`pool`] — a bounded worker pool with per-request deadlines; full
 //!   queues shed load immediately, and queued work whose deadline lapsed
 //!   is dropped unrun.
-//! * [`cache`] — a sharded LRU keyed by the full determinism domain of a
-//!   request: `(kind, n, C, objective fingerprint, parameter
-//!   fingerprint, seed, workload digest)`.
+//! * [`cache`] — a sharded LRU keyed by a request's kind and its keyed
+//!   fields.
 //! * [`metrics`] — relaxed-atomic counters and log-bucket latency
 //!   histograms, served by `metrics`/`health` requests without touching
 //!   the worker queue.
@@ -64,6 +65,7 @@ pub mod metrics;
 pub mod pool;
 pub mod protocol;
 pub mod server;
+pub mod spec;
 
 pub use crate::core::{Dispatch, Forwarder, InlineDispatch, ServiceCore};
 pub use cache::{CacheKey, ShardedLru};

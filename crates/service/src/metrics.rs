@@ -10,24 +10,18 @@
 use noc_json::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Request kinds tracked per-kind. The final `other` bucket absorbs any
-/// kind not listed here, so an unknown kind can never inflate another
-/// kind's counters.
-pub const KINDS: [&str; 13] = [
-    "solve",
-    "optimal",
-    "sweep",
-    "simulate",
-    "throughput",
-    "scenario",
-    "frontier",
-    "metrics",
-    "health",
-    "shutdown",
-    "trace",
-    "prometheus",
-    "other",
-];
+/// Request kinds tracked per-kind: every kind in [`crate::spec::KINDS`],
+/// in its order, then a final `other` bucket that absorbs any kind not
+/// listed, so an unknown kind can never inflate another kind's counters.
+pub const KINDS: [&str; crate::spec::KINDS.len() + 1] = {
+    let mut labels = ["other"; crate::spec::KINDS.len() + 1];
+    let mut i = 0;
+    while i < crate::spec::KINDS.len() {
+        labels[i] = crate::spec::KINDS[i].name;
+        i += 1;
+    }
+    labels
+};
 
 fn kind_index(kind: &str) -> usize {
     KINDS

@@ -112,25 +112,14 @@ fn garbage_kind_strings_bucket_under_other() {
     // the only way a garbage kind reaches the registry is through
     // `record_request` — and there it must land in the `other` bucket,
     // never alias onto a real kind's counter.
-    const REAL_KINDS: &[&str] = &[
-        "solve",
-        "optimal",
-        "sweep",
-        "simulate",
-        "throughput",
-        "metrics",
-        "health",
-        "trace",
-        "prometheus",
-        "shutdown",
-    ];
+    let real_kinds: Vec<&str> = noc_service::spec::KINDS.iter().map(|k| k.name).collect();
     let metrics = Metrics::new();
     let mut rng = SmallRng::seed_from_u64(0x07E4);
     let mut garbage = 0u64;
     for _ in 0..500 {
         let len = rng.gen_range(0usize..24);
         let kind = random_line(&mut rng, len);
-        if REAL_KINDS.contains(&kind.as_str()) {
+        if real_kinds.contains(&kind.as_str()) {
             continue;
         }
         metrics.record_request(&kind);
@@ -143,7 +132,7 @@ fn garbage_kind_strings_bucket_under_other() {
         Some(garbage),
         "garbage kinds must bucket under `other`"
     );
-    for kind in REAL_KINDS {
+    for kind in real_kinds {
         assert_eq!(
             requests.get(kind).and_then(Value::as_u64),
             Some(0),

@@ -27,6 +27,13 @@
 use crate::error::TopologyError;
 use crate::row::RowPlacement;
 
+/// Largest link limit `C` that service requests and scenario manifests may
+/// ask for: ⌊64²/4⌋, the widest cross-section a row of 64 routers (the
+/// largest row either accepts) can have, so no placement is out of reach.
+/// [`ConnectionMatrix::new`] allocates `(C-1)·(n-2)` bits, so an unbounded
+/// `C` from outside the program could exhaust memory.
+pub const MAX_C: usize = 1024;
+
 /// Binary connection matrix for `P̂(n, C)`: `(C-1)` layers × `(n-2)` interior
 /// connection points.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

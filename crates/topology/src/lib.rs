@@ -43,7 +43,7 @@ pub mod mesh;
 pub mod row;
 
 pub use builders::{flattened_butterfly_row, hfb_mesh, hfb_row, implied_link_limit, mesh_row};
-pub use connection_matrix::ConnectionMatrix;
+pub use connection_matrix::{ConnectionMatrix, MAX_C};
 pub use error::TopologyError;
 pub use mesh::{Coord, MeshTopology, Orientation};
 pub use row::{Link, RowPlacement};

@@ -6,9 +6,10 @@
 //! `2^k × 2^k` mesh satisfies.
 
 /// A synthetic spatial traffic pattern.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SyntheticPattern {
     /// Every destination (other than the source) equally likely — UR.
+    #[default]
     UniformRandom,
     /// `(x, y)` sends to `(y, x)` — TP.
     Transpose,
@@ -29,6 +30,31 @@ pub enum SyntheticPattern {
 }
 
 impl SyntheticPattern {
+    /// Wire name of each pattern, the one table the daemon protocol, the
+    /// CLI and scenario manifests read. `hs` is the hotspot pattern at
+    /// its default weight.
+    pub const NAMES: [(&'static str, SyntheticPattern); 7] = [
+        ("ur", SyntheticPattern::UniformRandom),
+        ("tp", SyntheticPattern::Transpose),
+        ("br", SyntheticPattern::BitReverse),
+        ("bc", SyntheticPattern::BitComplement),
+        ("sh", SyntheticPattern::Shuffle),
+        ("hs", SyntheticPattern::Hotspot { weight: 0.4 }),
+        ("nn", SyntheticPattern::NearNeighbour),
+    ];
+
+    /// The pattern a wire name denotes (names are lowercase).
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::NAMES.iter().find(|r| r.0 == name).map(|r| r.1)
+    }
+
+    /// The pattern's wire name; a hotspot of any weight is `hs`.
+    pub fn name(&self) -> &'static str {
+        let variant = |p: &Self| std::mem::discriminant(p);
+        let row = Self::NAMES.iter().find(|r| variant(&r.1) == variant(self));
+        row.expect("every pattern variant has a row in NAMES").0
+    }
+
     /// Short label used in experiment tables ("UR", "TP", "BR", ...).
     pub fn label(&self) -> &'static str {
         match self {

@@ -34,6 +34,7 @@ use express_noc::placement::{
 };
 use express_noc::routing::{channel_dependency_cycle, DorRouter, HopWeights};
 use express_noc::service::protocol::{self, Envelope, Request, SimulateRequest, SolveRequest};
+use express_noc::service::spec::{parse_evaluator, parse_pattern, parse_strategy};
 use express_noc::service::{generate_load_multi, Client, Server, ServiceConfig};
 use express_noc::sim::{SimConfig, Simulator};
 use express_noc::topology::{display, MeshTopology, RowPlacement};
@@ -273,36 +274,6 @@ fn parse_links(spec: &str) -> Result<Vec<(usize, usize)>, String> {
             Ok((a, b))
         })
         .collect()
-}
-
-fn parse_strategy(name: &str) -> Result<InitialStrategy, String> {
-    match name {
-        "dnc" | "d&c" => Ok(InitialStrategy::DivideAndConquer),
-        "random" => Ok(InitialStrategy::Random),
-        "greedy" => Ok(InitialStrategy::Greedy),
-        other => Err(format!("unknown strategy {other:?} (dnc|random|greedy)")),
-    }
-}
-
-fn parse_evaluator(name: &str) -> Result<EvalMode, String> {
-    match name {
-        "incremental" => Ok(EvalMode::Incremental),
-        "full" => Ok(EvalMode::Full),
-        other => Err(format!("unknown evaluator {other:?} (incremental|full)")),
-    }
-}
-
-fn parse_pattern(name: &str) -> Result<SyntheticPattern, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "ur" => Ok(SyntheticPattern::UniformRandom),
-        "tp" => Ok(SyntheticPattern::Transpose),
-        "br" => Ok(SyntheticPattern::BitReverse),
-        "bc" => Ok(SyntheticPattern::BitComplement),
-        "sh" => Ok(SyntheticPattern::Shuffle),
-        "hs" => Ok(SyntheticPattern::Hotspot { weight: 0.4 }),
-        "nn" => Ok(SyntheticPattern::NearNeighbour),
-        other => Err(format!("unknown pattern {other:?} (ur|tp|br|bc|sh|hs|nn)")),
-    }
 }
 
 fn cmd_solve(opts: &Flags) -> Result<(), String> {

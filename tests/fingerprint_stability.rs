@@ -84,16 +84,16 @@ fn sa_params_digest_is_pinned() {
 
 #[test]
 fn cache_shard_key_is_pinned() {
+    // A request's key is its kind plus its keyed fields as request lines
+    // carry them; the shard digest of that key places it on the ring.
     let key = CacheKey {
         kind: "solve",
-        n: 16,
-        c: 3,
-        objective_fp: 0x1111_2222_3333_4444,
-        params_fp: 0x5555_6666_7777_8888,
-        seed: 42,
-        extra: 9,
+        fields: r#"[16,3,"dnc",10000,1,42,3,1]"#.to_string(),
     };
-    assert_eq!(key.stable_hash(), 0xc21e_97de_c466_0419);
+    let line = r#"{"kind":"solve","n":16,"c":3,"seed":42,"evaluator":"full","checkpoint":2}"#;
+    let request = noc_service::protocol::parse_request(line).unwrap().request;
+    assert_eq!(noc_service::exec::cache_key(&request), Some(key.clone()));
+    assert_eq!(key.stable_hash(), 0x1ffc_0661_e7f5_a2f7);
 }
 
 #[test]
