@@ -19,7 +19,7 @@
 //! (`{"id":"9","ok":true,"seq":0,"of":3,"result":{...}}`) followed by a
 //! final summary line carrying `"done":true` (see [`wire_lines`]).
 
-use crate::spec::KINDS;
+use crate::spec::{kind, wire_label};
 use noc_json::Value;
 use noc_placement::{EvalMode, InitialStrategy};
 use noc_routing::HopWeights;
@@ -35,21 +35,7 @@ use std::fmt::Write as _;
 /// derive their oversized payloads from this constant so the three
 /// enforcement points can never drift apart.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
-/// Upper bound on `n` for service requests: large enough for every setup
-/// in the paper (up to 16×16) with head-room, small enough that a single
-/// request cannot monopolise a worker for minutes.
-pub const MAX_N: usize = 64;
-/// Upper bound on the SA move budget per request.
-pub const MAX_MOVES: usize = 2_000_000;
-/// Upper bound on parallel annealing chains per request: bounded so one
-/// request cannot fan out unbounded work (the move budget cap applies per
-/// chain).
-pub const MAX_CHAINS: usize = 64;
-/// Upper bound on simulated measurement cycles per request.
-pub const MAX_CYCLES: u64 = 2_000_000;
-/// Upper bound on weight-lattice points per `frontier` request: together
-/// with the move cap this bounds one request's total SA work.
-pub const MAX_WEIGHT_STEPS: usize = 33;
+pub use noc_scenario::field::{MAX_CHAINS, MAX_CYCLES, MAX_MOVES, MAX_N, MAX_WEIGHT_STEPS};
 /// Default and maximum per-request deadlines.
 pub const DEFAULT_DEADLINE_MS: u64 = 30_000;
 /// Hard cap on client-requested deadlines.
@@ -511,7 +497,7 @@ pub fn parse_request(line: &str) -> Result<Envelope, String> {
         .and_then(Value::as_str)
         .unwrap_or_default()
         .to_string();
-    let kind = v
+    let name = v
         .get("kind")
         .and_then(Value::as_str)
         .ok_or("missing required field \"kind\"")?;
@@ -526,15 +512,12 @@ pub fn parse_request(line: &str) -> Result<Envelope, String> {
         None | Some(Value::Null) => false,
         Some(f) => f.as_bool().ok_or("field \"fwd\" must be a boolean")?,
     };
-    let spec = KINDS
-        .iter()
-        .find(|spec| spec.name == kind)
-        .ok_or_else(|| format!("unknown kind {kind:?}"))?;
+    let spec = kind(name).ok_or_else(|| format!("unknown kind {name:?}"))?;
     Ok(Envelope {
         id,
         deadline_ms,
         forwarded,
-        request: (spec.parse)(&v)?,
+        request: (spec.read)(&v).map_err(|e| e.message(wire_label))?,
     })
 }
 
