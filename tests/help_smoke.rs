@@ -97,3 +97,52 @@ fn readme_commands_exist_in_help() {
         "README lost the scenario quickstart"
     );
 }
+
+/// Each compute command's request kind and the flags it takes besides
+/// the kind's fields (`--trace-out` is taken everywhere).
+const COMPUTE: &[(&str, &str, &[&str])] = &[
+    ("solve", "solve", &[]),
+    ("checkpoint", "solve", &["snapshot", "stages"]),
+    ("optimal", "optimal", &[]),
+    ("sweep", "sweep", &[]),
+    ("simulate", "simulate", &[]),
+    ("frontier", "frontier", &["addr"]),
+];
+
+#[test]
+fn documented_compute_commands_read_as_requests() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut files = vec![format!("{root}/README.md")];
+    for entry in std::fs::read_dir(format!("{root}/docs")).expect("docs/ exists") {
+        files.push(entry.unwrap().path().display().to_string());
+    }
+    let mut read = 0;
+    for file in files.iter().filter(|f| f.ends_with(".md")) {
+        let text = std::fs::read_to_string(file).unwrap().replace("\\\n", " ");
+        for line in text.lines() {
+            let Some((_, rest)) = line.split_once("express-noc-cli") else {
+                continue;
+            };
+            let rest = rest.trim_start();
+            let rest = rest.strip_prefix("-- ").unwrap_or(rest);
+            let mut tokens = rest.split_whitespace();
+            let Some(&(_, kind, extra)) = tokens
+                .next()
+                .and_then(|command| COMPUTE.iter().find(|c| c.0 == command))
+            else {
+                continue;
+            };
+            let args: Vec<String> = tokens
+                .take_while(|t| !["#", "|", ">", "&"].iter().any(|stop| t.starts_with(stop)))
+                .map(str::to_string)
+                .collect();
+            let spec = noc_service::spec::kind(kind).expect("declared kind");
+            let extra = [extra, &["trace-out"]].concat();
+            let request = noc_service::spec::flag_pairs(&args)
+                .and_then(|pairs| noc_service::spec::read_flags(spec, &pairs, &extra));
+            assert!(request.is_ok(), "{file}: `{line}`: {request:?}");
+            read += 1;
+        }
+    }
+    assert!(read >= 10, "only {read} documented compute commands found");
+}
