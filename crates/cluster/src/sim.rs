@@ -543,10 +543,12 @@ impl ClusterSim {
             };
             // Materialise the progress made so far: one cooling stage. A
             // job that finishes within it has nothing left to migrate.
-            let Some(bytes) = exec::suspend_solve(r, 1) else {
+            let job = exec::suspend_solve(r, 1);
+            if job.finished() {
                 self.log(tick, format!("migrate rid={rid} skipped (finished)"));
                 continue;
-            };
+            }
+            let bytes = job.snapshot();
             let mut pe = self.pending_execs.remove(&id).expect("listed");
             self.counters.migrated += 1;
             trace_inc("cluster.migrated");

@@ -175,17 +175,17 @@ fn solve_payload(r: &SolveRequest, out: &noc_placement::SaOutcome) -> Value {
 }
 
 /// Runs the job a solve request denotes for `stages` cooling stages and
-/// returns its snapshot — the "suspend" half of a migration. Returns
-/// `None` when the job finished within the budget (nothing left to
-/// migrate; the caller should just execute the request where it is).
-pub fn suspend_solve(r: &SolveRequest, stages: usize) -> Option<Vec<u8>> {
+/// returns it — the "suspend" half of a migration: its `snapshot()`
+/// carries on elsewhere. A job that finished within the budget has
+/// nothing left to migrate; the caller should just execute the request
+/// where it is.
+pub fn suspend_solve(r: &SolveRequest, stages: usize) -> noc_placement::SolveJob {
     let objective = AllPairsObjective::with_weights(r.weights);
     let mut job = solve_job(r);
-    if job.run_stages(&objective, stages.max(1)) {
-        return None;
+    if !job.run_stages(&objective, stages.max(1)) {
+        trace_inc("snapshot.saved");
     }
-    trace_inc("snapshot.saved");
-    Some(job.snapshot())
+    job
 }
 
 /// Resumes a solve from raw snapshot bytes and runs it to completion —
