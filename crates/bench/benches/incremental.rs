@@ -1,11 +1,12 @@
 //! Per-move cost of the SA inner loop: full re-evaluation (decode the
 //! connection matrix, run the monotone all-pairs DP from scratch) versus
-//! the incremental evaluator (patch only the rows a single bit flip can
-//! change). Both paths are bit-identical, so the ratio printed here is
-//! pure speedup — it feeds the runtime discussion in EXPERIMENTS.md.
+//! the incremental evaluator (recount, by a bitset search, the hop sums of
+//! only the sources a single bit flip can change). Both paths are
+//! bit-identical, so the ratio printed here is pure speedup — it feeds
+//! the "SA move cost" table in EXPERIMENTS.md.
 //!
-//! Each measured iteration performs one flip and its inverse, so the
-//! evaluator state returns to the start position and successive
+//! Each measured move is one flip and its undo, the same bit again, so
+//! the evaluator state returns to the start position and successive
 //! iterations are comparable. Bits cycle through the whole matrix to
 //! average over flip positions (edge flips are cheaper than centre flips
 //! for the incremental path).
@@ -51,7 +52,7 @@ fn main() {
         });
 
         // Incremental path: flip and revert through the evaluator.
-        let mut inc = IncrementalAllPairs::new(&matrix, objective.weights());
+        let mut inc = IncrementalAllPairs::try_new(&matrix, objective.weights()).unwrap();
         let mut bit = 0usize;
         let fast = bench_timed(&format!("move_eval/incremental/n{n}_c{c_limit}"), || {
             std::hint::black_box(inc.flip(bit));

@@ -452,32 +452,37 @@ pub fn generate() -> String {
     let _ = writeln!(
         out,
         "Under the Table 1 schedule every SA move flips one connection-matrix\n\
-         bit; `placement::incremental` re-scores the candidate by patching only\n\
-         the shortest-path rows that flip can change (DESIGN.md §9) instead of\n\
-         decoding and re-evaluating from scratch. Both paths are bit-identical\n\
+         bit; `placement::incremental` scores the candidate from hop counts,\n\
+         `d(i,j) = T_r·H(i,j) + T_l·(j−i)`, instead of decoding and re-evaluating\n\
+         from scratch. It keeps one `u64` mask of outgoing links per router and a\n\
+         hop sum per source, and searches again only from the sources the flip\n\
+         can change (DESIGN.md §9). Both paths are bit-identical\n\
          (property-tested), so the speedup is free. Measured per candidate move\n\
-         (one flip + its revert, averaged; regenerate with\n\
-         `cargo bench -p noc-bench --bench incremental`):\n"
+         (one flip + its undo, the same bit again, averaged). Regenerate with\n\
+         `cargo bench -p noc-bench --bench incremental` (these numbers: medians\n\
+         of three runs on a 2-vCPU Intel Xeon VM):\n"
     );
     let _ = writeln!(
         out,
         "| instance | full eval / move | incremental / move | speedup |\n\
          |---|---|---|---|\n\
-         | P(8,4) | 0.65 µs | 83 ns | 7.8x |\n\
-         | P(16,4) | 2.15 µs | 242 ns | 8.9x |\n\
-         | P(16,8) | 2.78 µs | 367 ns | 7.6x |\n\
-         | P(32,8) | 7.39 µs | 1.28 µs | 5.8x |\n\
-         | P(64,8) | 20.97 µs | 3.98 µs | 5.3x |"
+         | P(8,4) | 1.67 µs | 83 ns | 20.1x |\n\
+         | P(16,4) | 4.55 µs | 265 ns | 17.2x |\n\
+         | P(16,8) | 6.80 µs | 210 ns | 32.4x |\n\
+         | P(32,8) | 17.39 µs | 820 ns | 21.2x |\n\
+         | P(64,8) | 47.71 µs | 3.22 µs | 14.8x |"
     );
     let _ = writeln!(
         out,
         "\nThe full path pays matrix decoding + allocation + the complete\n\
-         `O(n^2·e)` DP per candidate; the incremental path recomputes at most\n\
-         the sources `i <= r` from column `r` on. The advantage narrows as `n`\n\
-         grows because a central flip still touches ~half the DP — but 5-9x\n\
-         per move compounds over the 10^4-move schedule, and multi-chain\n\
-         best-of-K (`SaParams::with_chains`) spends the savings on more chains\n\
-         at unchanged wall-clock."
+         `O(n^2·e)` DP per candidate. The incremental path searches from at most\n\
+         the sources `i <= r`, each in `O(n)` word operations, on the flip and\n\
+         again on the undo. Rows longer than 64 routers do not fit the masks and\n\
+         evaluate in full. On the same host the evaluator it replaced, which\n\
+         re-ran the DP over the rectangle `i <= r`, `j >= r`, took 178 ns,\n\
+         590 ns, 997 ns, 3.22 µs and 9.97 µs per move on these instances.\n\
+         Multi-chain best-of-K (`SaParams::with_chains`) spends the savings on\n\
+         more chains at unchanged wall-clock."
     );
 
     // ---- simulator hot-path bench (static: measured once via

@@ -10,9 +10,9 @@
 //!
 //! 1. [`StaticPowerModel`] prices a row placement's replicated `n × n`
 //!    network from exact integer degree moments, and
-//!    [`IncrementalStaticPower`] patches that price in `O(1)` under a
-//!    single connection-matrix bit flip — the same locality argument as
-//!    the latency DP patch in `noc_placement::incremental`.
+//!    [`IncrementalStaticPower`] patches that price in `O(1)` per link a
+//!    connection-matrix bit flip changes, as reported by the latency
+//!    kernel in `noc_placement::incremental`.
 //! 2. [`ScalarizedObjective`] blends the all-pairs latency objective with
 //!    the power model under a weight pair `(w_latency, w_power)`; at the
 //!    extremes `(1, 0)` / `(0, 1)` it degenerates *bit-identically* to

@@ -19,16 +19,16 @@
 //! ```
 //!
 //! Both the full evaluation (from a decoded [`RowPlacement`]) and the
-//! incremental evaluation (tracking a [`ConnectionMatrix`] under flips)
+//! incremental evaluation (tracking the links each flip changes)
 //! compute the same moments as exact `u64`s and price them through the
 //! same closed form, so the two paths are **bit-identical** — the same
-//! contract the latency DP patch keeps, and for the same reason: the
+//! contract the latency kernel keeps, and for the same reason: the
 //! annealer's accept/reject branches (and hence its RNG stream) must not
 //! depend on the evaluation mode.
 
-use noc_placement::MoveEvaluator;
+use noc_placement::LinkChanges;
 use noc_power::PowerConfig;
-use noc_topology::{ConnectionMatrix, RowPlacement};
+use noc_topology::RowPlacement;
 
 /// Prices the placement-dependent static power of the `n × n` network a
 /// row placement replicates to. Values are per-router milliwatts, a scale
@@ -118,148 +118,75 @@ impl StaticPowerModel {
     }
 }
 
-/// Tracks [`StaticPowerModel::eval_row`] of the placement a connection
-/// matrix decodes to, under single-bit flips, in `O(span)` time per move
-/// (the same boundary scan the latency patch performs) with an `O(1)`
-/// moment update.
+/// Tracks [`StaticPowerModel::eval_row`] of a placement under the link
+/// changes of single-bit flips, with an `O(1)` moment update per change.
 ///
-/// A bit flip in layer `ℓ` at interior router `r` merges the spans
-/// `(a, r)`, `(r, b)` into `(a, b)` or splits them back, so the *multiset*
-/// of per-layer spans changes at three endpoints at most. Degrees count
-/// *distinct* express links (matching [`ConnectionMatrix::decode`], which
-/// deduplicates spans encoded by several layers), so the tracker keeps a
-/// per-span multiplicity count and bumps a degree only on 0 ↔ 1
-/// transitions.
+/// The latency kernel ([`IncrementalAllPairs::flip_links`]) already walks
+/// the flipped layer's spans and counts each span's multiplicity across
+/// layers, so it reports exactly the *distinct* express links a flip adds
+/// or removes. Degrees count distinct links (matching
+/// [`ConnectionMatrix::decode`], which deduplicates spans encoded by
+/// several layers), so each reported change bumps its two endpoints.
+///
+/// [`IncrementalAllPairs::flip_links`]: noc_placement::IncrementalAllPairs::flip_links
+/// [`ConnectionMatrix::decode`]: noc_topology::ConnectionMatrix::decode
 #[derive(Debug, Clone)]
 pub struct IncrementalStaticPower {
     model: StaticPowerModel,
-    matrix: ConnectionMatrix,
-    /// Multiplicity of span `(a, b)` across layers, indexed `a·n + b`;
-    /// only spans with `b − a ≥ 2` (real express links) are counted.
-    span_count: Vec<u16>,
     /// Current total degree (mesh locals + distinct express) per router.
-    degree: Vec<u32>,
+    degree: Vec<u64>,
     s1: u64,
     s2: u64,
 }
 
 impl IncrementalStaticPower {
-    /// Builds the tracker for the placement `matrix` currently decodes to.
+    /// Builds the tracker for the placement `row`.
     ///
     /// # Panics
-    /// Panics if `model.n()` differs from the matrix's router count.
-    pub fn new(matrix: &ConnectionMatrix, model: StaticPowerModel) -> Self {
-        let n = matrix.routers();
-        assert_eq!(model.n(), n, "power model sized for a different row");
-        let degree: Vec<u32> = (0..n)
-            .map(|r| u32::from(r > 0) + u32::from(r + 1 < n))
-            .collect();
-        let s1 = degree.iter().map(|&d| d as u64).sum();
-        let s2 = degree.iter().map(|&d| (d as u64) * (d as u64)).sum();
-        let mut tracker = IncrementalStaticPower {
+    /// Panics if `model.n()` differs from the row's length.
+    pub fn new(row: &RowPlacement, model: StaticPowerModel) -> Self {
+        assert_eq!(
+            model.n(),
+            row.len(),
+            "power model sized for a different row"
+        );
+        let degree: Vec<u64> = (0..row.len()).map(|r| row.degree(r) as u64).collect();
+        IncrementalStaticPower {
             model,
-            matrix: matrix.clone(),
-            span_count: vec![0; n * n],
+            s1: degree.iter().sum(),
+            s2: degree.iter().map(|d| d * d).sum(),
             degree,
-            s1,
-            s2,
-        };
-        // Walk every layer's spans, mirroring the latency tracker's build;
-        // `add_span` keeps the moments in sync as express links appear.
-        let points = matrix.points();
-        for layer in 0..matrix.layers() {
-            let mut span_start = 0usize;
-            for point in 0..points {
-                let router = point + 1;
-                if !matrix.get(layer, point) {
-                    tracker.add_span(span_start, router);
-                    span_start = router;
-                }
-            }
-            tracker.add_span(span_start, n - 1);
-        }
-        tracker
-    }
-
-    fn bump_degree(&mut self, r: usize, delta: i64) {
-        let old = self.degree[r] as u64;
-        let new = (old as i64 + delta) as u64;
-        self.degree[r] = new as u32;
-        self.s1 = self.s1 - old + new;
-        self.s2 = self.s2 - old * old + new * new;
-    }
-
-    /// Registers one layer's contribution of span `(a, b)`; the first
-    /// contribution materialises the express link and bumps endpoint
-    /// degrees.
-    fn add_span(&mut self, a: usize, b: usize) {
-        if b - a >= 2 {
-            let idx = a * self.model.n() + b;
-            self.span_count[idx] += 1;
-            if self.span_count[idx] == 1 {
-                self.bump_degree(a, 1);
-                self.bump_degree(b, 1);
-            }
         }
     }
 
-    /// Removes one layer's contribution of span `(a, b)`; the last
-    /// contribution dissolves the express link.
-    fn remove_span(&mut self, a: usize, b: usize) {
-        if b - a >= 2 {
-            let idx = a * self.model.n() + b;
-            debug_assert!(self.span_count[idx] > 0, "removed span was present");
-            self.span_count[idx] -= 1;
-            if self.span_count[idx] == 0 {
-                self.bump_degree(a, -1);
-                self.bump_degree(b, -1);
-            }
-        }
-    }
-}
-
-impl MoveEvaluator for IncrementalStaticPower {
-    fn objective(&self) -> f64 {
+    /// Per-router static power (mW) of the tracked placement, bit-identical
+    /// to [`StaticPowerModel::eval_row`] of it.
+    pub fn objective(&self) -> f64 {
         self.model.power_mw_from_moments(self.s1, self.s2)
     }
 
-    fn flip(&mut self, bit: usize) -> f64 {
-        let points = self.matrix.points();
-        let layer = bit / points;
-        let point = bit % points;
-        let r = point + 1;
-        let n = self.matrix.routers();
-
-        // Span boundaries adjacent to r in this layer (independent of the
-        // bit being flipped) — the same scan as the latency patch.
-        let mut a = r - 1;
-        while a > 0 && self.matrix.get(layer, a - 1) {
-            a -= 1;
+    /// Applies the link changes of one flip.
+    pub fn apply(&mut self, changes: &LinkChanges) {
+        for change in changes.as_slice() {
+            for r in [change.a, change.b] {
+                let old = self.degree[r];
+                let new = if change.added { old + 1 } else { old - 1 };
+                self.degree[r] = new;
+                self.s1 = self.s1 - old + new;
+                self.s2 = self.s2 - old * old + new * new;
+            }
         }
-        let mut b = r + 1;
-        while b < n - 1 && self.matrix.get(layer, b - 1) {
-            b += 1;
-        }
-
-        let connected = self.matrix.flip_flat(bit);
-        if connected {
-            self.remove_span(a, r);
-            self.remove_span(r, b);
-            self.add_span(a, b);
-        } else {
-            self.remove_span(a, b);
-            self.add_span(a, r);
-            self.add_span(r, b);
-        }
-        self.objective()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_placement::IncrementalAllPairs;
     use noc_rng::rngs::SmallRng;
     use noc_rng::{Rng, SeedableRng};
+    use noc_routing::HopWeights;
+    use noc_topology::ConnectionMatrix;
 
     fn model(n: usize) -> StaticPowerModel {
         StaticPowerModel::new(n, 256, 10_240, &PowerConfig::dsent_32nm())
@@ -304,13 +231,23 @@ mod tests {
         );
     }
 
+    /// Drives the tracker from the latency kernel's link changes, as the
+    /// scalarized evaluator does.
+    fn tracked(
+        matrix: &ConnectionMatrix,
+        m: StaticPowerModel,
+    ) -> (IncrementalAllPairs, IncrementalStaticPower) {
+        let kernel = IncrementalAllPairs::try_new(matrix, HopWeights::PAPER).unwrap();
+        (kernel, IncrementalStaticPower::new(&matrix.decode(), m))
+    }
+
     #[test]
     fn incremental_matches_full_on_random_walks() {
         let mut rng = SmallRng::seed_from_u64(0xBEEF);
         for (n, c) in [(8usize, 4usize), (12, 3), (16, 8)] {
             let m = model(n);
             let mut matrix = ConnectionMatrix::new(n, c);
-            let mut inc = IncrementalStaticPower::new(&matrix, m);
+            let (mut kernel, mut inc) = tracked(&matrix, m);
             assert_eq!(
                 inc.objective().to_bits(),
                 m.eval_row(&matrix.decode()).to_bits(),
@@ -320,7 +257,8 @@ mod tests {
             for step in 0..300 {
                 let bit = rng.gen_range(0..bits);
                 matrix.flip_flat(bit);
-                let fast = inc.flip(bit);
+                inc.apply(&kernel.flip_links(bit));
+                let fast = inc.objective();
                 let slow = m.eval_row(&matrix.decode());
                 assert_eq!(
                     fast.to_bits(),
@@ -335,15 +273,16 @@ mod tests {
     fn flip_is_an_involution() {
         let m = model(8);
         let mut matrix = ConnectionMatrix::new(8, 4);
-        let mut inc = IncrementalStaticPower::new(&matrix, m);
+        let (mut kernel, mut inc) = tracked(&matrix, m);
         for bit in [0usize, 7, 3, 12] {
             matrix.flip_flat(bit);
-            inc.flip(bit);
+            inc.apply(&kernel.flip_links(bit));
         }
         let before = inc.objective().to_bits();
         for bit in 0..matrix.bit_count() {
-            inc.flip(bit);
-            assert_eq!(inc.flip(bit).to_bits(), before, "bit {bit}");
+            inc.apply(&kernel.flip_links(bit));
+            inc.apply(&kernel.flip_links(bit));
+            assert_eq!(inc.objective().to_bits(), before, "bit {bit}");
         }
     }
 

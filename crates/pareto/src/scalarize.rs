@@ -83,10 +83,13 @@ impl Objective for ScalarizedObjective {
         self.w_latency * self.latency.eval(row) + self.w_power * self.power.eval_row(row)
     }
 
+    /// Incremental on the rows the latency kernel takes (see
+    /// [`IncrementalAllPairs::try_new`]); `None` beyond them.
     fn incremental_evaluator(&self, matrix: &ConnectionMatrix) -> Option<Box<dyn MoveEvaluator>> {
+        let latency = IncrementalAllPairs::try_new(matrix, self.latency.weights())?;
         Some(Box::new(ScalarizedEvaluator {
-            latency: IncrementalAllPairs::new(matrix, self.latency.weights()),
-            power: IncrementalStaticPower::new(matrix, self.power),
+            latency,
+            power: IncrementalStaticPower::new(&matrix.decode(), self.power),
             w_latency: self.w_latency,
             w_power: self.w_power,
         }))
@@ -104,9 +107,11 @@ impl DivisibleObjective for ScalarizedObjective {
     }
 }
 
-/// Incremental evaluator pairing the latency DP patch with the `O(1)`
-/// power-moment patch; per-move cost stays within the latency patch's
-/// envelope (benchmarked in `benches/frontier.rs`).
+/// Incremental evaluator pairing the latency kernel with the `O(1)`
+/// power-moment patch. The kernel walks the flipped layer's spans once
+/// and hands the link changes to the power tracker, so per-move cost
+/// stays within the latency kernel's envelope (benchmarked in
+/// `benches/frontier.rs`).
 #[derive(Debug, Clone)]
 pub struct ScalarizedEvaluator {
     latency: IncrementalAllPairs,
@@ -121,9 +126,9 @@ impl MoveEvaluator for ScalarizedEvaluator {
     }
 
     fn flip(&mut self, bit: usize) -> f64 {
-        let l = self.latency.flip(bit);
-        let p = self.power.flip(bit);
-        self.w_latency * l + self.w_power * p
+        let changes = self.latency.flip_links(bit);
+        self.power.apply(&changes);
+        self.objective()
     }
 }
 

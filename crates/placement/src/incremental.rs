@@ -1,29 +1,48 @@
 //! Incremental objective evaluation for the SA inner loop.
 //!
 //! Every annealing move flips one bit of the connection matrix, yet the
-//! baseline evaluator re-solves all `n²` pairs from scratch. This module
-//! exploits the locality of a bit flip: flipping the connection point of
-//! layer `l` at interior router `r` merges the two spans meeting at `r`
-//! into one (or splits one span back into two), so the set of express
-//! links changes only among `(a, r)`, `(r, b)` and `(a, b)`, where `a`
-//! and `b` are the span boundaries adjacent to `r` in that layer.
+//! full evaluator decodes the matrix and re-solves all `n²` pairs. This
+//! module scores a flip from hop counts instead, over one `u64` mask of
+//! outgoing links per router.
 //!
-//! Because U-turn-free 1D shortest paths visit strictly monotone router
-//! indices (see [`noc_routing::monotone`]), a forward path `i → j` can
-//! only use links whose endpoints both lie in `[i, j]`. Every changed
-//! link has its right endpoint at `r` or beyond, and its left endpoint at
-//! `a < r` or at `r`; hence a pair `(i, j)` with `j < r` or `i > r` keeps
-//! its distance. Only the rectangle `i ≤ r`, `j ≥ r` — at most
-//! `(r+1)·(n−r)` of the `n²/2` forward pairs — needs recomputation.
+//! **Hop counts carry the objective.** A U-turn-free path from `i` to
+//! `j > i` visits strictly increasing routers (see
+//! [`noc_routing::monotone`]), so its links tile `[i, j]` and it crosses
+//! exactly `j − i` unit link segments, whatever its route. Its cost is
+//! `T_r·hops + T_l·(j − i)`, so the shortest distance is
+//! `d(i, j) = T_r·H(i, j) + T_l·(j − i)` with `H` the fewest hops, and the
+//! forward pairs sum to `T_r·ΣH + T_l·n(n²−1)/6`. That is the same `u64`
+//! the monotone DP sums ([`noc_routing::monotone::monotone_all_pairs_sum`])
+//! whenever no distance overflows the DP's `u32` cycles (which
+//! [`IncrementalAllPairs::try_new`] checks), and the objective divides it
+//! by `n²` in the same single `f64` division. The incremental objective is
+//! therefore **bit-identical** to the full evaluator: the annealer takes
+//! the same accept/reject branches, consumes the same RNG stream, and
+//! lands on the same result in either mode. [`anneal`] keeps a
+//! `debug_assertions` cross-check of this invariant on every move.
 //!
-//! Distances are kept per source as exact `u32` cycles and summed into an
-//! exact `u64`, mirroring [`noc_routing::monotone::monotone_all_pairs_sum`], so the
-//! incremental objective is **bit-identical** to the full evaluator: the
-//! annealer takes the same accept/reject branches, consumes the same RNG
-//! stream, and lands on the same result in either mode. [`anneal`] keeps
-//! a `debug_assertions` cross-check of this invariant on every move.
+//! **Which links change.** Flipping the connection point of layer `l` at
+//! interior router `r` merges the two spans of that layer meeting at `r`
+//! into one, or splits one back into two. With `a` and `b` the span
+//! boundaries next to `r` in that layer, only the links `(a, r)`, `(r, b)`
+//! and `(a, b)` can appear or vanish, and only when no other layer
+//! encodes the same span.
+//!
+//! **Which sources change.** A forward path from `i` only uses links whose
+//! left endpoint is at least `i`. A changed link's left endpoint is `a` or
+//! `r`, so only the sources `i ≤ r` — precisely, up to the largest left
+//! endpoint of a changed link — can change their hop sum `Σ_j H(i, j)`.
+//! Each of them is recomputed by a breadth-first search over the masks.
+//! The annealer undoes a rejected move by flipping the same bit again,
+//! which searches those sources once more.
+//!
+//! Rows of more than [`MAX_ROUTERS`] routers do not fit the masks;
+//! [`IncrementalAllPairs::try_new`] and so
+//! [`Objective::incremental_evaluator`] return `None` for them, and the
+//! annealer evaluates their moves in full.
 //!
 //! [`anneal`]: crate::sa::anneal
+//! [`Objective::incremental_evaluator`]: crate::objective::Objective::incremental_evaluator
 //!
 //! # Example
 //!
@@ -35,7 +54,7 @@
 //!
 //! let full = AllPairsObjective::paper();
 //! let mut matrix = ConnectionMatrix::new(8, 4);
-//! let mut inc = IncrementalAllPairs::new(&matrix, HopWeights::PAPER);
+//! let mut inc = IncrementalAllPairs::try_new(&matrix, HopWeights::PAPER).unwrap();
 //! assert_eq!(inc.objective(), full.eval(&matrix.decode())); // mesh row: 10.5
 //!
 //! // Flip a few bits; the incremental value tracks the full evaluator.
@@ -46,7 +65,7 @@
 //! }
 //! ```
 
-use noc_routing::{Cycles, HopWeights, INF};
+use noc_routing::HopWeights;
 use noc_topology::ConnectionMatrix;
 
 /// A stateful evaluator that tracks the objective of the connection matrix
@@ -70,169 +89,237 @@ pub trait MoveEvaluator {
     fn flip(&mut self, bit: usize) -> f64;
 }
 
+/// Longest row [`IncrementalAllPairs`] takes: one `u64` mask per router.
+pub const MAX_ROUTERS: usize = 64;
+
+/// One distinct express link a flip added or removed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkChange {
+    /// Left endpoint.
+    pub a: usize,
+    /// Right endpoint.
+    pub b: usize,
+    /// Whether the link appeared (otherwise it vanished).
+    pub added: bool,
+}
+
+/// The distinct express links one flip added or removed: at most
+/// `(a, r)`, `(r, b)` and `(a, b)`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkChanges {
+    list: [LinkChange; 3],
+    len: usize,
+}
+
+impl LinkChanges {
+    /// The changes, in the order the flip made them.
+    pub fn as_slice(&self) -> &[LinkChange] {
+        &self.list[..self.len]
+    }
+
+    fn note(&mut self, a: usize, b: usize, added: bool, changed: bool) {
+        if changed {
+            self.list[self.len] = LinkChange { a, b, added };
+            self.len += 1;
+        }
+    }
+}
+
 /// Incremental all-pairs mean segment latency — the fast path behind
 /// [`AllPairsObjective`](crate::objective::AllPairsObjective).
 ///
-/// Holds a private copy of the connection matrix, the multiset of links it
-/// decodes to (as left-neighbour adjacency lists), the full forward
-/// distance triangle `dist[i][j]` for `j > i`, and the exact `u64` sum of
-/// that triangle. [`flip`](MoveEvaluator::flip) is `O((r+1)·(n−r)·deg)`
-/// instead of the full evaluator's `O(n²·deg)` plus a decode.
+/// Holds the connection points of each layer as a mask, the multiplicity
+/// of every span across layers, the distinct links as one out-mask per
+/// router, and the hop sum of every source. [`flip`](MoveEvaluator::flip)
+/// finds the span boundaries with two bit scans and searches again from
+/// at most `r + 1` sources.
 #[derive(Debug, Clone)]
 pub struct IncrementalAllPairs {
     n: usize,
+    points: usize,
     weights: HopWeights,
-    matrix: ConnectionMatrix,
-    /// `left[j]`: left endpoints `k < j` of links into `j`, with hop cost.
-    /// A multiset — the same span in two layers appears twice, which is
-    /// harmless for the min-based DP and keeps removal bookkeeping local
-    /// to one layer.
-    left: Vec<Vec<(usize, Cycles)>>,
-    /// Row-major forward distances: `dist[i*n + j]` for `j > i`.
-    dist: Vec<Cycles>,
-    /// Exact sum of the forward triangle (the all-pairs sum is twice this).
-    sum_forward: u64,
+    /// Routers `0..n` as a mask.
+    row: u64,
+    /// `Σ_{i<j} (j − i)`: unit link segments over the forward pairs.
+    segments: u64,
+    /// `layers[l]`: bit `r` set when interior router `r` is a connection
+    /// point of layer `l`.
+    layers: Vec<u64>,
+    /// Layers encoding span `(a, b)`, `b − a ≥ 2`, at `a·n + b`. A link
+    /// exists while its count is non-zero.
+    spans: Vec<u32>,
+    /// `out[k]`: bit `j` set when the row has a link `k → j`, local or
+    /// express.
+    out: [u64; MAX_ROUTERS],
+    /// `hops[i]`: `Σ_{j>i} H(i, j)`.
+    hops: [u32; MAX_ROUTERS],
+    /// `Σ_i hops[i]`.
+    total_hops: u64,
 }
 
 impl IncrementalAllPairs {
-    /// Builds the evaluator for the placement `matrix` currently decodes to.
-    pub fn new(matrix: &ConnectionMatrix, weights: HopWeights) -> Self {
+    /// Builds the evaluator for the placement `matrix` currently decodes
+    /// to, or `None` where it would not reproduce the full evaluator bit
+    /// for bit: rows of more than [`MAX_ROUTERS`] routers, and weights
+    /// under which a path's cost, at most `(n − 1)·(T_r + T_l)`, overflows
+    /// the `u32` cycles the full evaluator sums.
+    pub fn try_new(matrix: &ConnectionMatrix, weights: HopWeights) -> Option<Self> {
         let n = matrix.routers();
-        let mut left: Vec<Vec<(usize, Cycles)>> = vec![Vec::new(); n];
-        // Local mesh links.
-        for (j, adj) in left.iter_mut().enumerate().skip(1) {
-            adj.push((j - 1, weights.hop_cost(1)));
+        let per_segment = weights.router_cycles as u64 + weights.unit_link_cycles as u64;
+        if n > MAX_ROUTERS || (n as u64 - 1) * per_segment > u32::MAX as u64 {
+            return None;
         }
-        // Express spans, one entry per layer contribution. Walking the
-        // matrix (rather than `decode()`, which returns a deduplicated
-        // link *set*) keeps the multiset invariant `remove_span` relies
-        // on: two layers encoding the same span yield two entries.
         let points = matrix.points();
+        let mut out = [0u64; MAX_ROUTERS];
+        for (k, mask) in out.iter_mut().enumerate().take(n - 1) {
+            *mask = 1 << (k + 1);
+        }
+        let n64 = n as u64;
+        let mut eval = IncrementalAllPairs {
+            n,
+            points,
+            weights,
+            row: u64::MAX >> (MAX_ROUTERS - n),
+            segments: n64 * (n64 * n64 - 1) / 6,
+            layers: vec![0; matrix.layers()],
+            spans: vec![0; n * n],
+            out,
+            hops: [0; MAX_ROUTERS],
+            total_hops: 0,
+        };
         for layer in 0..matrix.layers() {
-            let mut span_start = 0usize;
+            let mut span_start = 0;
             for point in 0..points {
                 let router = point + 1;
-                if !matrix.get(layer, point) {
-                    if router - span_start >= 2 {
-                        left[router].push((span_start, weights.hop_cost(router - span_start)));
-                    }
+                if matrix.get(layer, point) {
+                    eval.layers[layer] |= 1 << router;
+                } else {
+                    eval.add_span(span_start, router);
                     span_start = router;
                 }
             }
-            if (n - 1) - span_start >= 2 {
-                left[n - 1].push((span_start, weights.hop_cost(n - 1 - span_start)));
-            }
+            eval.add_span(span_start, n - 1);
         }
-        let mut eval = IncrementalAllPairs {
-            n,
-            weights,
-            matrix: matrix.clone(),
-            left,
-            dist: vec![0; n * n],
-            sum_forward: 0,
-        };
         for i in 0..n {
-            eval.recompute_source(i, i + 1);
+            eval.hops[i] = eval.hop_sum(i);
+            eval.total_hops += eval.hops[i] as u64;
         }
-        eval
+        Some(eval)
     }
 
-    /// Re-runs the monotone DP for source `i`, destinations `from..n`,
-    /// adjusting the forward sum by the difference. Prefix distances
-    /// `dist[i][i+1..from]` must already be correct — the DP only ever
-    /// reads distances to the left of the destination being relaxed.
-    fn recompute_source(&mut self, i: usize, from: usize) {
-        let n = self.n;
-        let from = from.max(i + 1);
-        let row = i * n;
-        let mut old = 0u64;
-        let mut new = 0u64;
-        for j in from..n {
-            old += self.dist[row + j] as u64;
-            let mut best = INF;
-            for &(k, w) in &self.left[j] {
-                if k < i {
-                    continue;
-                }
-                let cand = self.dist[row + k].saturating_add(w);
-                if cand < best {
-                    best = cand;
-                }
+    /// Applies one bit flip like [`MoveEvaluator::flip`] and returns the
+    /// distinct express links it added or removed, for trackers of other
+    /// functions of the link set.
+    pub fn flip_links(&mut self, bit: usize) -> LinkChanges {
+        let layer = bit / self.points;
+        let r = bit % self.points + 1;
+        let connected = self.layers[layer];
+
+        // Span boundaries of this layer: the row ends and every interior
+        // router that is not a connection point. `r ≤ n − 2 ≤ 62`, so
+        // neither shift reaches 64.
+        let bounds = !connected & self.row;
+        let a = 63 - (bounds & ((1 << r) - 1)).leading_zeros() as usize;
+        let b = (bounds & (u64::MAX << (r + 1))).trailing_zeros() as usize;
+
+        self.layers[layer] = connected ^ (1 << r);
+        let mut changes = LinkChanges::default();
+        if connected & (1 << r) == 0 {
+            // Spans [a, r] and [r, b] merge into [a, b].
+            changes.note(a, r, false, self.remove_span(a, r));
+            changes.note(r, b, false, self.remove_span(r, b));
+            changes.note(a, b, true, self.add_span(a, b));
+        } else {
+            // Span [a, b] splits into [a, r] and [r, b].
+            changes.note(a, b, false, self.remove_span(a, b));
+            changes.note(a, r, true, self.add_span(a, r));
+            changes.note(r, b, true, self.add_span(r, b));
+        }
+        self.rescore(&changes);
+        changes
+    }
+
+    /// Brings the hop sums up to date after a flip changed the links
+    /// `changes`.
+    fn rescore(&mut self, changes: &LinkChanges) {
+        // Source i searches only links with left endpoint ≥ i.
+        let sources = changes.as_slice().iter().map(|c| c.a + 1).max();
+        let sources = sources.unwrap_or(0);
+        for i in 0..sources {
+            let sum = self.hop_sum(i);
+            self.total_hops = self.total_hops - self.hops[i] as u64 + sum as u64;
+            self.hops[i] = sum;
+        }
+    }
+
+    /// `Σ_{j>i} H(i, j)`: a breadth-first search from `i` over the
+    /// out-masks. Every router right of `i` is reached, through the local
+    /// links if nothing shorter; the search also stops if a level finds
+    /// nothing new, so no mask state can make it loop.
+    fn hop_sum(&self, i: usize) -> u32 {
+        let right = self.row & (u64::MAX << i);
+        let mut reached = 1u64 << i;
+        let mut frontier = reached;
+        let mut level = 0;
+        let mut sum = 0;
+        while reached != right && frontier != 0 {
+            let mut next = 0;
+            let mut pending = frontier;
+            while pending != 0 {
+                next |= self.out[(pending.trailing_zeros() as usize) % MAX_ROUTERS];
+                pending &= pending - 1;
             }
-            self.dist[row + j] = best;
-            new += best as u64;
+            frontier = next & !reached;
+            reached |= frontier;
+            level += 1;
+            sum += level * frontier.count_ones();
         }
-        self.sum_forward = self.sum_forward - old + new;
+        sum
     }
 
-    /// Registers the express link `(a, b)` if the span is long enough to
-    /// produce one (unit spans only duplicate the local link and are
-    /// dropped by [`ConnectionMatrix::decode`]).
-    fn add_span(&mut self, a: usize, b: usize) {
-        if b - a >= 2 {
-            self.left[b].push((a, self.weights.hop_cost(b - a)));
+    /// Counts one layer's span `(a, b)`; returns whether its express link
+    /// appeared. Unit spans only duplicate the local link and are dropped,
+    /// as [`ConnectionMatrix::decode`] drops them.
+    fn add_span(&mut self, a: usize, b: usize) -> bool {
+        if b - a < 2 {
+            return false;
         }
+        let count = &mut self.spans[a * self.n + b];
+        *count += 1;
+        if *count == 1 {
+            self.out[a] |= 1 << b;
+        }
+        *count == 1
     }
 
-    /// Removes one occurrence of the express link `(a, b)` (the one this
-    /// layer contributed; a duplicate from another layer stays).
-    fn remove_span(&mut self, a: usize, b: usize) {
-        if b - a >= 2 {
-            let list = &mut self.left[b];
-            let pos = list
-                .iter()
-                .position(|&(k, _)| k == a)
-                .expect("removed span was present in the adjacency");
-            list.swap_remove(pos);
+    /// Uncounts one layer's span `(a, b)`; returns whether its express link
+    /// vanished (no other layer encodes it).
+    fn remove_span(&mut self, a: usize, b: usize) -> bool {
+        if b - a < 2 {
+            return false;
         }
+        let count = &mut self.spans[a * self.n + b];
+        debug_assert!(*count > 0, "removed span ({a}, {b}) was present");
+        *count -= 1;
+        if *count == 0 {
+            self.out[a] &= !(1 << b);
+        }
+        *count == 0
     }
 }
 
 impl MoveEvaluator for IncrementalAllPairs {
     fn objective(&self) -> f64 {
-        // Matches `monotone_all_pairs_sum` exactly: that routine doubles
-        // the forward triangle (d(i→j) == d(j→i) on bidirectional links)
-        // into one u64 before the single f64 division.
-        (2 * self.sum_forward) as f64 / (self.n * self.n) as f64
+        // `monotone_all_pairs_sum` doubles the forward triangle
+        // (d(i→j) == d(j→i) on bidirectional links) into one u64 before the
+        // single f64 division; d(i, j) = T_r·H(i, j) + T_l·(j − i).
+        let forward = self.weights.router_cycles as u64 * self.total_hops
+            + self.weights.unit_link_cycles as u64 * self.segments;
+        (2 * forward) as f64 / (self.n * self.n) as f64
     }
 
     fn flip(&mut self, bit: usize) -> f64 {
-        let points = self.matrix.points();
-        let layer = bit / points;
-        let point = bit % points;
-        let r = point + 1;
-
-        // Span boundaries adjacent to r in this layer: the nearest
-        // disconnected interior router (or row end) on each side. They do
-        // not depend on the bit being flipped.
-        let mut a = r - 1;
-        while a > 0 && self.matrix.get(layer, a - 1) {
-            a -= 1;
-        }
-        let mut b = r + 1;
-        while b < self.n - 1 && self.matrix.get(layer, b - 1) {
-            b += 1;
-        }
-
-        let connected = self.matrix.flip_flat(bit);
-        if connected {
-            // Spans [a, r] and [r, b] merge into [a, b].
-            self.remove_span(a, r);
-            self.remove_span(r, b);
-            self.add_span(a, b);
-        } else {
-            // Span [a, b] splits into [a, r] and [r, b].
-            self.remove_span(a, b);
-            self.add_span(a, r);
-            self.add_span(r, b);
-        }
-
-        // Every changed link has its right endpoint at r or beyond and its
-        // left endpoint at or before r, so only pairs (i <= r, j >= r) can
-        // change (monotone paths use links inside [i, j] only).
-        for i in 0..=r {
-            self.recompute_source(i, r);
-        }
+        self.flip_links(bit);
         self.objective()
     }
 }
@@ -246,7 +333,7 @@ mod tests {
 
     fn assert_tracks_full(matrix: &mut ConnectionMatrix, flips: &[usize]) {
         let full = AllPairsObjective::paper();
-        let mut inc = IncrementalAllPairs::new(matrix, HopWeights::PAPER);
+        let mut inc = IncrementalAllPairs::try_new(matrix, HopWeights::PAPER).unwrap();
         assert_eq!(
             inc.objective().to_bits(),
             full.eval(&matrix.decode()).to_bits(),
@@ -288,7 +375,7 @@ mod tests {
     fn flip_is_an_involution() {
         let mut matrix = ConnectionMatrix::new(8, 4);
         // Scramble, then check flip/unflip restores the objective bits.
-        let mut inc = IncrementalAllPairs::new(&matrix, HopWeights::PAPER);
+        let mut inc = IncrementalAllPairs::try_new(&matrix, HopWeights::PAPER).unwrap();
         for bit in [0usize, 7, 3, 12] {
             matrix.flip_flat(bit);
             inc.flip(bit);
@@ -309,7 +396,7 @@ mod tests {
         };
         let full = AllPairsObjective::with_weights(weights);
         let mut matrix = ConnectionMatrix::new(8, 3);
-        let mut inc = IncrementalAllPairs::new(&matrix, weights);
+        let mut inc = IncrementalAllPairs::try_new(&matrix, weights).unwrap();
         for bit in 0..matrix.bit_count() {
             matrix.flip_flat(bit);
             assert_eq!(
@@ -317,5 +404,47 @@ mod tests {
                 full.eval(&matrix.decode()).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn flips_report_the_distinct_links_they_change() {
+        // Connecting router 3 in layer 0 of P(8, 3) joins the unit spans
+        // [2, 3] and [3, 4] into the express link (2, 4). Connecting it in
+        // layer 1 too encodes the same span again: no distinct link changes.
+        let mut matrix = ConnectionMatrix::new(8, 3);
+        let mut inc = IncrementalAllPairs::try_new(&matrix, HopWeights::PAPER).unwrap();
+        let points = matrix.points();
+        let merge = inc.flip_links(2);
+        matrix.flip_flat(2);
+        assert_eq!(
+            merge.as_slice(),
+            &[LinkChange {
+                a: 2,
+                b: 4,
+                added: true
+            }]
+        );
+        let duplicate = inc.flip_links(points + 2);
+        matrix.flip_flat(points + 2);
+        assert!(duplicate.as_slice().is_empty());
+        assert_eq!(
+            inc.objective().to_bits(),
+            AllPairsObjective::paper().eval(&matrix.decode()).to_bits()
+        );
+    }
+
+    #[test]
+    fn takes_rows_up_to_the_mask_width_and_the_u32_distances() {
+        let takes = |n, weights| {
+            IncrementalAllPairs::try_new(&ConnectionMatrix::new(n, 2), weights).is_some()
+        };
+        assert!(takes(64, HopWeights::PAPER));
+        assert!(!takes(65, HopWeights::PAPER));
+        let huge = HopWeights {
+            router_cycles: u32::MAX / 2,
+            unit_link_cycles: 1,
+        };
+        assert!(takes(2, huge));
+        assert!(!takes(3, huge));
     }
 }

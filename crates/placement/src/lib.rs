@@ -54,7 +54,7 @@ pub mod sa;
 pub use bb::{exhaustive_optimal, BbOutcome};
 pub use dnc::{initial_solution, DncOutcome};
 pub use greedy::greedy_solution;
-pub use incremental::{IncrementalAllPairs, MoveEvaluator};
+pub use incremental::{IncrementalAllPairs, LinkChange, LinkChanges, MoveEvaluator};
 pub use naive::{anneal_naive, NaiveSaOutcome};
 pub use objective::{AllPairsObjective, Objective, WeightedObjective};
 pub use optimizer::{

@@ -78,12 +78,14 @@ impl Objective for AllPairsObjective {
         self.inner.eval(row)
     }
 
-    /// All-pairs latency supports exact incremental evaluation: both paths
-    /// sum the same `u32` distances into one `u64` before a single `f64`
-    /// division, so the values agree bit-for-bit (property-tested in
-    /// `tests/proptest_placement.rs`).
+    /// All-pairs latency supports exact incremental evaluation on rows of
+    /// up to 64 routers: both paths reach the same `u64` distance sum
+    /// before a single `f64` division, so the values agree bit-for-bit
+    /// (property-tested in `tests/proptest_placement.rs`). Longer rows, and
+    /// weights whose distances overflow `u32`, get `None`.
     fn incremental_evaluator(&self, matrix: &ConnectionMatrix) -> Option<Box<dyn MoveEvaluator>> {
-        Some(Box::new(IncrementalAllPairs::new(matrix, self.weights())))
+        IncrementalAllPairs::try_new(matrix, self.weights())
+            .map(|eval| Box::new(eval) as Box<dyn MoveEvaluator>)
     }
 }
 

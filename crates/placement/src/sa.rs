@@ -163,8 +163,8 @@ pub struct TracePoint {
     /// Objective evaluations performed so far — the schedule-comparison
     /// axis of Fig. 7. One candidate costs one evaluation in either mode:
     /// a full `O(n·e)` routing solve under [`EvalMode::Full`], or a
-    /// recomputation of only the distance rows a bit flip can change
-    /// under [`EvalMode::Incremental`] (same count, cheaper wall-clock).
+    /// recount of only the hop sums a bit flip can change under
+    /// [`EvalMode::Incremental`] (same count, cheaper wall-clock).
     pub evaluations: usize,
     /// Best objective value seen so far (cycles).
     pub best_objective: f64,
@@ -197,7 +197,7 @@ pub struct SaOutcome {
 /// Under [`EvalMode::Incremental`] (the default) the per-move objective
 /// comes from the objective's [`MoveEvaluator`](crate::incremental::MoveEvaluator),
 /// which updates only the
-/// distance rows a bit flip can change; with `debug_assertions` every move
+/// hop sums a bit flip can change; with `debug_assertions` every move
 /// cross-checks that value bit-for-bit against a full re-evaluation. The
 /// accept/reject sequence, RNG stream, counters, and outcome are identical
 /// in both modes.

@@ -12,6 +12,7 @@ use noc_placement::{
 };
 use noc_rng::rngs::SmallRng;
 use noc_rng::{Rng, SeedableRng};
+use noc_routing::HopWeights;
 use noc_topology::{ConnectionMatrix, RowPlacement};
 
 /// Random valid placement plus its link limit.
@@ -79,37 +80,177 @@ fn dnc_feasible_and_beats_mesh() {
     });
 }
 
+/// A uniformly random connection matrix for `P̂(n, C)`.
+fn random_matrix(n: usize, c: usize, rng: &mut SmallRng) -> ConnectionMatrix {
+    let nbits = (c - 1) * (n - 2);
+    let bits: Vec<bool> = (0..nbits).map(|_| rng.gen::<bool>()).collect();
+    ConnectionMatrix::from_bits(n, c, bits).unwrap()
+}
+
+/// Drives an incremental evaluator through `flips` from `matrix` and
+/// checks it against [`AllPairsObjective::eval`] bit for bit after every
+/// flip.
+fn assert_agrees(
+    mut matrix: ConnectionMatrix,
+    weights: HopWeights,
+    flips: impl IntoIterator<Item = usize>,
+) {
+    let (n, c) = (matrix.routers(), matrix.link_limit());
+    let obj = AllPairsObjective::with_weights(weights);
+    let mut inc = IncrementalAllPairs::try_new(&matrix, weights).unwrap();
+    assert_eq!(
+        inc.objective().to_bits(),
+        obj.eval(&matrix.decode()).to_bits(),
+        "P({n},{c}) {weights:?}: fresh evaluator"
+    );
+    for (step, bit) in flips.into_iter().enumerate() {
+        matrix.flip_flat(bit);
+        let fast = inc.flip(bit);
+        let slow = obj.eval(&matrix.decode());
+        assert_eq!(
+            fast.to_bits(),
+            slow.to_bits(),
+            "P({n},{c}) {weights:?} step {step} flip {bit}: incremental {fast} vs full {slow}"
+        );
+    }
+}
+
+/// `count` random flat bit indices of `matrix`, none if it has no bits.
+fn random_flips(matrix: &ConnectionMatrix, count: usize, rng: &mut SmallRng) -> Vec<usize> {
+    let bits = matrix.bit_count();
+    let count = if bits == 0 { 0 } else { count };
+    (0..count).map(|_| rng.gen_range(0..bits)).collect()
+}
+
 /// The incremental evaluator agrees with the full evaluator bit-for-bit
 /// after arbitrary flip sequences, starting from random valid placements,
 /// for every feasible link limit on small rows.
 #[test]
 fn incremental_matches_full_after_random_flips() {
-    let obj = AllPairsObjective::paper();
     for n in [4usize, 6, 8] {
         for c in 2..=n {
             for_cases(6, 0xA5 ^ ((n * 31 + c) as u64), |rng| {
-                // Random valid starting matrix for P̂(n, C).
-                let nbits = (c - 1) * (n - 2);
-                let bits: Vec<bool> = (0..nbits).map(|_| rng.gen::<bool>()).collect();
-                let mut matrix = ConnectionMatrix::from_bits(n, c, bits).unwrap();
-                let mut inc = IncrementalAllPairs::new(&matrix, obj.weights());
-                assert_eq!(
-                    inc.objective().to_bits(),
-                    obj.eval(&matrix.decode()).to_bits()
-                );
-                for step in 0..40 {
-                    let bit = rng.gen_range(0..matrix.bit_count());
-                    matrix.flip_flat(bit);
-                    let fast = inc.flip(bit);
-                    let slow = obj.eval(&matrix.decode());
-                    assert_eq!(
-                        fast.to_bits(),
-                        slow.to_bits(),
-                        "P({n},{c}) step {step} flip {bit}: incremental {fast} vs full {slow}"
-                    );
-                }
+                let matrix = random_matrix(n, c, rng);
+                let flips = random_flips(&matrix, 40, rng);
+                assert_agrees(matrix, HopWeights::PAPER, flips);
             });
         }
+    }
+}
+
+/// Every row length the bitset evaluator takes, from 2 routers to the
+/// full mask width of 64 (where a mask of all routers must never be
+/// built as `1 << 64`), with link limits up to `C = n`.
+#[test]
+fn incremental_matches_full_on_every_row_length() {
+    for n in 2usize..=64 {
+        for_cases(1, 0xA7 ^ n as u64, |rng| {
+            let c = rng.gen_range(2..n + 1);
+            let matrix = random_matrix(n, c, rng);
+            let flips = random_flips(&matrix, 24, rng);
+            assert_agrees(matrix, HopWeights::PAPER, flips);
+        });
+    }
+}
+
+/// Spans encoded by several layers at once: a flip that removes one copy
+/// of a span leaves its link in place, and only the last copy's removal
+/// changes the row.
+#[test]
+fn incremental_matches_full_with_spans_duplicated_across_layers() {
+    for n in [5usize, 8, 13, 63, 64] {
+        for_cases(2, 0xA8 ^ n as u64, |rng| {
+            let c = n;
+            let points = n - 2;
+            // Every layer copies layer 0, so every span starts with C − 1
+            // copies.
+            let layer: Vec<bool> = (0..points).map(|_| rng.gen::<bool>()).collect();
+            let bits = (0..c - 1).flat_map(|_| layer.iter().copied()).collect();
+            let matrix = ConnectionMatrix::from_bits(n, c, bits).unwrap();
+            // Flip one point in every layer in turn, then back, then at
+            // random.
+            let point = rng.gen_range(0..points);
+            let mut flips: Vec<usize> = (0..c - 1).map(|l| l * points + point).collect();
+            flips.extend(flips.clone().into_iter().rev());
+            flips.extend(random_flips(&matrix, 40, rng));
+            assert_agrees(matrix, HopWeights::PAPER, flips);
+        });
+    }
+}
+
+/// Hop weights at their edges: free routers, free links, both free, and
+/// the largest weight a request may carry (1,000,000 cycles, the
+/// service's `MAX_HOP_CYCLES`) on the longest row.
+#[test]
+fn incremental_matches_full_at_the_weight_edges() {
+    const MAX: u32 = 1_000_000;
+    for (router_cycles, unit_link_cycles) in
+        [(0, 0), (0, 1), (3, 0), (MAX, MAX), (MAX, 0), (0, MAX)]
+    {
+        let weights = HopWeights {
+            router_cycles,
+            unit_link_cycles,
+        };
+        for n in [2usize, 9, 33, 64] {
+            for_cases(1, 0xA9 ^ n as u64, |rng| {
+                let c = rng.gen_range(2..n.min(9) + 1);
+                let matrix = random_matrix(n, c, rng);
+                let flips = random_flips(&matrix, 30, rng);
+                assert_agrees(matrix, weights, flips);
+            });
+        }
+    }
+}
+
+/// The annealer's undo is a second flip of the same bit, which splits
+/// the span it merged or merges the spans it split. Repeats and
+/// interleavings of that pattern must still agree: `X X`, `X X X` and
+/// `X Y Y X`.
+#[test]
+fn incremental_matches_full_through_undo_sequences() {
+    for n in [3usize, 8, 16, 64] {
+        for_cases(8, 0xAA ^ n as u64, |rng| {
+            let c = rng.gen_range(2..n.min(6) + 1);
+            let matrix = random_matrix(n, c, rng);
+            let bits = matrix.bit_count();
+            let x = rng.gen_range(0..bits);
+            let y = (x + rng.gen_range(1..bits.max(2))) % bits;
+            for sequence in [vec![x, x], vec![x, x, x], vec![x, y, y, x]] {
+                // Random moves first, so the sequence starts from a
+                // scrambled placement.
+                let mut flips = random_flips(&matrix, 5, rng);
+                flips.extend(sequence);
+                flips.extend(random_flips(&matrix, 5, rng));
+                assert_agrees(matrix.clone(), HopWeights::PAPER, flips);
+            }
+        });
+    }
+}
+
+/// Rows longer than the 64-bit masks get no incremental evaluator and
+/// anneal in full under either mode, to the same result.
+#[test]
+fn rows_past_the_mask_width_anneal_identically_in_both_modes() {
+    let obj = AllPairsObjective::paper();
+    assert!(obj
+        .incremental_evaluator(&ConnectionMatrix::new(64, 3))
+        .is_some());
+    assert!(obj
+        .incremental_evaluator(&ConnectionMatrix::new(65, 3))
+        .is_none());
+    for n in [64usize, 65] {
+        let row = RowPlacement::new(n);
+        let base = SaParams::paper().with_moves(300);
+        let fast = anneal(4, &row, &obj, &base, 65, 0);
+        let slow = anneal(4, &row, &obj, &base.with_evaluator(EvalMode::Full), 65, 0);
+        assert_eq!(fast.best, slow.best, "n={n}");
+        assert_eq!(fast.best_objective.to_bits(), slow.best_objective.to_bits());
+        assert_eq!(fast.accepted_moves, slow.accepted_moves);
+        assert_eq!(fast.trace, slow.trace);
+        assert!(
+            fast.best_objective < obj.eval(&row),
+            "n={n}: no improvement"
+        );
     }
 }
 

@@ -35,6 +35,12 @@ pub const MAX_CYCLES: u64 = 2_000_000;
 pub const MAX_WEIGHT_STEPS: usize = 33;
 /// Upper bound on the phases of one scenario.
 pub const MAX_PHASES: usize = 32;
+/// Upper bound on a hop weight, `router_cycles` (`T_r`) or
+/// `unit_link_cycles` (`T_l`). A path across the longest row costs at
+/// most `(MAX_N − 1)·(T_r + T_l)` cycles, which must fit the `u32` the
+/// latency solvers add hop costs in.
+pub const MAX_HOP_CYCLES: u32 = 1_000_000;
+const _: () = assert!((MAX_N as u64 - 1) * 2 * MAX_HOP_CYCLES as u64 <= u32::MAX as u64);
 
 /// What a field holds, with its bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,8 +82,6 @@ fn names<T>(table: &[(&str, T)], note: &str) -> String {
 impl Ty {
     /// Any unsigned 64-bit integer.
     pub const U64: Ty = Ty::Int(0, u64::MAX);
-    /// Any unsigned 32-bit integer.
-    pub const U32: Ty = Ty::Int(0, u32::MAX as u64);
 
     /// The JSON type and the values it may take, for errors and the docs.
     pub(crate) fn describe(self) -> (&'static str, String) {

@@ -594,6 +594,25 @@ mod tests {
                 r#"{"kind":"solve","n":8,"c":4,"router_cycles":4294967298}"#,
                 "router_cycles",
             ),
+            // Hop weights this large overflowed the u32 hop costs: the
+            // release build answered with a zero objective and the plain
+            // mesh, and a debug build panicked.
+            (
+                r#"{"kind":"solve","n":8,"c":3,"router_cycles":4294967295}"#,
+                "router_cycles",
+            ),
+            (
+                r#"{"kind":"solve","n":8,"c":3,"unit_link_cycles":1000001}"#,
+                "unit_link_cycles",
+            ),
+            (
+                r#"{"kind":"optimal","n":8,"c":3,"router_cycles":1000001}"#,
+                "router_cycles",
+            ),
+            (
+                r#"{"kind":"optimal","n":8,"c":3,"unit_link_cycles":4294967295}"#,
+                "unit_link_cycles",
+            ),
             (
                 r#"{"kind":"simulate","n":8,"pattern":5,"rate":0.02}"#,
                 "pattern",
@@ -610,6 +629,10 @@ mod tests {
             let err = parse_request(line).expect_err(line);
             assert!(err.contains(&format!("field \"{field}\"")), "{line}: {err}");
         }
+        // The largest hop weights are accepted.
+        let max =
+            r#"{"kind":"optimal","n":8,"c":3,"router_cycles":1000000,"unit_link_cycles":1000000}"#;
+        assert!(parse_request(max).is_ok());
         // `null` means absent for every field, `links` included.
         assert_eq!(
             parse_request(r#"{"kind":"simulate","n":8,"pattern":"ur","rate":0.02,"links":null}"#),

@@ -21,7 +21,9 @@ use noc_placement::{EvalMode, InitialStrategy};
 use noc_routing::HopWeights;
 use noc_scenario::field;
 use noc_scenario::field::{Field, FieldDoc, FieldError, Fields, Ty, MAX_CHAINS, MAX_CYCLES};
-use noc_scenario::field::{MAX_FLIT, MAX_MOVES, MAX_N, MAX_SIM_N, MAX_WEIGHT_STEPS};
+use noc_scenario::field::{
+    MAX_FLIT, MAX_HOP_CYCLES, MAX_MOVES, MAX_N, MAX_SIM_N, MAX_WEIGHT_STEPS,
+};
 use noc_sim::MAX_LANES;
 use noc_topology::{RowPlacement, MAX_C};
 use std::fmt::Write as _;
@@ -208,10 +210,10 @@ pub fn read_flags(
 
 use Ty::{Evaluator, Int, Links, Pattern, Rate, Strategy};
 const U64: Ty = Ty::U64;
-const U32: Ty = Ty::U32;
 const PAPER: HopWeights = HopWeights::PAPER;
 const UNKEYED: bool = false;
 const FLIT: Ty = Int(1, MAX_FLIT as u64);
+const HOP_CYCLES: Ty = Int(0, MAX_HOP_CYCLES as u64);
 
 fn check_links(n: usize, links: &[(usize, usize)]) -> Result<(), FieldError> {
     RowPlacement::with_links(n, links.iter().copied())
@@ -232,8 +234,8 @@ impl Fields for SolveRequest {
         // The two modes are bit-identical (see `SaParams::fingerprint`).
         field!("evaluator" => evaluator, Evaluator, Optional(EvalMode::Incremental), UNKEYED),
         field!("seed" => seed, U64, Optional(42)),
-        field!("router_cycles" => weights.router_cycles, U32, Optional(PAPER.router_cycles)),
-        field!("unit_link_cycles" => weights.unit_link_cycles, U32, Optional(PAPER.unit_link_cycles)),
+        field!("router_cycles" => weights.router_cycles, HOP_CYCLES, Optional(PAPER.router_cycles)),
+        field!("unit_link_cycles" => weights.unit_link_cycles, HOP_CYCLES, Optional(PAPER.unit_link_cycles)),
         field!("checkpoint" => checkpoint, U64, Quiet(0), UNKEYED),
     ];
 }
@@ -242,8 +244,8 @@ impl Fields for OptimalRequest {
     const FIELDS: &'static [Field<Self>] = &[
         field!("n" => n, Int(2, 16), Required),
         field!("c" => c, Int(1, MAX_C as u64), Required),
-        field!("router_cycles" => weights.router_cycles, U32, Optional(PAPER.router_cycles)),
-        field!("unit_link_cycles" => weights.unit_link_cycles, U32, Optional(PAPER.unit_link_cycles)),
+        field!("router_cycles" => weights.router_cycles, HOP_CYCLES, Optional(PAPER.router_cycles)),
+        field!("unit_link_cycles" => weights.unit_link_cycles, HOP_CYCLES, Optional(PAPER.unit_link_cycles)),
     ];
     fn check(&self) -> Result<(), FieldError> {
         if self.n > 10 && self.c > 4 {

@@ -26,6 +26,25 @@ fn out_of_bound_and_unknown_flags_are_refused_naming_the_flag() {
         ),
         ("frontier --n 4 --weight-steps 0", "--weight-steps"),
         ("sweep --n 200", "--n"),
+        // These overflowed the u32 hop costs: the release build printed
+        // `objective 0.0000 cycles` and the plain mesh, a debug build
+        // panicked.
+        (
+            "solve --n 8 --c 3 --router-cycles 4294967295",
+            "--router-cycles",
+        ),
+        (
+            "solve --n 8 --c 3 --unit-link-cycles 1000001",
+            "--unit-link-cycles",
+        ),
+        (
+            "optimal --n 8 --c 3 --router-cycles 4294967295",
+            "--router-cycles",
+        ),
+        (
+            "optimal --n 8 --c 3 --unit-link-cycles 1000001",
+            "--unit-link-cycles",
+        ),
         // A checkpoint interval only a daemon's snapshot store keeps.
         ("solve --n 8 --c 4 --checkpoint 3", "--checkpoint"),
         (

@@ -145,7 +145,7 @@ fn incremental_evaluator_matches_full_eval_after_flip_bursts() {
         let n = rng.gen_range(4usize..11);
         let c = rng.gen_range(2usize..5);
         let mut matrix = ConnectionMatrix::new(n, c);
-        let mut eval = IncrementalAllPairs::new(&matrix, HopWeights::PAPER);
+        let mut eval = IncrementalAllPairs::try_new(&matrix, HopWeights::PAPER).unwrap();
         let full = AllPairsObjective::paper();
         assert_eq!(
             eval.objective().to_bits(),
