@@ -1,4 +1,4 @@
-//! Sharded LRU cache for computed responses.
+//! Sharded LRU cache for computed responses and checkpoint snapshots.
 //!
 //! Every compute request the service accepts is deterministic given its
 //! parameters (`solve_row`, `exhaustive_optimal`, `optimize_network`, and
@@ -8,25 +8,32 @@
 //! their values, not a pre-hashed digest, so unequal requests can never
 //! alias a cache slot (a scenario manifest enters as its fingerprint).
 //!
-//! Sharding bounds lock contention: a key hashes to one of `shards`
-//! independently locked maps. Eviction is LRU per shard via a logical
-//! tick; finding the victim is an O(shard-size) scan, which at the
-//! default 256 entries per shard costs far less than the cheapest miss
-//! (a full SA solve).
+//! Entries are typed. A result is the [`Payload`] its miss answered
+//! with, so a hit hands out a reference-counted clone whose wire text is
+//! already rendered: no copy, no second render. A checkpoint snapshot is
+//! its raw bytes, under a `snap-v…` key of its own (see
+//! `exec::snapshot_key`).
 //!
-//! Every entry carries an integrity digest computed at insertion and
-//! verified on every hit: FNV-1a over one structural walk of the `Value`
-//! tree, feeding each node's type tag, each string's and container's
-//! length prefix, string bytes, integers, and the exact `f64` bits, so no
-//! payload is rendered to text just to be checked. A corrupted
-//! entry — whether from an injected `cache.put` poison fault or a real
-//! memory-safety escape — is dropped as if it were a miss, counted on
-//! the `service.cache.poison_dropped` trace counter, and recomputed by
+//! Sharding bounds lock contention: a key hashes to one of at most
+//! `capacity` independently locked maps, whose limits sum to exactly
+//! `capacity`. Eviction is LRU per shard via a logical tick; finding the
+//! victim is an O(shard-size) scan, which at the default 256 entries per
+//! shard costs far less than the cheapest miss (a full SA solve).
+//!
+//! Every entry carries integrity digests computed at insertion and
+//! verified on every hit, over everything the hit hands out: for a
+//! result, a structural walk of the `Value` (type tags, lengths, string
+//! bytes, integers and exact `f64` bits) and its stored wire text; for a
+//! snapshot, its bytes. Both are hashed a 64-bit word at a time. A
+//! corrupted entry — whether from an injected `cache.put` poison fault or
+//! a real memory-safety escape — is dropped as if it were a miss, counted
+//! on the `service.cache.poison_dropped` trace counter, and recomputed by
 //! the caller: the cache can therefore *lose* work but never *serve*
 //! poisoned work.
 
 use crate::fp;
 use crate::metrics::trace_inc;
+use crate::protocol::{Payload, Text};
 use noc_json::Value;
 use noc_placement::fingerprint::Fnv1a;
 use std::collections::hash_map::DefaultHasher;
@@ -61,105 +68,167 @@ impl CacheKey {
     }
 }
 
+/// What an entry holds.
+pub(crate) enum Item {
+    /// A computed result, shared with every response that carries it.
+    Result(Payload),
+    /// A checkpoint snapshot's bytes.
+    Snapshot(Vec<u8>),
+}
+
+impl Item {
+    /// Digests of everything a hit on this item hands out: a result's
+    /// value structure and its wire text, or a snapshot's bytes.
+    fn digests(&self) -> [u64; 2] {
+        match self {
+            Item::Result(payload) => [structural_digest(payload), text_digest(payload.text())],
+            Item::Snapshot(bytes) => {
+                let mut h = WordHash::new();
+                h.bytes(0, bytes);
+                [0, h.finish()]
+            }
+        }
+    }
+}
+
 struct Entry {
-    value: Value,
-    /// Integrity digest of `value` at insertion; verified on every get.
-    digest: u64,
+    item: Item,
+    /// [`Item::digests`] at insertion; verified on every get.
+    digests: [u64; 2],
     last_used: u64,
 }
 
-/// Integrity digest of a cached payload: FNV-1a over a structural walk of
-/// the value. Every node contributes a type tag; strings, arrays and
-/// objects a length prefix, so no two distinct trees feed the same byte
-/// stream (an `Arr` never digests like an `Obj`, and moving a node to
-/// another depth changes the lengths around it). Floats contribute their
-/// bit pattern, so `-0.0`, NaN payloads and subnormals are all told apart.
-/// Integers and lengths go in as LEB128 varints: the encoding stays
-/// prefix-free, and the small counts and indices that fill real payloads
-/// cost one byte each instead of eight or sixteen.
+/// A word-at-a-time hash: each 64-bit word is folded in by a rotate, an
+/// xor and a multiply by an odd constant (the FxHash step). For a fixed
+/// state the step is a bijection of the word, and for a fixed word a
+/// bijection of the state, so two equally long word streams that differ
+/// in one word always end in different digests: a single-byte edit is
+/// caught for certain, not just likely.
+struct WordHash(u64);
+
+impl WordHash {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn new() -> Self {
+        WordHash(0x6361_6368_652d_7633) // "cache-v3"
+    }
+
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(Self::K);
+    }
+
+    /// Feeds a byte run: one word of `tag` and the length (shifted past
+    /// the tag byte; no in-memory length reaches 2^56), then eight bytes
+    /// per word, the last one zero-padded.
+    fn bytes(&mut self, tag: u8, bytes: &[u8]) {
+        self.word((bytes.len() as u64) << 8 | tag as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(last));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Integrity digest of a cached value: a structural walk of the tree.
+/// Every node contributes a type tag; strings, arrays and objects their
+/// length with it, so no two distinct trees feed the same word stream (an
+/// `Arr` never digests like an `Obj`, and moving a node to another depth
+/// changes the lengths around it). Integers go in whole and floats as
+/// their bit pattern, so `-0.0`, NaN payloads and subnormals are all told
+/// apart.
 fn structural_digest(value: &Value) -> u64 {
-    let mut h = Fnv1a::with_tag("cache-entry-v2");
+    let mut h = WordHash::new();
     digest_value(&mut h, value);
     h.finish()
 }
 
-fn digest_value(h: &mut Fnv1a, value: &Value) {
+fn digest_value(h: &mut WordHash, value: &Value) {
     match value {
-        Value::Null => h.write_bytes(&[0]),
-        Value::Bool(b) => h.write_bytes(&[1, *b as u8]),
+        Value::Null => h.word(0),
+        Value::Bool(b) => h.word(1 | (*b as u64) << 8),
         Value::Int(i) => {
-            h.write_bytes(&[2]);
-            // Zigzag, so small negative integers stay short too.
-            digest_varint(h, ((i << 1) ^ (i >> 127)) as u128);
+            h.word(2);
+            h.word(*i as u64);
+            h.word((*i >> 64) as u64);
         }
         Value::Float(f) => {
-            h.write_bytes(&[3]);
-            h.write_f64(*f);
+            h.word(3);
+            h.word(f.to_bits());
         }
-        Value::Str(s) => {
-            h.write_bytes(&[4]);
-            digest_str(h, s);
-        }
+        Value::Str(s) => h.bytes(4, s.as_bytes()),
         Value::Arr(items) => {
-            h.write_bytes(&[5]);
-            digest_varint(h, items.len() as u128);
+            h.word((items.len() as u64) << 8 | 5);
             for item in items {
                 digest_value(h, item);
             }
         }
         Value::Obj(pairs) => {
-            h.write_bytes(&[6]);
-            digest_varint(h, pairs.len() as u128);
+            h.word((pairs.len() as u64) << 8 | 6);
             for (key, item) in pairs {
-                digest_str(h, key);
+                h.bytes(7, key.as_bytes());
                 digest_value(h, item);
             }
         }
     }
 }
 
-fn digest_str(h: &mut Fnv1a, s: &str) {
-    digest_varint(h, s.len() as u128);
-    h.write_bytes(s.as_bytes());
-}
-
-/// Feeds `v` as an LEB128 varint: seven bits per byte, high bit set on
-/// every byte but the last.
-fn digest_varint(h: &mut Fnv1a, mut v: u128) {
-    while v >= 0x80 {
-        h.write_bytes(&[(v as u8) | 0x80]);
-        v >>= 7;
+/// Integrity digest of a payload's wire text: every rendering it holds,
+/// each with its length, after a word that tells one line from a stream.
+fn text_digest(text: &Text) -> u64 {
+    let mut h = WordHash::new();
+    match text {
+        Text::Line(json) => h.bytes(0, json.as_bytes()),
+        Text::Stream { items, summary } => {
+            h.word((items.len() as u64) << 8 | 1);
+            for item in items {
+                h.bytes(2, item.as_bytes());
+            }
+            h.bytes(3, summary.as_bytes());
+        }
     }
-    h.write_bytes(&[v as u8]);
+    h.finish()
 }
 
 struct Shard {
     map: HashMap<CacheKey, Entry>,
     tick: u64,
+    /// Most entries this shard holds.
+    capacity: usize,
 }
 
-/// A sharded LRU map from [`CacheKey`] to cached response payloads.
+/// A sharded LRU map from [`CacheKey`] to result payloads and snapshot
+/// bytes.
 pub struct ShardedLru {
     shards: Vec<Mutex<Shard>>,
-    capacity_per_shard: usize,
 }
 
 impl ShardedLru {
-    /// Creates a cache with `capacity` total entries spread over `shards`
-    /// locks. Both are clamped to at least 1.
+    /// Creates a cache of at most `capacity` entries spread over `shards`
+    /// locks. Both are clamped to at least 1, and the shards to at most
+    /// `capacity`; their limits sum to exactly `capacity`.
     pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let capacity_per_shard = (capacity.max(1)).div_ceil(shards);
+        let capacity = capacity.max(1);
+        let shards = shards.clamp(1, capacity);
         ShardedLru {
             shards: (0..shards)
-                .map(|_| {
+                .map(|i| {
                     Mutex::new(Shard {
                         map: HashMap::new(),
                         tick: 0,
+                        capacity: capacity / shards + usize::from(i < capacity % shards),
                     })
                 })
                 .collect(),
-            capacity_per_shard,
         }
     }
 
@@ -169,10 +238,26 @@ impl ShardedLru {
         &self.shards[(h.finish() % self.shards.len() as u64) as usize]
     }
 
-    /// Looks up a key, refreshing its recency on hit. An entry whose
-    /// integrity digest no longer matches its value is dropped and
-    /// reported as a miss — a poisoned entry is never served.
-    pub fn get(&self, key: &CacheKey) -> Option<Value> {
+    /// Looks up a result, refreshing its recency on hit. The payload is
+    /// the stored one, not a copy. An entry whose digests no longer match
+    /// is dropped and reported as a miss — a poisoned entry is never
+    /// served.
+    pub fn get(&self, key: &CacheKey) -> Option<Payload> {
+        self.lookup(key, |item| match item {
+            Item::Result(payload) => Some(payload.clone()),
+            Item::Snapshot(_) => None,
+        })
+    }
+
+    /// Looks up snapshot bytes, checked like [`get`](ShardedLru::get).
+    pub fn get_snapshot(&self, key: &CacheKey) -> Option<Vec<u8>> {
+        self.lookup(key, |item| match item {
+            Item::Snapshot(bytes) => Some(bytes.clone()),
+            Item::Result(_) => None,
+        })
+    }
+
+    fn lookup<T>(&self, key: &CacheKey, take: impl FnOnce(&Item) -> Option<T>) -> Option<T> {
         if fp::hit("cache.get") == Some(fp::Injected::Error) {
             return None; // injected lookup failure: degrade to a miss
         }
@@ -180,30 +265,41 @@ impl ShardedLru {
         shard.tick += 1;
         let tick = shard.tick;
         let entry = shard.map.get_mut(key)?;
-        if structural_digest(&entry.value) != entry.digest {
+        if entry.item.digests() != entry.digests {
             shard.map.remove(key);
             trace_inc("service.cache.poison_dropped");
             return None;
         }
         entry.last_used = tick;
-        Some(entry.value.clone())
+        take(&entry.item)
     }
 
-    /// Inserts a value, evicting the least-recently-used entry of the
-    /// shard if it is full.
-    pub fn put(&self, key: CacheKey, value: Value) {
-        let digest = match fp::hit("cache.put") {
+    /// Inserts a result, rendering its wire text if nothing has yet, and
+    /// evicting the least-recently-used entry of the shard if it is full.
+    pub fn put(&self, key: CacheKey, payload: Payload) {
+        self.insert(key, Item::Result(payload));
+    }
+
+    /// Inserts snapshot bytes, like [`put`](ShardedLru::put).
+    pub fn put_snapshot(&self, key: CacheKey, bytes: Vec<u8>) {
+        self.insert(key, Item::Snapshot(bytes));
+    }
+
+    fn insert(&self, key: CacheKey, item: Item) {
+        let mut digests = item.digests();
+        match fp::hit("cache.put") {
             // Injected store failure: drop the write (callers recompute).
             Some(fp::Injected::Error) => return,
-            // Injected poison: store a digest the value cannot match, so
-            // the integrity check on the next get must catch it.
-            Some(fp::Injected::Poison) => !structural_digest(&value),
-            _ => structural_digest(&value),
-        };
+            // Injected poison: store a digest the stored text (or bytes)
+            // cannot match, so the integrity check on the next get must
+            // catch it.
+            Some(fp::Injected::Poison) => digests[1] = !digests[1],
+            _ => {}
+        }
         let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
         shard.tick += 1;
         let tick = shard.tick;
-        if !shard.map.contains_key(&key) && shard.map.len() >= self.capacity_per_shard {
+        if !shard.map.contains_key(&key) && shard.map.len() >= shard.capacity {
             if let Some(victim) = shard
                 .map
                 .iter()
@@ -216,8 +312,8 @@ impl ShardedLru {
         shard.map.insert(
             key,
             Entry {
-                value,
-                digest,
+                item,
+                digests,
                 last_used: tick,
             },
         );
@@ -234,6 +330,14 @@ impl ShardedLru {
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Runs `edit` on the stored item of `key` behind the cache's back, as
+    /// a stray write would.
+    #[cfg(test)]
+    pub(crate) fn tamper(&self, key: &CacheKey, edit: impl FnOnce(&mut Item)) {
+        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
+        edit(&mut shard.map.get_mut(key).expect("stored").item);
     }
 }
 
@@ -252,19 +356,35 @@ mod tests {
     fn get_after_put_hits() {
         let cache = ShardedLru::new(16, 4);
         assert!(cache.get(&key(1)).is_none());
-        cache.put(key(1), Value::Int(42));
-        assert_eq!(cache.get(&key(1)), Some(Value::Int(42)));
+        cache.put(key(1), Value::Int(42).into());
+        assert_eq!(cache.get(&key(1)), Some(Value::Int(42).into()));
         assert!(cache.get(&key(2)).is_none());
+        // Results and snapshots are typed: neither reads as the other.
+        cache.put_snapshot(key(3), vec![1, 2, 3]);
+        assert_eq!(cache.get_snapshot(&key(3)), Some(vec![1, 2, 3]));
+        assert!(cache.get(&key(3)).is_none());
+        assert!(cache.get_snapshot(&key(1)).is_none());
+    }
+
+    #[test]
+    fn hits_share_the_stored_payload() {
+        let cache = ShardedLru::new(16, 4);
+        let stored = Payload::from(Value::Arr(vec![Value::Int(1), Value::Str("x".into())]));
+        cache.put(key(1), stored.clone());
+        let first = cache.get(&key(1)).expect("hit");
+        let second = cache.get(&key(1)).expect("hit");
+        assert!(first.shares(&stored), "a hit must not copy the payload");
+        assert!(first.shares(&second));
     }
 
     #[test]
     fn evicts_least_recently_used() {
         // Single shard of capacity 2 makes eviction order observable.
         let cache = ShardedLru::new(2, 1);
-        cache.put(key(1), Value::Int(1));
-        cache.put(key(2), Value::Int(2));
+        cache.put(key(1), Value::Int(1).into());
+        cache.put(key(2), Value::Int(2).into());
         assert!(cache.get(&key(1)).is_some()); // refresh 1; 2 is now LRU
-        cache.put(key(3), Value::Int(3));
+        cache.put(key(3), Value::Int(3).into());
         assert!(cache.get(&key(1)).is_some());
         assert!(cache.get(&key(2)).is_none(), "LRU entry must be evicted");
         assert!(cache.get(&key(3)).is_some());
@@ -477,39 +597,146 @@ mod tests {
         }
     }
 
+    /// A random payload: a plain tree, or half the time a stream of items
+    /// and a summary, so both kinds of stored text are covered.
+    fn random_payload(rng: &mut SmallRng) -> Payload {
+        let value = if rng.gen() {
+            noc_json::obj! {
+                "scenario_stream" => Value::Bool(true),
+                "items" => Value::Arr(
+                    (0..rng.gen_range(0..4usize)).map(|_| random_value(rng, 2)).collect(),
+                ),
+                "summary" => random_value(rng, 2),
+            }
+        } else {
+            Value::Arr(vec![random_value(rng, 3), Value::Float(0.5)])
+        };
+        Payload::from(value)
+    }
+
+    /// Every rendering a stored text holds.
+    fn renderings(text: &mut Text) -> Vec<&mut String> {
+        match text {
+            Text::Line(json) => vec![json],
+            Text::Stream { items, summary } => items.iter_mut().chain([summary]).collect(),
+        }
+    }
+
+    /// Edits one byte of `bytes` at a random position to a random other
+    /// value; with `utf8`, redraws until the result is still UTF-8.
+    fn edit_one_byte(bytes: &[u8], rng: &mut SmallRng, utf8: bool) -> Vec<u8> {
+        loop {
+            let mut edited = bytes.to_vec();
+            edited[rng.gen_range(0..bytes.len())] ^= rng.gen_range(1..256u32) as u8;
+            if !utf8 || std::str::from_utf8(&edited).is_ok() {
+                return edited;
+            }
+        }
+    }
+
+    fn poison_dropped() -> u64 {
+        noc_trace::sink()
+            .expect("tracing on")
+            .registry()
+            .counter("service.cache.poison_dropped")
+            .get()
+    }
+
+    /// Asserts that a tampered `key` is dropped, counted once, and gone.
+    fn assert_dropped(cache: &ShardedLru, key: &CacheKey, what: &str) {
+        let before = poison_dropped();
+        assert!(
+            cache.get(key).is_none(),
+            "{what}: a poisoned result was served"
+        );
+        assert!(cache.get_snapshot(key).is_none(), "{what}: served");
+        assert_eq!(poison_dropped(), before + 1, "{what}: not counted once");
+    }
+
+    #[test]
+    fn any_single_byte_edit_of_stored_text_or_snapshot_is_caught() {
+        let _lock = crate::metrics::trace_test_lock();
+        noc_trace::enable_with_capacity(1024);
+        let cache = ShardedLru::new(16, 4);
+        let (mut texts, mut snapshots) = (0, 0);
+        for seed in 0..300u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Snapshot bytes: any edit of any byte, lengths across word
+            // boundaries (the empty snapshot has no byte to edit).
+            let bytes: Vec<u8> = (0..rng.gen_range(1..100usize))
+                .map(|_| rng.gen::<u32>() as u8)
+                .collect();
+            cache.put_snapshot(key(seed), bytes.clone());
+            let edited = edit_one_byte(&bytes, &mut rng, false);
+            cache.tamper(&key(seed), |item| {
+                let Item::Snapshot(stored) = item else {
+                    unreachable!()
+                };
+                *stored = edited;
+            });
+            assert_dropped(&cache, &key(seed), &format!("seed {seed} snapshot"));
+            snapshots += 1;
+
+            // Result text: one byte of one rendering, kept valid UTF-8.
+            cache.put(key(seed), random_payload(&mut rng));
+            cache.tamper(&key(seed), |item| {
+                let Item::Result(payload) = item else {
+                    unreachable!()
+                };
+                let (_, text) = payload.parts_mut().expect("only the cache holds it");
+                let mut strings = renderings(text);
+                let pick = rng.gen_range(0..strings.len());
+                let json = &mut strings[pick];
+                let edited = edit_one_byte(json.as_bytes(), &mut rng, true);
+                **json = String::from_utf8(edited).expect("kept UTF-8");
+            });
+            assert_dropped(&cache, &key(seed), &format!("seed {seed} text"));
+            texts += 1;
+        }
+        assert_eq!((texts, snapshots), (300, 300));
+        noc_trace::disable();
+    }
+
     #[test]
     fn poisoned_entry_is_dropped_and_counted() {
         let _lock = crate::metrics::trace_test_lock();
         noc_trace::enable_with_capacity(1024);
-        let dropped = || {
-            noc_trace::sink()
-                .expect("tracing on")
-                .registry()
-                .counter("service.cache.poison_dropped")
-                .get()
-        };
         let cache = ShardedLru::new(16, 4);
         let mut rng = SmallRng::seed_from_u64(7);
         for seed in 0..20 {
+            // Corrupt the stored value, leaving its text intact: one bit
+            // of the trailing float.
             let value = Value::Arr(vec![random_value(&mut rng, 3), Value::Float(0.5)]);
-            cache.put(key(seed), value.clone());
+            cache.put(key(seed), value.clone().into());
             assert!(cache.get(&key(seed)).is_some());
-            // Corrupt the stored payload behind the cache's back, as a
-            // stray write would: one bit of the trailing float.
-            {
-                let mut shard = cache.shard(&key(seed)).lock().unwrap();
-                let entry = shard.map.get_mut(&key(seed)).expect("stored");
-                let Value::Arr(items) = &mut entry.value else {
+            cache.tamper(&key(seed), |item| {
+                let Item::Result(payload) = item else {
+                    unreachable!()
+                };
+                let (Value::Arr(items), _) = payload.parts_mut().expect("unshared") else {
                     unreachable!()
                 };
                 items[1] = Value::Float(f64::from_bits(0.5f64.to_bits() ^ 1));
-            }
-            let before = dropped();
-            assert_eq!(cache.get(&key(seed)), None, "a poisoned entry was served");
-            assert_eq!(dropped(), before + 1);
+            });
+            assert_dropped(&cache, &key(seed), "value");
             // The drop removed the entry: the next lookup is a plain miss.
-            assert_eq!(cache.get(&key(seed)), None);
-            assert_eq!(dropped(), before + 1);
+            let before = poison_dropped();
+            assert!(cache.get(&key(seed)).is_none());
+            assert_eq!(poison_dropped(), before);
+
+            // Corrupt the stored text, leaving the value intact: the
+            // float's last digit.
+            cache.put(key(seed), value.into());
+            cache.tamper(&key(seed), |item| {
+                let Item::Result(payload) = item else {
+                    unreachable!()
+                };
+                let (_, Text::Line(json)) = payload.parts_mut().expect("unshared") else {
+                    unreachable!()
+                };
+                *json = json.replacen("0.5]", "0.6]", 1);
+            });
+            assert_dropped(&cache, &key(seed), "text");
         }
         noc_trace::disable();
     }
@@ -522,12 +749,26 @@ mod tests {
                 let cache = cache.clone();
                 s.spawn(move || {
                     for i in 0..100 {
-                        cache.put(key(t * 1000 + i), Value::Int(i as i128));
+                        cache.put(key(t * 1000 + i), Value::Int(i as i128).into());
                         cache.get(&key(t * 1000 + i));
                     }
                 });
             }
         });
-        assert!(cache.len() <= 64 + 8); // per-shard rounding slack
+        assert!(cache.len() <= 64);
+    }
+
+    #[test]
+    fn a_cache_of_n_entries_holds_exactly_n() {
+        // Fewer entries than shards, and a capacity that does not divide:
+        // filled far past capacity, every shard is full and the total is
+        // the capacity, never a per-shard rounding more.
+        for capacity in [1, 4, 7, 64, 1001] {
+            let cache = ShardedLru::new(capacity, 8);
+            for i in 0..(capacity as u64 * 20).max(200) {
+                cache.put(key(i), Value::Int(i as i128).into());
+            }
+            assert_eq!(cache.len(), capacity, "capacity {capacity}");
+        }
     }
 }

@@ -25,7 +25,7 @@ use crate::cache::{CacheKey, ShardedLru};
 use crate::exec::{self, ExecError, ExecOutput};
 use crate::fp;
 use crate::metrics::{trace_inc, trace_prometheus_text, Metrics};
-use crate::protocol::{self, Envelope, ErrorCode, Request, Response};
+use crate::protocol::{self, Envelope, ErrorCode, Payload, Request, Response};
 use noc_json::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -225,7 +225,9 @@ impl ServiceCore {
     }
 
     /// Looks the request up in the result cache, recording hit/miss
-    /// metrics. `None` means "not cached" (or not a cacheable kind).
+    /// metrics. A hit answers with the stored payload itself, shared and
+    /// already rendered. `None` means "not cached" (or not a cacheable
+    /// kind).
     pub fn cache_lookup(&self, envelope: &Envelope, accepted_at: Instant) -> Option<Response> {
         let key = exec::cache_key(&envelope.request)?;
         let _cache_span = noc_trace::span("request.cache");
@@ -242,6 +244,8 @@ impl ServiceCore {
     /// Turns an execution outcome into the response, with the accounting
     /// every transport shares: success metrics, write-through caching of
     /// non-degraded results, and the structured deadline/internal errors.
+    /// The cache stores the very payload the response carries, and
+    /// storing it renders its wire text, once for the miss and every hit.
     pub fn complete(
         &self,
         id: &str,
@@ -252,6 +256,7 @@ impl ServiceCore {
         let kind = request.kind();
         match outcome {
             Ok(out) => {
+                let result = Payload::from(out.value);
                 if out.degraded {
                     // A degraded answer reflects this request's deadline
                     // budget, not the request parameters alone — caching
@@ -261,11 +266,11 @@ impl ServiceCore {
                 } else if let Some(key) = exec::cache_key(request) {
                     // Cache even if the requester timed out meanwhile —
                     // the work is done, and a retry should hit.
-                    self.cache.put(key, out.value.clone());
+                    self.cache.put(key, result.clone());
                 }
                 let micros = accepted_at.elapsed().as_micros() as u64;
                 self.metrics.record_ok(kind, micros);
-                Response::ok(id, false, out.value)
+                Response::ok(id, false, result)
             }
             Err(ExecError::DeadlineExceeded) => {
                 self.metrics.record_err(ErrorCode::DeadlineExceeded);
@@ -376,6 +381,17 @@ mod tests {
         assert!(*cached2, "second identical request must hit the cache");
         assert_eq!(result, result2, "cache must serve the identical payload");
         assert_eq!(core.metrics().cache_hit_count(), 1);
+        // The miss cached the payload it answered with, and every hit
+        // shares that one allocation instead of a copy.
+        let third = core.handle_line_sync(line);
+        let Response::Ok {
+            result: result3, ..
+        } = &third
+        else {
+            panic!("expected ok, got {third:?}");
+        };
+        assert!(result.shares(result2));
+        assert!(result2.shares(result3));
     }
 
     #[test]
@@ -462,7 +478,7 @@ mod tests {
         let Response::Ok { result, .. } = resp else {
             panic!("expected forwarded ok")
         };
-        assert_eq!(result, Value::Str("forwarded".into()));
+        assert_eq!(*result, Value::Str("forwarded".into()));
         assert_eq!(fwd.calls.load(Ordering::SeqCst), 1);
         assert!(
             core.cache().is_empty(),

@@ -7,6 +7,12 @@
 //! and the simulator is a deterministic state machine over a seeded
 //! workload. The cache key therefore covers exactly the keyed fields each
 //! kind declares in [`crate::spec`] (tabulated in `docs/PROTOCOL.md`).
+//!
+//! Checkpointed solves and simulations keep their snapshots in the same
+//! cache, as raw bytes under a [`snapshot_key`]. A snapshot the cache's
+//! digest rejects is dropped there; one that does not restore, or belongs
+//! to another request, counts `snapshot.corrupt_dropped`. Either way the
+//! run starts fresh, never fails.
 
 use crate::cache::CacheKey;
 use crate::metrics::trace_inc;
@@ -65,46 +71,6 @@ pub fn snapshot_key(request: &Request) -> Option<CacheKey> {
     cache_key(request).map(|key| CacheKey { kind, ..key })
 }
 
-/// Lowercase-hex encoding of snapshot bytes: cache values are
-/// [`noc_json::Value`]s, and hex keeps the stored form printable,
-/// digest-checkable, and trivially round-trippable.
-fn snapshot_to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
-        s.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble"));
-    }
-    s
-}
-
-fn snapshot_from_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    s.as_bytes()
-        .chunks(2)
-        .map(|pair| {
-            let hi = (pair[0] as char).to_digit(16)?;
-            let lo = (pair[1] as char).to_digit(16)?;
-            Some(((hi << 4) | lo) as u8)
-        })
-        .collect()
-}
-
-/// Loads snapshot bytes from the store, or `None` on a miss. A present
-/// but undecodable entry counts as `snapshot.corrupt_dropped` — the
-/// caller falls back to a fresh start, never to an error.
-fn load_snapshot(store: &crate::cache::ShardedLru, key: &CacheKey) -> Option<Vec<u8>> {
-    let value = store.get(key)?;
-    match value.as_str().and_then(snapshot_from_hex) {
-        Some(bytes) => Some(bytes),
-        None => {
-            trace_inc("snapshot.corrupt_dropped");
-            None
-        }
-    }
-}
-
 /// Stores snapshot bytes under `key`, bumps `snapshot.saved`, and runs
 /// the `exec.checkpoint` fault point (the chaos hook for killing a
 /// worker *after* a checkpoint is durable: the save happens first, so an
@@ -112,9 +78,9 @@ fn load_snapshot(store: &crate::cache::ShardedLru, key: &CacheKey) -> Option<Vec
 fn save_snapshot(
     store: &crate::cache::ShardedLru,
     key: &CacheKey,
-    bytes: &[u8],
+    bytes: Vec<u8>,
 ) -> Result<(), ExecError> {
-    store.put(key.clone(), Value::Str(snapshot_to_hex(bytes)));
+    store.put_snapshot(key.clone(), bytes);
     trace_inc("snapshot.saved");
     if crate::fp::hit("exec.checkpoint") == Some(crate::fp::Injected::Error) {
         return Err(ExecError::Failed("injected checkpoint failure".into()));
@@ -222,7 +188,7 @@ fn exec_solve_checkpointed(
     };
     let mut job = None;
     if let Some((store, key)) = &slot {
-        if let Some(bytes) = load_snapshot(store, key) {
+        if let Some(bytes) = store.get_snapshot(key) {
             match noc_placement::SolveJob::restore(&bytes) {
                 Ok(restored) if job_matches(&restored, r, objective_fp) => {
                     trace_inc("snapshot.resumed");
@@ -240,7 +206,7 @@ fn exec_solve_checkpointed(
                 // Out of budget: persist the progress so the retry that
                 // follows resumes instead of restarting.
                 if let Some((store, key)) = &slot {
-                    save_snapshot(store, key, &job.snapshot())?;
+                    save_snapshot(store, key, job.snapshot())?;
                 }
                 return Err(ExecError::DeadlineExceeded);
             }
@@ -249,7 +215,7 @@ fn exec_solve_checkpointed(
             break;
         }
         if let Some((store, key)) = &slot {
-            save_snapshot(store, key, &job.snapshot())?;
+            save_snapshot(store, key, job.snapshot())?;
         }
     }
     Ok(ExecOutput {
@@ -293,7 +259,7 @@ fn exec_simulate_checkpointed(
     };
     let mut sim = None;
     if let Some((store, key)) = &slot {
-        if let Some(bytes) = load_snapshot(store, key) {
+        if let Some(bytes) = store.get_snapshot(key) {
             match Simulator::restore(&topo, workload(), config, &bytes) {
                 Ok(restored) => {
                     trace_inc("snapshot.resumed");
@@ -308,7 +274,7 @@ fn exec_simulate_checkpointed(
     let mut target = sim.cycle() + interval;
     while sim.run_until(target).is_none() {
         if let Some((store, key)) = &slot {
-            save_snapshot(store, key, &sim.snapshot())?;
+            save_snapshot(store, key, sim.snapshot())?;
         }
         if let Some(deadline) = deadline {
             if Instant::now() >= deadline {
@@ -914,7 +880,10 @@ mod tests {
         let out = execute_with_store(&checkpointed, None, Some(&store)).unwrap();
         assert_eq!(out.value, reference);
         let key = snapshot_key(&checkpointed).unwrap();
-        assert!(store.get(&key).is_some(), "snapshots should persist");
+        assert!(
+            store.get_snapshot(&key).is_some(),
+            "snapshots should persist"
+        );
         let again = execute_with_store(&checkpointed, None, Some(&store)).unwrap();
         assert_eq!(again.value, reference);
     }
@@ -944,7 +913,9 @@ mod tests {
         let store = crate::cache::ShardedLru::new(64, 2);
         let out = execute_with_store(&checkpointed, None, Some(&store)).unwrap();
         assert_eq!(out.value, reference);
-        assert!(store.get(&snapshot_key(&checkpointed).unwrap()).is_some());
+        assert!(store
+            .get_snapshot(&snapshot_key(&checkpointed).unwrap())
+            .is_some());
 
         // A pathologically small interval is floored, not honoured: the
         // result is still identical and the run completes promptly
@@ -981,11 +952,57 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_hex_round_trips() {
-        let bytes: Vec<u8> = (0..=255u8).collect();
-        assert_eq!(snapshot_from_hex(&snapshot_to_hex(&bytes)).unwrap(), bytes);
-        assert!(snapshot_from_hex("abc").is_none(), "odd length");
-        assert!(snapshot_from_hex("zz").is_none(), "non-hex digit");
+    fn a_flipped_snapshot_byte_is_dropped_and_the_run_starts_fresh() {
+        use crate::cache::{Item, ShardedLru};
+        let _lock = crate::metrics::trace_test_lock();
+        noc_trace::enable_with_capacity(1024);
+        let counter = |name: &str| {
+            noc_trace::sink()
+                .expect("tracing on")
+                .registry()
+                .counter(name)
+                .get()
+        };
+        let plain = solve_request(13);
+        let Request::Solve(r) = &plain else {
+            unreachable!()
+        };
+        let reference = execute(&plain).unwrap();
+        let checkpointed = Request::Solve(SolveRequest {
+            checkpoint: 1,
+            ..r.clone()
+        });
+        let key = snapshot_key(&checkpointed).unwrap();
+        // A job cut after 100 of its 300 moves, stored where the
+        // checkpointed path looks for it.
+        let objective = AllPairsObjective::with_weights(r.weights);
+        let mut job = solve_job(r);
+        job.run_moves(&objective, 100);
+        let store = ShardedLru::new(64, 2);
+        for flip in [false, true] {
+            store.put_snapshot(key.clone(), job.snapshot());
+            if flip {
+                store.tamper(&key, |item| {
+                    let Item::Snapshot(bytes) = item else {
+                        unreachable!()
+                    };
+                    let mid = bytes.len() / 2;
+                    bytes[mid] ^= 0x10;
+                });
+            }
+            let dropped = counter("service.cache.poison_dropped");
+            let resumed = counter("snapshot.resumed");
+            let out = execute_with_store(&checkpointed, None, Some(&store)).unwrap();
+            assert_eq!(out.value, reference, "flip {flip}");
+            // The intact snapshot resumes; the flipped one is dropped by
+            // the cache's digest, and the run starts over from scratch.
+            assert_eq!(
+                counter("service.cache.poison_dropped") - dropped,
+                flip as u64
+            );
+            assert_eq!(counter("snapshot.resumed") - resumed, !flip as u64);
+        }
+        noc_trace::disable();
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   queues shed load immediately, and queued work whose deadline lapsed
 //!   is dropped unrun.
 //! * [`cache`] — a sharded LRU keyed by a request's kind and its keyed
-//!   fields.
+//!   fields. It holds results as shared, already-rendered payloads, so a
+//!   hit copies and renders nothing, and checkpoint snapshots as raw
+//!   bytes.
 //! * [`metrics`] — relaxed-atomic counters and log-bucket latency
 //!   histograms, served by `metrics`/`health` requests without touching
 //!   the worker queue.
@@ -35,11 +37,11 @@
 //! jittered backoff), deadlines are enforced at every stage (queued,
 //! executing, and waiting), solve requests whose budget cannot absorb
 //! the full annealing run answer with the constructive heuristic tagged
-//! `"degraded": true`, cache entries carry integrity digests (FNV-1a
-//! over a structural walk of the cached `Value`: type tags, length
-//! prefixes, bytes, and exact float bits, checked on every hit without
-//! rendering the payload) so a corrupted entry is recomputed rather than
-//! served, and a panicking
+//! `"degraded": true`, cache entries carry integrity digests (a
+//! structural walk of the cached `Value` — type tags, lengths, bytes,
+//! and exact float bits — plus its stored wire text, or a snapshot's
+//! bytes, checked on every hit) so a corrupted entry is recomputed
+//! rather than served, and a panicking
 //! worker fails only its in-flight request while a replacement thread
 //! respawns. All of it is exercised deterministically by the chaos
 //! suite through the `faultpoint` feature (see [`fp`]).
@@ -76,5 +78,5 @@ pub use exec::{ExecError, ExecOutput};
 pub use local::{LocalConn, LocalServer};
 pub use metrics::{trace_prometheus_text, Metrics};
 pub use pool::{Job, SubmitError, WorkerPool};
-pub use protocol::{Envelope, ErrorCode, Request, Response, MAX_LINE_BYTES};
+pub use protocol::{Envelope, ErrorCode, Payload, Request, Response, MAX_LINE_BYTES};
 pub use server::{Server, ServerHandle, ServiceConfig};

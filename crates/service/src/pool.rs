@@ -444,7 +444,7 @@ mod tests {
         let Response::Ok { result, .. } = resp else {
             panic!("expected ok, got {resp:?}")
         };
-        let noc_json::Value::Obj(fields) = &result else {
+        let noc_json::Value::Obj(fields) = &*result else {
             panic!("expected object")
         };
         assert_eq!(

@@ -18,13 +18,19 @@
 //! per Pareto point)
 //! (`{"id":"9","ok":true,"seq":0,"of":3,"result":{...}}`) followed by a
 //! final summary line carrying `"done":true` (see [`wire_lines`]).
+//!
+//! A success carries its result as a [`Payload`]: the `Value` and its
+//! wire text, rendered at most once and shared by every clone, so the
+//! result cache answers a hit with the very text its miss wrote.
 
 use crate::spec::{kind, wire_label};
 use noc_json::Value;
 use noc_placement::{EvalMode, InitialStrategy};
 use noc_routing::HopWeights;
 use noc_traffic::SyntheticPattern;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// Upper bound on one wire line, shared by every transport and client.
 ///
@@ -276,6 +282,105 @@ impl ErrorCode {
     }
 }
 
+/// A success response's result: the `Value` and its wire text.
+///
+/// Cloning bumps a reference count. The text is rendered on first use
+/// and then shared by every clone, so the result cache, which stores the
+/// payload a miss answered with, serves a hit without copying the value
+/// or rendering it again. Dereferences to the `Value`; two payloads are
+/// equal when their values are.
+#[derive(Clone)]
+pub struct Payload(Arc<Rendered>);
+
+struct Rendered {
+    value: Value,
+    text: OnceLock<Text>,
+}
+
+/// The compact JSON a payload puts on the wire.
+pub(crate) enum Text {
+    /// The whole result, for a one-line response.
+    Line(String),
+    /// A streaming result (see [`wire_lines`]): each item's JSON and the
+    /// summary's.
+    Stream {
+        /// One rendering per item, in order.
+        items: Vec<String>,
+        /// The summary object's rendering.
+        summary: String,
+    },
+}
+
+impl Text {
+    fn render(value: &Value) -> Text {
+        let marker = |key: &str| value.get(key).and_then(Value::as_bool).unwrap_or(false);
+        if marker("scenario_stream") || marker("frontier_stream") {
+            if let (Some(items), Some(summary)) = (
+                value.get("items").and_then(Value::as_array),
+                value.get("summary"),
+            ) {
+                return Text::Stream {
+                    items: items.iter().map(Value::compact).collect(),
+                    summary: summary.compact(),
+                };
+            }
+        }
+        Text::Line(value.compact())
+    }
+}
+
+impl Payload {
+    /// The wire text, rendered on the first call.
+    pub(crate) fn text(&self) -> &Text {
+        self.0.text.get_or_init(|| Text::render(&self.0.value))
+    }
+
+    /// Whether both handles share one allocation.
+    #[cfg(test)]
+    pub(crate) fn shares(&self, other: &Payload) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// The value and its text for tests that corrupt a stored entry in
+    /// place; `None` while another handle shares the payload.
+    #[cfg(test)]
+    pub(crate) fn parts_mut(&mut self) -> Option<(&mut Value, &mut Text)> {
+        let _ = self.text();
+        let rendered = Arc::get_mut(&mut self.0)?;
+        let text = rendered.text.get_mut().expect("rendered above");
+        Some((&mut rendered.value, text))
+    }
+}
+
+impl From<Value> for Payload {
+    fn from(value: Value) -> Self {
+        Payload(Arc::new(Rendered {
+            value,
+            text: OnceLock::new(),
+        }))
+    }
+}
+
+impl Deref for Payload {
+    type Target = Value;
+
+    fn deref(&self) -> &Value {
+        &self.0.value
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.value.fmt(f)
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        self.0.value == other.0.value
+    }
+}
+
 /// A response ready for the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -286,7 +391,7 @@ pub enum Response {
         /// Whether the result was served from the cache.
         cached: bool,
         /// Kind-specific result object.
-        result: Value,
+        result: Payload,
     },
     /// Failure with a category and message.
     Err {
@@ -300,12 +405,12 @@ pub enum Response {
 }
 
 impl Response {
-    /// Builds a success response.
-    pub fn ok(id: impl Into<String>, cached: bool, result: Value) -> Self {
+    /// Builds a success response from a `Value` or a shared [`Payload`].
+    pub fn ok(id: impl Into<String>, cached: bool, result: impl Into<Payload>) -> Self {
         Response::Ok {
             id: id.into(),
             cached,
-            result,
+            result: result.into(),
         }
     }
 
@@ -329,12 +434,23 @@ impl Response {
     pub fn to_line(&self) -> String {
         match self {
             Response::Ok { id, cached, result } => {
-                let mut line = open_line(id, true);
+                let whole;
+                let json = match result.text() {
+                    Text::Line(json) => json,
+                    // A stream keeps only its lines' texts; the one-line
+                    // form of a whole batch is rare (cluster logs), so it
+                    // is rendered here.
+                    Text::Stream { .. } => {
+                        whole = result.compact();
+                        &whole
+                    }
+                };
+                let mut line = open_line(id, true, json.len());
                 push_bool(&mut line, "cached", *cached);
-                close_line(line, result)
+                close_line(line, json)
             }
             Response::Err { id, code, message } => {
-                let mut line = open_line(id, false);
+                let mut line = open_line(id, false, message.len());
                 line.push_str(",\"error\":{\"code\":");
                 noc_json::write_str(code.as_str(), &mut line);
                 line.push_str(",\"message\":");
@@ -364,7 +480,8 @@ impl Response {
                 result: v
                     .get("result")
                     .cloned()
-                    .ok_or("ok response missing result")?,
+                    .ok_or("ok response missing result")?
+                    .into(),
             })
         } else {
             let err = v.get("error").ok_or("err response missing error")?;
@@ -391,42 +508,31 @@ impl Response {
 /// `"items"` and `"summary"`. That one expands into one line per item,
 /// `{"id","ok":true,"seq":i,"of":N,"result":<item>}`, followed by a final
 /// `{"id","ok":true,"cached":...,"done":true,"result":<summary>}` line.
-/// Because the whole batch is cached as one value, a cache hit replays the
-/// exact same stream with `"cached": true` on the summary line. Frontier
-/// streams bump the `pareto.stream_lines` trace counter by the number of
-/// lines written (cache replays included).
+/// Because the whole batch is cached as one payload, a cache hit replays
+/// the exact same stream with `"cached": true` on the summary line. Every
+/// line writes its envelope around the payload's stored text, so nothing
+/// is rendered twice. Frontier streams bump the `pareto.stream_lines`
+/// trace counter by the number of lines written (cache replays included).
 pub fn wire_lines(response: &Response) -> Vec<String> {
     let Response::Ok { id, cached, result } = response else {
         return vec![response.to_line()];
     };
-    let marker = |key: &str| result.get(key).and_then(Value::as_bool).unwrap_or(false);
-    let is_frontier = marker("frontier_stream");
-    let is_stream = marker("scenario_stream") || is_frontier;
-    let (Some(items), Some(summary)) = (
-        result.get("items").and_then(Value::as_array),
-        result.get("summary"),
-    ) else {
+    let Text::Stream { items, summary } = result.text() else {
         return vec![response.to_line()];
     };
-    if !is_stream {
-        return vec![response.to_line()];
-    }
     let of = items.len();
-    let mut lines: Vec<String> = items
-        .iter()
-        .enumerate()
-        .map(|(seq, item)| {
-            let mut line = open_line(id, true);
-            let _ = write!(line, ",\"seq\":{seq},\"of\":{of}");
-            close_line(line, item)
-        })
-        .collect();
-    let mut last = open_line(id, true);
+    let mut lines = Vec::with_capacity(of + 1);
+    lines.extend(items.iter().enumerate().map(|(seq, item)| {
+        let mut line = open_line(id, true, item.len());
+        let _ = write!(line, ",\"seq\":{seq},\"of\":{of}");
+        close_line(line, item)
+    }));
+    let mut last = open_line(id, true, summary.len());
     push_bool(&mut last, "cached", *cached);
     push_bool(&mut last, "done", true);
     lines.push(close_line(last, summary));
-    if is_frontier {
-        if let Some(sink) = noc_trace::sink() {
+    if let Some(sink) = noc_trace::sink() {
+        if result.get("frontier_stream").and_then(Value::as_bool) == Some(true) {
             sink.registry()
                 .counter("pareto.stream_lines")
                 .add(lines.len() as u64);
@@ -436,11 +542,10 @@ pub fn wire_lines(response: &Response) -> Vec<String> {
 }
 
 /// Starts a response line with the envelope every line shares,
-/// `{"id":<id>,"ok":<ok>`. The framing helpers below write the rest into
-/// the same buffer, and the payload goes in by reference, so no wire line
-/// clones its result or renders it twice.
-fn open_line(id: &str, ok: bool) -> String {
-    let mut line = String::with_capacity(128);
+/// `{"id":<id>,"ok":<ok>`, sized for `body` more bytes. The framing
+/// helpers below write the rest into the same buffer.
+fn open_line(id: &str, ok: bool, body: usize) -> String {
+    let mut line = String::with_capacity(64 + id.len() + body);
     line.push_str("{\"id\":");
     noc_json::write_str(id, &mut line);
     push_bool(&mut line, "ok", ok);
@@ -454,10 +559,10 @@ fn push_bool(line: &mut String, key: &str, flag: bool) {
     line.push_str(if flag { "\":true" } else { "\":false" });
 }
 
-/// Appends `,"result":<result>}` and returns the finished line.
-fn close_line(mut line: String, result: &Value) -> String {
+/// Appends `,"result":<json>}` and returns the finished line.
+fn close_line(mut line: String, json: &str) -> String {
     line.push_str(",\"result\":");
-    result.write_compact(&mut line);
+    line.push_str(json);
     line.push('}');
     line
 }

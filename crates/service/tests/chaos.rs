@@ -64,7 +64,7 @@ fn config(workers: usize, queue: usize) -> ServiceConfig {
 
 fn expect_ok(resp: Response) -> (bool, Value) {
     match resp {
-        Response::Ok { cached, result, .. } => (cached, result),
+        Response::Ok { cached, result, .. } => (cached, Value::clone(&result)),
         Response::Err { code, message, .. } => panic!("expected ok, got {code:?}: {message}"),
     }
 }

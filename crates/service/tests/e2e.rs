@@ -33,7 +33,7 @@ fn small_config() -> ServiceConfig {
 
 fn expect_ok(resp: Response) -> (bool, Value) {
     match resp {
-        Response::Ok { cached, result, .. } => (cached, result),
+        Response::Ok { cached, result, .. } => (cached, Value::clone(&result)),
         Response::Err { code, message, .. } => {
             panic!("expected ok, got {code:?}: {message}")
         }

@@ -178,7 +178,7 @@ fn reference_line(response: &Response) -> String {
             "id" => Value::Str(id.clone()),
             "ok" => Value::Bool(true),
             "cached" => Value::Bool(*cached),
-            "result" => result.clone(),
+            "result" => Value::clone(result),
         }
         .compact(),
         Response::Err { id, code, message } => obj! {
