@@ -41,14 +41,19 @@ pub const MAX_PHASES: usize = 32;
 /// latency solvers add hop costs in.
 pub const MAX_HOP_CYCLES: u32 = 1_000_000;
 const _: () = assert!((MAX_N as u64 - 1) * 2 * MAX_HOP_CYCLES as u64 <= u32::MAX as u64);
+/// Lower bound on a saturation sweep's `start_rate`, which the sweep
+/// itself asserts: from it the rate ladder reaches 1.0 within 28 points.
+pub use noc_sim::MIN_START_RATE;
 
 /// What a field holds, with its bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Ty {
     /// An integer in `min..=max`.
     Int(u64, u64),
     /// A number in `(0, 1]`.
     Rate,
+    /// A number in `[min, 1]`.
+    RateFrom(f64),
     /// A number in `(0, 1)`.
     Share,
     /// A finite number above 0.
@@ -88,6 +93,7 @@ impl Ty {
         match self {
             Ty::Int(min, max) => ("integer", format!("{min}..={max}")),
             Ty::Rate => ("number", "(0, 1]".into()),
+            Ty::RateFrom(min) => ("number", format!("[{min}, 1]")),
             Ty::Share => ("number", "(0, 1)".into()),
             Ty::Positive => ("number", "> 0".into()),
             Ty::Text => ("string", "any".into()),
@@ -120,6 +126,7 @@ impl Ty {
         match self {
             Ty::Int(min, max) => v.as_u64().is_some_and(|x| (min..=max).contains(&x)),
             Ty::Rate => number.is_some_and(|r| r > 0.0 && r <= 1.0),
+            Ty::RateFrom(min) => number.is_some_and(|r| (min..=1.0).contains(&r)),
             Ty::Share => number.is_some_and(|r| r > 0.0 && r < 1.0),
             Ty::Positive => number.is_some_and(|r| r.is_finite() && r > 0.0),
             _ => true,
@@ -133,7 +140,7 @@ impl Ty {
     pub fn flag_value(self, text: &str) -> Result<Value, String> {
         match self {
             Ty::Manifest => noc_json::parse(text).map_err(|e| format!("invalid JSON: {e}")),
-            Ty::Int(..) | Ty::Rate | Ty::Share | Ty::Positive => text
+            Ty::Int(..) | Ty::Rate | Ty::RateFrom(_) | Ty::Share | Ty::Positive => text
                 .parse()
                 .map(Value::Int)
                 .or_else(|_| text.parse().map(Value::Float))

@@ -461,9 +461,8 @@ fn exec_throughput(r: &ThroughputRequest) -> Result<Value, String> {
         PacketMix::paper(),
     );
     let config = SimConfig::throughput_run(r.flit, r.seed);
-    let result = SweepRunner::new(r.workers)
-        .with_batch_lanes(r.lanes)
-        .saturation_sweep(&topo, &workload, &config, r.start_rate);
+    let result =
+        SweepRunner::new(r.workers).saturation_sweep(&topo, &workload, &config, r.start_rate);
     let samples: Vec<Value> = result
         .samples
         .iter()
@@ -745,21 +744,19 @@ mod tests {
             seed: 3,
             links: vec![],
             workers: 1,
-            lanes: 1,
         };
         let wide = ThroughputRequest {
             workers: 4,
-            lanes: 8,
             ..base.clone()
         };
         assert_eq!(
             cache_key(&Request::Throughput(base.clone())),
             cache_key(&Request::Throughput(wide.clone())),
-            "worker/lane counts must not change the cache key"
+            "worker counts must not change the cache key"
         );
         let a = execute(&Request::Throughput(base)).unwrap();
         let b = execute(&Request::Throughput(wide)).unwrap();
-        assert_eq!(a, b, "sweep results must not depend on workers or lanes");
+        assert_eq!(a, b, "sweep results must not depend on workers");
     }
 
     #[test]

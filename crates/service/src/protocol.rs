@@ -136,9 +136,6 @@ pub struct ThroughputRequest {
     pub links: Vec<(usize, usize)>,
     /// Sweep worker threads (`0` = one per core).
     pub workers: usize,
-    /// Lockstep batch lanes per sweep pass (`0` = default, `1` = one
-    /// replica per pass).
-    pub lanes: usize,
 }
 
 /// Parameters of a `scenario` request — a full manifest carried inline,
@@ -730,6 +727,21 @@ mod tests {
                 r#"{"kind":"throughput","n":8,"pattern":"ur","links":[[2,3]]}"#,
                 "links",
             ),
+            // From a start rate this small the sweep's rate ladder grew
+            // without end (`5e-324 · 1.3` rounds back to 5e-324) or to
+            // thousands of points, until memory ran out.
+            (
+                r#"{"kind":"throughput","n":4,"pattern":"ur","start_rate":5e-324}"#,
+                "start_rate",
+            ),
+            (
+                r#"{"kind":"throughput","n":4,"pattern":"ur","start_rate":1e-300}"#,
+                "start_rate",
+            ),
+            (
+                r#"{"kind":"throughput","n":4,"pattern":"ur","start_rate":0.000999}"#,
+                "start_rate",
+            ),
         ] {
             let err = parse_request(line).expect_err(line);
             assert!(err.contains(&format!("field \"{field}\"")), "{line}: {err}");
@@ -738,6 +750,9 @@ mod tests {
         let max =
             r#"{"kind":"optimal","n":8,"c":3,"router_cycles":1000000,"unit_link_cycles":1000000}"#;
         assert!(parse_request(max).is_ok());
+        // So is the smallest start rate.
+        let min = r#"{"kind":"throughput","n":4,"pattern":"ur","start_rate":0.001}"#;
+        assert!(parse_request(min).is_ok());
         // `null` means absent for every field, `links` included.
         assert_eq!(
             parse_request(r#"{"kind":"simulate","n":8,"pattern":"ur","rate":0.02,"links":null}"#),

@@ -22,7 +22,7 @@ use noc_routing::HopWeights;
 use noc_scenario::field;
 use noc_scenario::field::{Field, FieldDoc, FieldError, Fields, Ty, MAX_CHAINS, MAX_CYCLES};
 use noc_scenario::field::{
-    MAX_FLIT, MAX_HOP_CYCLES, MAX_MOVES, MAX_N, MAX_SIM_N, MAX_WEIGHT_STEPS,
+    MAX_FLIT, MAX_HOP_CYCLES, MAX_MOVES, MAX_N, MAX_SIM_N, MAX_WEIGHT_STEPS, MIN_START_RATE,
 };
 use noc_sim::MAX_LANES;
 use noc_topology::{RowPlacement, MAX_C};
@@ -208,7 +208,7 @@ pub fn read_flags(
     (kind.read)(&Value::Obj(object)).map_err(|e| e.message(flag_label))
 }
 
-use Ty::{Evaluator, Int, Links, Pattern, Rate, Strategy};
+use Ty::{Evaluator, Int, Links, Pattern, Rate, RateFrom, Strategy};
 const U64: Ty = Ty::U64;
 const PAPER: HopWeights = HopWeights::PAPER;
 const UNKEYED: bool = false;
@@ -284,12 +284,11 @@ impl Fields for ThroughputRequest {
     const FIELDS: &'static [Field<Self>] = &[
         field!("n" => n, Int(2, MAX_SIM_N as u64), Required),
         field!("pattern" => pattern, Pattern, Required),
-        field!("start_rate" => start_rate, Rate, Optional(0.02)),
+        field!("start_rate" => start_rate, RateFrom(MIN_START_RATE), Optional(0.02)),
         field!("flit" => flit, FLIT, Optional(256)),
         field!("seed" => seed, U64, Optional(42)),
         field!("links" => links, Links, Optional(Vec::new())),
         field!("workers" => workers, Int(0, MAX_CHAINS as u64), Optional(0), UNKEYED),
-        field!("lanes" => lanes, Int(0, MAX_LANES as u64), Optional(0), UNKEYED),
     ];
     fn check(&self) -> Result<(), FieldError> {
         check_links(self.n, &self.links)

@@ -86,7 +86,6 @@ fn every_request_variant_round_trips() {
             seed: 11,
             links: vec![(1, 4)],
             workers: 8,
-            lanes: 4,
         }),
         Request::Scenario(Box::new(ScenarioRequest {
             manifest: noc_scenario::Manifest::parse(

@@ -5,7 +5,7 @@
 use noc_json::Value;
 use noc_placement::{EvalMode, InitialStrategy};
 use noc_routing::HopWeights;
-use noc_service::exec::cache_key;
+use noc_service::exec::{cache_key, execute};
 use noc_service::protocol::{
     parse_request, request_line, Envelope, FrontierRequest, OptimalRequest, Request,
     ScenarioRequest, SimulateRequest, SolveRequest, SweepRequest, ThroughputRequest,
@@ -77,9 +77,8 @@ fn request_lines_are_pinned() {
                 seed: 11,
                 links: vec![],
                 workers: 8,
-                lanes: 4,
             }),
-            r#"{"id":"throughput","kind":"throughput","deadline_ms":1234,"n":8,"pattern":"br","start_rate":0.02,"flit":64,"seed":11,"links":[],"workers":8,"lanes":4}"#,
+            r#"{"id":"throughput","kind":"throughput","deadline_ms":1234,"n":8,"pattern":"br","start_rate":0.02,"flit":64,"seed":11,"links":[],"workers":8}"#,
         ),
         (
             Request::Scenario(Box::new(ScenarioRequest {
@@ -224,7 +223,7 @@ const CASES: &[KindCase] = &[
     },
     KindCase {
         base: r#"{"id":"k","kind":"throughput","n":8,"pattern":"ur","start_rate":0.02,"flit":64,
-                  "seed":7,"links":[[0,3]],"workers":2,"lanes":2}"#,
+                  "seed":7,"links":[[0,3]],"workers":2}"#,
         fields: &[
             ("n", "6", true),
             ("pattern", r#""tp""#, true),
@@ -233,7 +232,6 @@ const CASES: &[KindCase] = &[
             ("seed", "8", true),
             ("links", "[[0,4]]", true),
             ("workers", "3", false),
-            ("lanes", "3", false),
         ],
     },
     KindCase {
@@ -317,4 +315,23 @@ fn cache_key_covers_exactly_the_keyed_fields() {
             }
         }
     }
+}
+
+/// `throughput` once took a `lanes` field. Request lines are read
+/// leniently, so a line from an older client that still carries it parses,
+/// keys and answers exactly like the same line without it.
+#[test]
+fn a_throughput_line_with_lanes_reads_as_one_without() {
+    let old = r#"{"id":"t","kind":"throughput","n":2,"pattern":"ur","start_rate":0.9,"flit":64,"seed":7,"workers":2,"lanes":4}"#;
+    let new = old.replace(r#","lanes":4"#, "");
+    let (old, new) = (parse_request(old).unwrap(), parse_request(&new).unwrap());
+    assert_eq!(old, new);
+    assert_eq!(request_line(&old), request_line(&new));
+    let key = cache_key(&old.request).expect("compute kinds have a key");
+    assert_eq!(
+        key.stable_hash(),
+        cache_key(&new.request).unwrap().stable_hash()
+    );
+    let answer = execute(&old.request).expect("the sweep runs");
+    assert_eq!(answer.compact(), execute(&new.request).unwrap().compact());
 }

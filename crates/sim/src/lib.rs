@@ -51,4 +51,6 @@ pub use config::SimConfig;
 pub use engine::Simulator;
 pub use network::NetTables;
 pub use stats::{ActivityCounters, SimStats};
-pub use throughput::{saturation_sweep, SweepRunner, SweepSample, ThroughputResult};
+pub use throughput::{
+    saturation_sweep, SweepRunner, SweepSample, ThroughputResult, MIN_START_RATE,
+};

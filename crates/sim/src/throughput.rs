@@ -6,7 +6,6 @@
 //! plateaus (and latencies diverge). We report the plateau — the classic
 //! saturation throughput in packets per node per cycle.
 
-use crate::batch::{BatchSimulator, MAX_LANES};
 use crate::config::SimConfig;
 use crate::engine::Simulator;
 use crate::network::NetTables;
@@ -48,10 +47,14 @@ pub fn saturation_sweep(
     SweepRunner::sequential().saturation_sweep(topology, workload, config, start_rate)
 }
 
+/// The smallest `start_rate` a sweep takes. The ladder grows the rate
+/// by 1.3 a point, so from here it reaches 1.0 within 28 points; from a
+/// start small enough that `rate · 1.3` rounds back to `rate`, it would
+/// never end.
+pub const MIN_START_RATE: f64 = 0.001;
+
 /// The geometric rate ladder `saturation_sweep` walks: `start`, then
-/// `rate · 1.3` capped at `1.0`, ending with the capped point. Computing it
-/// up front (with bit-identical arithmetic to the sequential walk) is what
-/// lets the parallel sweep speculate ahead of the stopping rule.
+/// `rate · 1.3` capped at `1.0`, ending with the capped point.
 fn rate_ladder(start_rate: f64) -> Vec<f64> {
     let growth = 1.3;
     let mut rates = vec![start_rate];
@@ -76,65 +79,30 @@ fn sample_of(stats: &SimStats) -> SweepSample {
     }
 }
 
-/// Default lockstep width: enough lanes to cover a full rate ladder in
-/// one or two batch passes while staying well inside [`MAX_LANES`].
-const DEFAULT_BATCH_LANES: usize = 8;
-
-/// Below this many parallel items the thread fan-out costs more than it
-/// buys (BENCH_sim.json: flat `noc_par` scaling on a 1-core host), so the
-/// runner degrades to in-place sequential execution. Results are
-/// byte-identical either way — worker assignment never changes inputs.
-const SMALL_FANOUT_THRESHOLD: usize = 3;
-
-/// Fans independent (load-point, seed) simulations across `noc-par`
-/// workers, packing rate points into [`BatchSimulator`] lockstep lanes
-/// (`batch_lanes` per pass). Results are returned in input order and are
-/// **bit-identical** for any worker count *and* any lane count, including
-/// the sequential one-lane reference: each simulation is internally
-/// deterministic, the routing/structure tables are shared read-only,
-/// lanes never interact, and worker assignment only changes *which
-/// thread* runs a point, never its inputs. Adaptive sweeps
-/// speculate: the whole rate ladder is simulated in wave-sized chunks and
-/// the sequential stopping rule is applied afterwards, discarding any
-/// points the sequential walk would not have reached.
+/// Fans the load points of a saturation sweep across `noc-par` workers.
+/// Samples are **bit-identical** for any worker count, including the
+/// sequential reference: each point is its own one-lane simulation over
+/// network tables shared read-only, and the worker count only changes
+/// *which thread* runs a point, never its inputs.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepRunner {
     workers: usize,
-    batch_lanes: usize,
 }
 
 impl SweepRunner {
-    /// A runner with an explicit worker count (`0` = one per core) and the
-    /// default lockstep width.
+    /// A runner with an explicit worker count (`0` = one per core).
     pub fn new(workers: usize) -> Self {
         let workers = if workers == 0 {
             noc_par::default_workers()
         } else {
             workers
         };
-        SweepRunner {
-            workers,
-            batch_lanes: DEFAULT_BATCH_LANES,
-        }
+        SweepRunner { workers }
     }
 
-    /// The single-threaded, one-lane reference runner.
+    /// The single-threaded reference runner.
     pub fn sequential() -> Self {
-        SweepRunner {
-            workers: 1,
-            batch_lanes: 1,
-        }
-    }
-
-    /// Sets the lockstep width: how many load points one
-    /// [`BatchSimulator`] pass carries. `0` restores the default; `1`
-    /// runs one replica per pass; values above [`MAX_LANES`] are clamped.
-    pub fn with_batch_lanes(mut self, lanes: usize) -> Self {
-        self.batch_lanes = match lanes {
-            0 => DEFAULT_BATCH_LANES,
-            l => l.min(MAX_LANES),
-        };
-        self
+        SweepRunner { workers: 1 }
     }
 
     /// Worker threads this runner fans out across.
@@ -142,69 +110,19 @@ impl SweepRunner {
         self.workers
     }
 
-    /// Lockstep lanes per batch pass.
-    pub fn batch_lanes(&self) -> usize {
-        self.batch_lanes
-    }
-
-    /// The small-batch heuristic: sequential below the fan-out threshold,
-    /// never more workers than items.
-    fn effective_workers(&self, items: usize) -> usize {
-        if items < SMALL_FANOUT_THRESHOLD {
-            1
-        } else {
-            self.workers.min(items)
-        }
-    }
-
-    /// Simulates one workload per rate in `rates` (sharing one routing
-    /// solve and one set of network tables) and returns the full
-    /// statistics in input order.
-    pub fn run_rates(
-        &self,
-        topology: &MeshTopology,
-        workload: &Workload,
-        config: &SimConfig,
-        rates: &[f64],
-    ) -> Vec<SimStats> {
-        let dor = DorRouter::new(topology, config.weights);
-        let tables = Arc::new(NetTables::build(topology, &dor, config.vcs_per_port));
-        self.run_rates_tables(&tables, workload, config, rates)
-    }
-
-    fn run_rates_tables(
-        &self,
-        tables: &Arc<NetTables>,
-        workload: &Workload,
-        config: &SimConfig,
-        rates: &[f64],
-    ) -> Vec<SimStats> {
-        // Pack lane-sized groups of load points into one batch pass each
-        // and fan the groups across workers.
-        let lanes = self.batch_lanes.min(rates.len().max(1));
-        let groups: Vec<Vec<f64>> = rates.chunks(lanes).map(<[f64]>::to_vec).collect();
-        let workers = self.effective_workers(groups.len());
-        let stats = noc_par::par_map_with(
-            groups,
-            workers,
-            || (),
-            |(), group| {
-                let replicas = group
-                    .iter()
-                    .map(|&rate| (workload.at_rate(rate), *config))
-                    .collect();
-                BatchSimulator::with_tables(Arc::clone(tables), replicas).run()
-            },
-        );
-        stats.into_iter().flatten().collect()
-    }
-
     /// Sweeps offered load geometrically from `start_rate` until the
     /// network saturates (accepted < 90% of offered) or the rate reaches
     /// 1.0, then refines once between the last two rates. Samples are
     /// bit-identical to the sequential [`saturation_sweep`] for any worker
-    /// count; with more than one worker the ladder is simulated
-    /// speculatively in waves.
+    /// count.
+    ///
+    /// The ladder is walked in waves of `workers` points, one thread per
+    /// point, and the stopping rule is applied after each wave. So one
+    /// worker simulates exactly the points it reports, and `W` workers
+    /// discard at most `W − 1` points past the first saturated one.
+    ///
+    /// # Panics
+    /// Panics unless `start_rate` lies in `[MIN_START_RATE, 1]`.
     pub fn saturation_sweep(
         &self,
         topology: &MeshTopology,
@@ -212,40 +130,38 @@ impl SweepRunner {
         config: &SimConfig,
         start_rate: f64,
     ) -> ThroughputResult {
-        assert!(start_rate > 0.0 && start_rate <= 1.0);
+        assert!(
+            (MIN_START_RATE..=1.0).contains(&start_rate),
+            "start_rate {start_rate} outside [{MIN_START_RATE}, 1]"
+        );
         let dor = DorRouter::new(topology, config.weights);
         let tables = Arc::new(NetTables::build(topology, &dor, config.vcs_per_port));
+        let point = |rate: f64| {
+            let workload = workload.at_rate(rate);
+            sample_of(&Simulator::with_tables(Arc::clone(&tables), workload, *config).run())
+        };
         let ladder = rate_ladder(start_rate);
 
-        // Simulate the ladder in waves of (workers × lanes) points,
-        // applying the stopping rule after each wave: every sample up to
-        // and including the first saturated point is exactly what the
-        // sequential walk produces; later points in the same wave are
-        // discarded speculation.
-        let wave_len = self.workers.max(1) * self.batch_lanes.max(1);
+        // Every sample up to and including the first saturated point is
+        // exactly what the sequential walk produces; later points of the
+        // same wave are discarded. The ladder ends at 1.0, so running out
+        // of it stops the walk too.
         let mut samples: Vec<SweepSample> = Vec::new();
-        let mut stop = ladder.len() - 1;
-        'waves: for wave in ladder.chunks(wave_len) {
-            let stats = self.run_rates_tables(&tables, workload, config, wave);
-            for (k, s) in stats.iter().enumerate() {
-                let sample = sample_of(s);
-                let rate = wave[k];
+        'waves: for wave in ladder.chunks(self.workers) {
+            let wave = noc_par::par_map_with(wave.to_vec(), self.workers, || (), |(), r| point(r));
+            for sample in wave {
                 samples.push(sample);
-                if sample.accepted < 0.9 * sample.offered || rate >= 1.0 {
-                    stop = samples.len() - 1;
+                if sample.accepted < 0.9 * sample.offered {
                     break 'waves;
                 }
             }
         }
-        samples.truncate(stop + 1);
 
         // One refinement step between the last sub-saturation and the first
         // saturated rate sharpens the knee estimate.
-        if samples.len() >= 2 {
-            let mid = (ladder[stop - 1] + ladder[stop]) / 2.0;
-            let stats =
-                Simulator::with_tables(Arc::clone(&tables), workload.at_rate(mid), *config).run();
-            samples.push(sample_of(&stats));
+        let stop = samples.len() - 1;
+        if stop > 0 {
+            samples.push(point((ladder[stop - 1] + ladder[stop]) / 2.0));
             samples.sort_by(|a, b| a.offered.total_cmp(&b.offered));
         }
 
@@ -275,8 +191,8 @@ mod tests {
     fn below_saturation_accepted_tracks_offered() {
         let topo = MeshTopology::mesh(4);
         let config = SimConfig::throughput_run(256, 3);
-        let stats = SweepRunner::sequential().run_rates(&topo, &ur_workload(4), &config, &[0.02]);
-        let s = sample_of(&stats[0]);
+        let stats = Simulator::new(&topo, ur_workload(4).at_rate(0.02), config).run();
+        let s = sample_of(&stats);
         assert!(
             (s.accepted - s.offered).abs() < 0.005,
             "accepted {} vs offered {}",
@@ -319,29 +235,17 @@ mod tests {
     }
 
     #[test]
-    fn sweep_runner_is_deterministic_across_lane_counts() {
-        let topo = MeshTopology::mesh(4);
-        let mut config = SimConfig::throughput_run(256, 11);
-        config.warmup_cycles = 500;
-        config.measure_cycles = 1_500;
-        let workload = ur_workload(4);
-        let rates = [0.02, 0.05, 0.09, 0.14, 0.2, 0.3, 0.45];
+    fn the_ladder_from_the_smallest_start_rate_is_short() {
+        let ladder = rate_ladder(MIN_START_RATE);
+        assert!(ladder.len() <= 28, "{} points", ladder.len());
+        assert_eq!(ladder.last(), Some(&1.0));
+    }
 
-        let fp =
-            |stats: &[SimStats]| -> Vec<u64> { stats.iter().map(SimStats::fingerprint).collect() };
-        // One-lane, single-worker reference.
-        let reference = SweepRunner::sequential().run_rates(&topo, &workload, &config, &rates);
-        for lanes in [1usize, 4, 8] {
-            for workers in [1usize, 2] {
-                let runner = SweepRunner::new(workers).with_batch_lanes(lanes);
-                let result = runner.run_rates(&topo, &workload, &config, &rates);
-                assert_eq!(
-                    fp(&result),
-                    fp(&reference),
-                    "lanes={lanes} workers={workers} must be bit-identical to one-lane runs"
-                );
-            }
-        }
+    #[test]
+    #[should_panic(expected = "start_rate")]
+    fn a_start_rate_below_the_bound_is_refused() {
+        let config = SimConfig::throughput_run(256, 3);
+        saturation_sweep(&MeshTopology::mesh(4), &ur_workload(4), &config, 0.000999);
     }
 
     #[test]

@@ -1,12 +1,19 @@
 //! Batch telemetry, in its own test binary because tracing is a
 //! process-global switch: tracing-on bit-identity (lane stats must not be
 //! perturbed, and must still match tracing-on one-lane runs), the
-//! `sim.batch.*` counter deltas, and the lane-occupancy histogram.
+//! `sim.batch.*` counter deltas, the lane-occupancy histogram, and the
+//! points a saturation sweep simulates.
 
 use noc_model::PacketMix;
+use noc_sim::{saturation_sweep, SweepRunner, ThroughputResult};
 use noc_sim::{BatchSimulator, SimConfig, SimStats, Simulator};
 use noc_topology::MeshTopology;
 use noc_traffic::{SyntheticPattern, TrafficMatrix, Workload};
+use std::sync::{Mutex, PoisonError};
+
+/// Tracing and its counters are process-global, so the tests of this
+/// binary take turns with them.
+static TRACING: Mutex<()> = Mutex::new(());
 
 fn replicas(k: usize) -> Vec<(Workload, SimConfig)> {
     (0..k)
@@ -37,6 +44,7 @@ fn fingerprints(stats: &[SimStats]) -> Vec<u64> {
 
 #[test]
 fn tracing_on_keeps_bit_identity_and_counts_batch_metrics() {
+    let _turn = TRACING.lock().unwrap_or_else(PoisonError::into_inner);
     let topology = MeshTopology::mesh(4);
     let quiet = BatchSimulator::new(&topology, replicas(4)).run();
 
@@ -89,4 +97,48 @@ fn tracing_on_keeps_bit_identity_and_counts_batch_metrics() {
     // The batch emits the per-lane sim.link / sim.router series.
     assert!(batch_events.iter().any(|e| e.name == "sim.link"));
     assert!(batch_events.iter().any(|e| e.name == "sim.router"));
+}
+
+fn sample_bits(result: &ThroughputResult) -> Vec<[u64; 3]> {
+    result
+        .samples
+        .iter()
+        .map(|s| [s.offered, s.accepted, s.avg_latency].map(f64::to_bits))
+        .collect()
+}
+
+#[test]
+fn a_sweep_simulates_only_the_points_it_reports() {
+    let _turn = TRACING.lock().unwrap_or_else(PoisonError::into_inner);
+    let topology = MeshTopology::mesh(4);
+    let matrix = TrafficMatrix::from_pattern(SyntheticPattern::UniformRandom, 4);
+    let workload = Workload::new(matrix, 0.02, PacketMix::paper());
+    let config = SimConfig::throughput_run(128, 7);
+    let reference = saturation_sweep(&topology, &workload, &config, 0.02);
+
+    noc_trace::enable_with_capacity(65_536);
+    let mut simulated = Vec::new();
+    for workers in [1u64, 2, 8] {
+        let before = counter("sim.batch.lanes");
+        let result = SweepRunner::new(workers as usize)
+            .saturation_sweep(&topology, &workload, &config, 0.02);
+        simulated.push((workers, counter("sim.batch.lanes") - before));
+        assert_eq!(
+            sample_bits(&result),
+            sample_bits(&reference),
+            "{workers} workers"
+        );
+        assert_eq!(result.saturation.to_bits(), reference.saturation.to_bits());
+    }
+    noc_trace::disable();
+
+    // Every point is a one-lane run; one worker simulates exactly the
+    // points it reports, and W workers discard at most W − 1 of a wave.
+    let reported = reference.samples.len() as u64;
+    for (workers, lanes) in simulated {
+        assert!(
+            (reported..reported + workers).contains(&lanes),
+            "{workers} workers simulated {lanes} points for {reported} samples"
+        );
+    }
 }

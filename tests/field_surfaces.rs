@@ -74,6 +74,16 @@ fn values(ty: Ty, rng: &mut SmallRng) -> Vec<Value> {
             s("x"),
             Value::Float((rng.next_u64() % 1000 + 1) as f64 / 1000.0),
         ],
+        Ty::RateFrom(min) => vec![
+            Value::Float(min),
+            Value::Float(1.0),
+            Value::Float(min * 0.999),
+            Value::Float(f64::MIN_POSITIVE),
+            Value::Float(1.5),
+            Value::Int(1 << 64),
+            s("x"),
+            Value::Float(min + (1.0 - min) * (rng.next_u64() % 1000) as f64 / 1000.0),
+        ],
         Ty::Pattern => ["ur", "TP", "br", "bc", "sh", "hs", "nn", "zz"]
             .map(s)
             .to_vec(),
