@@ -7,6 +7,7 @@
 //! `BENCH_batch.json` next to the committed baseline so the repo keeps a
 //! machine-readable perf trajectory.
 
+use noc_bench::best_interleaved;
 use noc_json::Value;
 use noc_model::PacketMix;
 use noc_routing::DorRouter;
@@ -47,48 +48,38 @@ fn main() {
     let dor = DorRouter::new(&mesh8, base.weights);
     let tables = Arc::new(NetTables::build(&mesh8, &dor, base.vcs_per_port));
 
-    // One-lane reference: K = 8 replicas back to back over shared tables.
-    // One-lane and lockstep rounds are interleaved so both sides sample
-    // the same neighbour-load windows on a shared host, and each side
-    // keeps its best (minimum) round: the stable estimator of achievable
-    // throughput, and what the speedup ratio is computed from.
+    // One-lane reference: K = 8 replicas back to back over shared tables,
+    // timed interleaved with the lockstep passes; the speedup ratio is
+    // computed from each side's best round.
     const SCALAR_K: usize = 8;
     const ROUNDS: usize = 9;
     const LANE_COUNTS: [usize; 3] = [8, 16, 32];
     let scalar_jobs = replicas(SCALAR_K);
-    let lane_jobs: Vec<_> = LANE_COUNTS.iter().map(|&k| replicas(k)).collect();
-    let mut best_scalar = std::time::Duration::MAX;
-    let mut best_lanes = [std::time::Duration::MAX; LANE_COUNTS.len()];
-    let configs = LANE_COUNTS.len() + 1;
-    for round in 0..ROUNDS {
-        // Rotate the in-round order so no config systematically benefits
-        // from running first (turbo budget) or last (warmed caches).
-        for pos in 0..configs {
-            match (round + pos) % configs {
-                0 => {
-                    let start = std::time::Instant::now();
-                    for (workload, config) in &scalar_jobs {
-                        let sim =
-                            Simulator::with_tables(Arc::clone(&tables), workload.clone(), *config);
-                        std::hint::black_box(sim.run());
-                    }
-                    best_scalar = best_scalar.min(start.elapsed());
-                }
-                c => {
-                    let start = std::time::Instant::now();
-                    let batch =
-                        BatchSimulator::with_tables(Arc::clone(&tables), lane_jobs[c - 1].clone());
-                    std::hint::black_box(batch.run());
-                    best_lanes[c - 1] = best_lanes[c - 1].min(start.elapsed());
-                }
-            }
+    let mut scalar = || {
+        for (workload, config) in &scalar_jobs {
+            let sim = Simulator::with_tables(Arc::clone(&tables), workload.clone(), *config);
+            std::hint::black_box(sim.run());
         }
-    }
+    };
+    let mut lockstep: Vec<_> = LANE_COUNTS
+        .iter()
+        .map(|&k| {
+            let (tables, jobs) = (&tables, replicas(k));
+            move || {
+                let batch = BatchSimulator::with_tables(Arc::clone(tables), jobs.clone());
+                std::hint::black_box(batch.run());
+            }
+        })
+        .collect();
+    let mut cases: Vec<&mut dyn FnMut()> = vec![&mut scalar];
+    cases.extend(lockstep.iter_mut().map(|f| f as &mut dyn FnMut()));
+    let best = best_interleaved(ROUNDS, &mut cases);
+    let (best_scalar, best_lanes) = (best[0], &best[1..]);
     let scalar_cps = (SCALAR_K as u64 * CYCLES) as f64 / best_scalar.as_secs_f64();
     println!("    one-lane x{SCALAR_K}: {scalar_cps:.0} replica-cycles/s (best of {ROUNDS})");
 
     let mut lanes_out: Vec<Value> = Vec::new();
-    for (&k, per_batch) in LANE_COUNTS.iter().zip(&best_lanes) {
+    for (&k, per_batch) in LANE_COUNTS.iter().zip(best_lanes) {
         let cps = (k as u64 * CYCLES) as f64 / per_batch.as_secs_f64();
         let speedup = cps / scalar_cps;
         println!("    lockstep x{k}: {cps:.0} replica-cycles/s ({speedup:.2}x vs one-lane)");

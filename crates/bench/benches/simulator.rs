@@ -5,7 +5,7 @@
 //! path. Results are written to `BENCH_sim.json` next to the committed
 //! baseline so the repo keeps a machine-readable perf trajectory.
 
-use noc_bench::{bench_best, bench_timed, random_row};
+use noc_bench::{bench_timed, best_interleaved, random_row};
 use noc_json::Value;
 use noc_model::PacketMix;
 use noc_sim::{SimConfig, Simulator, SweepRunner};
@@ -28,8 +28,11 @@ const BASELINE_CPS: &[(&str, f64)] = &[
 /// Sequential sweep wall-clock before the rewrite (seconds).
 const BASELINE_SWEEP_SECONDS: f64 = 2.66;
 
-/// Whole sweeps timed per sweep row; the row reports the fastest.
-const SWEEP_ROUNDS: u32 = 5;
+/// Interleaved rounds of whole sweeps; each row reports its fastest.
+const SWEEP_ROUNDS: usize = 5;
+
+/// Worker counts of the `SweepRunner` rows.
+const SWEEP_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 fn ur_workload(n: usize, rate: f64) -> Workload {
     Workload::new(
@@ -98,10 +101,11 @@ fn main() {
         });
     }
 
-    // Full load sweep: sequential wall-clock, then SweepRunner fan-out at
-    // increasing worker counts (bit-identical results, see noc-sim tests).
-    // A sweep takes about half a second, so each row is the best of
-    // `SWEEP_ROUNDS` whole sweeps rather than one timed pass.
+    // Full load sweep: the sequential walk and SweepRunner fan-out at
+    // increasing worker counts (bit-identical results, see noc-sim tests),
+    // timed as one interleaved set so host drift between rows cannot read
+    // as a speed-up. A sweep takes about half a second, so each row is the
+    // best of `SWEEP_ROUNDS` whole sweeps rather than one timed pass.
     let sweep_config = SimConfig {
         warmup_cycles: 500,
         measure_cycles: 2_000,
@@ -109,18 +113,32 @@ fn main() {
         ..SimConfig::throughput_run(256, 7)
     };
     let workload = ur_workload(8, 0.01);
-    let per_seq = bench_best("simulator_sweep/mesh_8x8_seq", SWEEP_ROUNDS, || {
+    let mut sequential = || {
         let result = noc_sim::saturation_sweep(&mesh8, &workload, &sweep_config, 0.02);
         std::hint::black_box(result);
-    });
+    };
+    let mut fanned: Vec<_> = SWEEP_WORKERS
+        .iter()
+        .map(|&workers| {
+            let runner = SweepRunner::new(workers);
+            let (mesh8, workload, sweep_config) = (&mesh8, &workload, &sweep_config);
+            move || {
+                let result = runner.saturation_sweep(mesh8, workload, sweep_config, 0.02);
+                std::hint::black_box(result);
+            }
+        })
+        .collect();
+    let mut cases: Vec<&mut dyn FnMut()> = vec![&mut sequential];
+    cases.extend(fanned.iter_mut().map(|f| f as &mut dyn FnMut()));
+    let best = best_interleaved(SWEEP_ROUNDS, &mut cases);
+    let per_seq = best[0];
+    println!("simulator_sweep/mesh_8x8_seq {per_seq:>12.2?}/sweep  (best of {SWEEP_ROUNDS})");
     let mut sweep_workers: Vec<Value> = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let runner = SweepRunner::new(workers);
-        let name = format!("simulator_sweep/mesh_8x8_w{workers}");
-        let per_iter = bench_best(&name, SWEEP_ROUNDS, || {
-            let result = runner.saturation_sweep(&mesh8, &workload, &sweep_config, 0.02);
-            std::hint::black_box(result);
-        });
+    for (&workers, &per_iter) in SWEEP_WORKERS.iter().zip(&best[1..]) {
+        println!(
+            "simulator_sweep/mesh_8x8_w{workers}  {per_iter:>12.2?}/sweep  ({:.2}x vs seq)",
+            per_seq.as_secs_f64() / per_iter.as_secs_f64()
+        );
         sweep_workers.push(noc_json::obj! {
             "workers" => Value::Int(workers as i128),
             "seconds" => Value::Float(per_iter.as_secs_f64()),

@@ -42,18 +42,24 @@ pub fn bench_timed<F: FnMut()>(name: &str, mut f: F) -> std::time::Duration {
     per_iter
 }
 
-/// Best-of-`rounds` wall-clock timing: runs `f` `rounds` times and returns
-/// the fastest round. On shared hosts single-shot timings scatter badly
-/// with neighbour load; the minimum is the stable estimator of achievable
-/// throughput and is what speedup ratios should be computed from.
-pub fn bench_best<F: FnMut()>(name: &str, rounds: u32, mut f: F) -> std::time::Duration {
-    let mut best = std::time::Duration::MAX;
-    for _ in 0..rounds.max(1) {
-        let start = std::time::Instant::now();
-        f();
-        best = best.min(start.elapsed());
+/// The fair timing protocol for cases that are compared with each other:
+/// `rounds` rounds, each running every case once, and each case's fastest
+/// round. Cases run interleaved, so all of them sample the same
+/// neighbour-load windows on a shared host, and each round rotates the
+/// in-round order, so no case always runs first (turbo budget) or last
+/// (warmed caches). On shared hosts single timings scatter badly; the
+/// minimum is the stable estimator of achievable throughput and is what
+/// speedup ratios should be computed from.
+pub fn best_interleaved(rounds: usize, cases: &mut [&mut dyn FnMut()]) -> Vec<std::time::Duration> {
+    let mut best = vec![std::time::Duration::MAX; cases.len()];
+    for round in 0..rounds {
+        for pos in 0..cases.len() {
+            let case = (round + pos) % cases.len();
+            let start = std::time::Instant::now();
+            (cases[case])();
+            best[case] = best[case].min(start.elapsed());
+        }
     }
-    println!("{name:<48} {best:>12.2?}/iter  (best of {rounds})");
     best
 }
 

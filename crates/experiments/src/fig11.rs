@@ -70,14 +70,19 @@ pub fn run_budget(base_flit_bits: u32) -> BandwidthResult {
     // One flat (scheme × benchmark) batch keeps every core busy for the
     // whole figure instead of draining one scheme's benchmarks at a time.
     let benchmarks = crate::fig5::benchmark_set();
-    let jobs: Vec<(Scheme, _)> = schemes
+    let jobs = schemes
         .iter()
-        .flat_map(|s| benchmarks.iter().map(|b| (s.clone(), b.workload(8))))
+        .flat_map(|s| {
+            let config = harness::sim_config(s, &budget, harness::SEED ^ 0xb);
+            benchmarks
+                .iter()
+                .map(move |b| (&s.topology, b.workload(8), config))
+        })
         .collect();
-    let stats = harness::simulate_batch(&budget, jobs, harness::SEED ^ 0xb);
+    let latency = noc_sim::simulate_many(jobs, 0, |s| s.avg_packet_latency);
     let latency_of = |i: usize| -> f64 {
-        let chunk = &stats[i * benchmarks.len()..(i + 1) * benchmarks.len()];
-        chunk.iter().map(|s| s.avg_packet_latency).sum::<f64>() / chunk.len() as f64
+        let chunk = &latency[i * benchmarks.len()..(i + 1) * benchmarks.len()];
+        chunk.iter().sum::<f64>() / chunk.len() as f64
     };
 
     let curve: Vec<(usize, f64)> = design

@@ -4,11 +4,10 @@
 use noc_model::{LatencyModel, LinkBudget, PacketMix, ZeroLoad};
 use noc_placement::{optimize_network, InitialStrategy, NetworkDesign, SaParams};
 use noc_routing::{DorRouter, HopWeights};
-use noc_sim::{BatchSimulator, NetTables, SimConfig, SimStats, Simulator};
+use noc_sim::{SimConfig, SimStats, Simulator};
 use noc_topology::{hfb_mesh, hfb_row, implied_link_limit, MeshTopology, RowPlacement};
 use noc_traffic::Workload;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::sync::Mutex;
 use std::sync::OnceLock;
 
@@ -193,89 +192,6 @@ pub fn sim_config(scheme: &Scheme, budget: &LinkBudget, seed: u64) -> SimConfig 
 pub fn simulate(scheme: &Scheme, budget: &LinkBudget, workload: &Workload, seed: u64) -> SimStats {
     let config = sim_config(scheme, budget, seed);
     Simulator::new(&scheme.topology, workload.clone(), config).run()
-}
-
-/// Runs one latency simulation per `(scheme, workload)` job. Jobs on the
-/// *same topology* (a figure sweeps many benchmarks per design point) are
-/// packed into [`BatchSimulator`] lockstep lanes sharing one set of
-/// network tables. The resulting units are fanned flat across the
-/// `noc-par` pool. Results come back in job order and are bit-identical
-/// to running [`simulate`] on each job sequentially (lanes never
-/// interact; the property suite pins it). This
-/// is the preferred shape for figure sweeps: a single flat
-/// (design point × benchmark) batch keeps every core busy instead of
-/// nesting a parallel benchmark loop inside a parallel point loop.
-pub fn simulate_batch(
-    budget: &LinkBudget,
-    jobs: Vec<(Scheme, Workload)>,
-    seed: u64,
-) -> Vec<SimStats> {
-    let n = jobs.len();
-    // Group job indices by topology (tables are per-topology; VC count and
-    // hop weights follow from the scheme's config and must match too).
-    struct Group {
-        tables: Arc<NetTables>,
-        jobs: Vec<(usize, Workload, SimConfig)>,
-    }
-    let mut groups: Vec<(MeshTopology, Group)> = Vec::new();
-    for (idx, (scheme, workload)) in jobs.into_iter().enumerate() {
-        let config = sim_config(&scheme, budget, seed);
-        let found = groups.iter_mut().find(|(topo, g)| {
-            *topo == scheme.topology
-                && g.tables.vcs_per_port() == config.vcs_per_port
-                && g.jobs[0].2.weights == config.weights
-        });
-        match found {
-            Some((_, g)) => g.jobs.push((idx, workload, config)),
-            None => {
-                let dor = DorRouter::new(&scheme.topology, config.weights);
-                let tables = Arc::new(NetTables::build(
-                    &scheme.topology,
-                    &dor,
-                    config.vcs_per_port,
-                ));
-                groups.push((
-                    scheme.topology,
-                    Group {
-                        tables,
-                        jobs: vec![(idx, workload, config)],
-                    },
-                ));
-            }
-        }
-    }
-
-    // Chunk each group into lane-sized lockstep units.
-    const LANES: usize = 8;
-    type Unit = (Arc<NetTables>, Vec<(usize, Workload, SimConfig)>);
-    let mut units: Vec<Unit> = Vec::new();
-    for (_, group) in groups {
-        let mut jobs = group.jobs.into_iter().peekable();
-        while jobs.peek().is_some() {
-            let chunk: Vec<_> = jobs.by_ref().take(LANES).collect();
-            units.push((Arc::clone(&group.tables), chunk));
-        }
-    }
-
-    let done = noc_par::par_map_with(
-        units,
-        0,
-        || (),
-        |(), (tables, unit)| {
-            let (indices, replicas): (Vec<usize>, Vec<_>) =
-                unit.into_iter().map(|(idx, w, c)| (idx, (w, c))).unzip();
-            let stats = BatchSimulator::with_tables(tables, replicas).run();
-            indices.into_iter().zip(stats).collect::<Vec<_>>()
-        },
-    );
-
-    let mut out: Vec<Option<SimStats>> = (0..n).map(|_| None).collect();
-    for (idx, stats) in done.into_iter().flatten() {
-        out[idx] = Some(stats);
-    }
-    out.into_iter()
-        .map(|s| s.expect("every job simulated"))
-        .collect()
 }
 
 /// Replicated-row design point helper used by sweep figures: the D&C_SA

@@ -43,4 +43,4 @@ pub use manifest::{
     AxisValues, FaultSpec, Manifest, ManifestError, PhaseSpec, PlacementSpec, QosFlow, SimSpec,
     TopologySpec, TrafficSpec, MANIFEST_VERSION, MAX_SCENARIOS,
 };
-pub use run::{compile_fault_schedule, run_batch, run_batch_with, run_scenario, BatchResult};
+pub use run::{compile_fault_schedule, run_batch, BatchResult};

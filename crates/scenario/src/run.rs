@@ -1,7 +1,7 @@
-//! Executes resolved scenarios: topology resolution (explicit links, the
-//! SA solver, or the QoS-constrained per-row solver), per-phase traffic
-//! and link events, cycle-level simulation, and the deterministic batch
-//! runner that fans a whole expansion across `noc-par` workers.
+//! Executes a manifest's expansion: topology resolution (explicit links,
+//! the SA solver, or the QoS-constrained per-row solver), per-phase
+//! traffic and link events, and cycle-level simulation of every phase
+//! through [`noc_sim::simulate_many`].
 
 use crate::expand::{self, ResolvedScenario};
 use crate::manifest::{Manifest, ManifestError, PhaseSpec};
@@ -9,15 +9,15 @@ use faultpoint::{Fault, Schedule};
 use noc_json::Value;
 use noc_model::PacketMix;
 use noc_placement::{optimize_app_specific, solve_row, AllPairsObjective, SaParams};
-use noc_routing::{DorRouter, HopWeights};
-use noc_sim::{BatchSimulator, NetTables, SimConfig, SimStats, Simulator};
+use noc_routing::HopWeights;
+use noc_sim::{SimConfig, SimStats};
 use noc_topology::{MeshTopology, RowPlacement};
-use noc_traffic::{TrafficMatrix, Workload};
-use std::sync::Arc;
+use noc_traffic::{SyntheticPattern, TrafficMatrix, Workload};
 
-/// Fault-injection site hit once per phase executed. An armed `Error`
-/// fails that scenario with a structured per-scenario error; an armed
-/// `Delay` stalls the phase (exercising batch deadline handling).
+/// Fault-injection site hit once per phase planned. An armed `Error`
+/// fails that scenario with a structured per-scenario error before any of
+/// its phases simulate; an armed `Delay` stalls the planning (exercising
+/// batch deadline handling).
 pub const SITE_PHASE: &str = "scenario.phase";
 /// Site hit once per link-failure event applied to a phase topology.
 pub const SITE_LINK_FAIL: &str = "scenario.link.fail";
@@ -31,13 +31,15 @@ fn count(name: &str, n: u64) {
 }
 
 /// Compiles a manifest's per-phase link events onto a seeded
-/// [`faultpoint::Schedule`], arming the scenario sites at the exact
-/// hit counts the executor will reach. Arming the compiled schedule makes
-/// every fail/degrade event also fire as a recorded injection, so chaos
-/// tests can assert the exact event sequence a manifest encodes.
+/// [`faultpoint::Schedule`] at the exact hit counts the executor reaches.
+/// A caller that arms it ([`faultpoint::arm`]) around [`run_batch`]
+/// makes every fail/degrade event also fire as a recorded injection, so a
+/// chaos test can assert the exact event sequence a manifest encodes.
+/// The executor never arms it: a `faults` section changes neither the
+/// execution path nor the results.
 ///
-/// Only meaningful when the manifest has a `faults` section; the returned
-/// schedule is empty otherwise.
+/// The returned schedule is empty unless the manifest has a `faults`
+/// section.
 pub fn compile_fault_schedule(manifest: &Manifest) -> Schedule {
     let Some(faults) = &manifest.faults else {
         return Schedule::new();
@@ -139,9 +141,6 @@ fn apply_link_events(
     fail: &[(usize, usize)],
     degrade: &[(usize, usize)],
 ) -> MeshTopology {
-    if fail.is_empty() && degrade.is_empty() {
-        return topo.clone();
-    }
     let n = topo.side();
     let rows = (0..n)
         .map(|y| edit_placement(topo.row_placement(y), fail, degrade))
@@ -201,12 +200,33 @@ fn resolve_topology(m: &Manifest) -> Result<ResolvedTopology, String> {
     })
 }
 
-fn phase_matrix(m: &Manifest, phase: &PhaseSpec) -> TrafficMatrix {
+/// What a traffic matrix depends on: the mesh side and either a
+/// synthetic pattern or a hotspot target and weight (as bits).
+#[derive(PartialEq)]
+enum MatrixKey {
+    Pattern(usize, SyntheticPattern),
+    Hotspot(usize, usize, u64),
+}
+
+/// The matrices one planning worker has built. A matrix's rates sit
+/// behind an `Arc`, so every phase that needs one shares a single copy.
+type Matrices = Vec<(MatrixKey, TrafficMatrix)>;
+
+fn phase_matrix(m: &Manifest, phase: &PhaseSpec, built: &mut Matrices) -> TrafficMatrix {
     let n = m.topology.n;
-    match phase.hotspot.or(m.traffic.hotspot) {
-        Some(target) => hotspot_matrix(n, target, m.traffic.hotspot_weight),
-        None => TrafficMatrix::from_pattern(phase.pattern.unwrap_or(m.traffic.pattern), n),
+    let key = match phase.hotspot.or(m.traffic.hotspot) {
+        Some(target) => MatrixKey::Hotspot(n, target, m.traffic.hotspot_weight.to_bits()),
+        None => MatrixKey::Pattern(n, phase.pattern.unwrap_or(m.traffic.pattern)),
+    };
+    if let Some((_, matrix)) = built.iter().find(|(k, _)| *k == key) {
+        return matrix.clone();
     }
+    let matrix = match key {
+        MatrixKey::Hotspot(n, target, weight) => hotspot_matrix(n, target, f64::from_bits(weight)),
+        MatrixKey::Pattern(n, pattern) => TrafficMatrix::from_pattern(pattern, n),
+    };
+    built.push((key, matrix.clone()));
+    matrix
 }
 
 fn implicit_phase() -> PhaseSpec {
@@ -230,45 +250,66 @@ fn stats_json(phase: &PhaseSpec, rate: f64, stats: &SimStats) -> Value {
     }
 }
 
-/// One phase's simulation inputs, fully resolved ahead of execution. The
-/// per-scenario path builds and runs these one at a time; the lockstep batch
-/// path plans every phase of every scenario first, then packs
-/// same-topology sims into [`BatchSimulator`] lanes.
+/// One phase's simulation inputs, resolved ahead of execution.
 struct PhaseSim {
     phase: PhaseSpec,
-    topo: MeshTopology,
+    /// The phase's own topology when it fails or degrades links; `None`
+    /// runs it on the scenario's resolved topology.
+    edited: Option<MeshTopology>,
     rate: f64,
     workload: Workload,
     config: SimConfig,
 }
 
-/// Resolves the per-phase simulation inputs of one scenario (everything
-/// `run_scenario` does before touching the simulator, minus faultpoints).
-fn plan_phases(m: &Manifest, resolved: &ResolvedTopology) -> Result<Vec<PhaseSim>, String> {
-    let phases: Vec<PhaseSpec> = if m.phases.is_empty() {
-        vec![implicit_phase()]
+/// One scenario, planned: its resolved topology and every phase's
+/// simulation inputs.
+struct Plan {
+    resolved: ResolvedTopology,
+    sims: Vec<PhaseSim>,
+}
+
+/// Plans one scenario: resolves its topology (running its placement solve,
+/// if any) and each phase's simulation. Each phase hits the scenario's
+/// fault sites as it is planned; an injected `Error` fails the scenario
+/// before any of its phases simulate.
+fn plan(scenario: &ResolvedScenario, matrices: &mut Matrices) -> Result<Plan, String> {
+    count("scenario.run", 1);
+    let m = &scenario.manifest;
+    let resolved = resolve_topology(m)?;
+    let implicit;
+    let phases = if m.phases.is_empty() {
+        implicit = [implicit_phase()];
+        &implicit[..]
     } else {
-        m.phases.clone()
+        &m.phases[..]
     };
-    phases
-        .into_iter()
-        .enumerate()
-        .map(|(i, phase)| {
-            let topo = apply_link_events(&resolved.topo, &phase.fail_links, &phase.degrade_links);
-            let rate = m.traffic.rate * phase.rate_scale;
-            let workload = Workload::new(phase_matrix(m, &phase), rate, PacketMix::paper());
-            let mut config = SimConfig::latency_run(m.sim.flit, phase_seed(m.seed, i));
-            config.warmup_cycles = m.sim.warmup;
-            config.measure_cycles = phase.cycles.unwrap_or(m.sim.cycles);
-            Ok(PhaseSim {
-                phase,
-                topo,
-                rate,
-                workload,
-                config,
-            })
-        })
-        .collect()
+    let mut sims = Vec::with_capacity(phases.len());
+    for (i, phase) in phases.iter().enumerate() {
+        if faultpoint::hit(SITE_PHASE) == Some(faultpoint::Injected::Error) {
+            return Err(format!("injected fault at phase {:?}", phase.name));
+        }
+        for _ in &phase.fail_links {
+            faultpoint::hit(SITE_LINK_FAIL);
+        }
+        for _ in &phase.degrade_links {
+            faultpoint::hit(SITE_LINK_DEGRADE);
+        }
+        let edited = (!phase.fail_links.is_empty() || !phase.degrade_links.is_empty())
+            .then(|| apply_link_events(&resolved.topo, &phase.fail_links, &phase.degrade_links));
+        let rate = m.traffic.rate * phase.rate_scale;
+        let workload = Workload::new(phase_matrix(m, phase, matrices), rate, PacketMix::paper());
+        let mut config = SimConfig::latency_run(m.sim.flit, phase_seed(m.seed, i));
+        config.warmup_cycles = m.sim.warmup;
+        config.measure_cycles = phase.cycles.unwrap_or(m.sim.cycles);
+        sims.push(PhaseSim {
+            phase: phase.clone(),
+            edited,
+            rate,
+            workload,
+            config,
+        });
+    }
+    Ok(Plan { resolved, sims })
 }
 
 /// Cycle-weighted per-scenario aggregates, accumulated phase by phase.
@@ -299,38 +340,9 @@ impl PhaseTotals {
     }
 }
 
-/// Runs one fully-resolved scenario to completion.
-///
-/// The result is a single JSON object (one NDJSON line on the wire):
+/// Assembles one scenario's result object (one NDJSON line on the wire):
 /// identity (name, fingerprint, axis assignment), the resolved express
-/// links, one entry per phase, and cycle-weighted aggregates. Execution
-/// is deterministic: every seed is derived from the manifest, so the same
-/// resolved scenario always produces the same bytes.
-pub fn run_scenario(scenario: &ResolvedScenario) -> Result<Value, String> {
-    count("scenario.run", 1);
-    let m = &scenario.manifest;
-    let resolved = resolve_topology(m)?;
-    let sims = plan_phases(m, &resolved)?;
-    let mut totals = PhaseTotals::new();
-    for sim in &sims {
-        if faultpoint::hit(SITE_PHASE) == Some(faultpoint::Injected::Error) {
-            return Err(format!("injected fault at phase {:?}", sim.phase.name));
-        }
-        for _ in &sim.phase.fail_links {
-            faultpoint::hit(SITE_LINK_FAIL);
-        }
-        for _ in &sim.phase.degrade_links {
-            faultpoint::hit(SITE_LINK_DEGRADE);
-        }
-        let stats = Simulator::new(&sim.topo, sim.workload.clone(), sim.config).run();
-        totals.push(&sim.phase, sim.rate, &stats);
-    }
-    Ok(scenario_json(scenario, &resolved, totals))
-}
-
-/// Assembles the per-scenario result object from its resolved topology
-/// and accumulated phase totals (shared by the per-scenario and lockstep
-/// paths, which must emit identical bytes).
+/// links, one entry per phase, and cycle-weighted aggregates.
 fn scenario_json(
     scenario: &ResolvedScenario,
     resolved: &ResolvedTopology,
@@ -387,70 +399,63 @@ pub struct BatchResult {
     pub summary: Value,
 }
 
-/// Default lockstep width of the homogeneous-topology fast path.
-const DEFAULT_BATCH_LANES: usize = 8;
-
-/// Expands a manifest and runs every resolved scenario with the default
-/// lockstep width. See [`run_batch_with`].
-pub fn run_batch(manifest: &Manifest, workers: usize) -> Result<BatchResult, ManifestError> {
-    run_batch_with(manifest, workers, 0)
-}
-
 /// Expands a manifest and runs every resolved scenario.
 ///
-/// The batch fans out over `noc_par::par_map_with` with the given worker
-/// count (`0` = one per core). Plain manifests (no placement solve, no
-/// fault schedule) take the homogeneous-topology fast path: every phase
-/// simulation of every expanded scenario is planned up front, sims on the
-/// same topology are packed `batch_lanes` at a time (`0` = default) into
-/// [`BatchSimulator`] lockstep passes sharing one set of network tables,
-/// and the results are reassembled in expansion order. Either way the
-/// fan-out is order-preserving, every scenario is seed-deterministic, and
-/// the batch engine is replica-exact, so the item list — and therefore
-/// the daemon's NDJSON stream — is **byte-identical across runs, worker
-/// counts, and lane counts**.
-pub fn run_batch_with(
-    manifest: &Manifest,
-    workers: usize,
-    batch_lanes: usize,
-) -> Result<BatchResult, ManifestError> {
+/// Every manifest takes one path. Each scenario is planned (topology,
+/// placement solve, per-phase inputs) on a `noc_par::par_map_with` worker
+/// (`workers`, `0` = one per core); then every phase simulation of every
+/// scenario runs through [`noc_sim::simulate_many`], which packs
+/// same-topology simulations into lockstep passes; then the items are
+/// assembled in expansion order. Every scenario is seed-deterministic and
+/// every lockstep lane equals its one-lane run, so the item list — and
+/// therefore the daemon's NDJSON stream — is **byte-identical across runs
+/// and worker counts**.
+pub fn run_batch(manifest: &Manifest, workers: usize) -> Result<BatchResult, ManifestError> {
     let scenarios = expand::expand(manifest)?;
     count("scenario.batch", 1);
     count("scenario.expanded", scenarios.len() as u64);
     let total = scenarios.len();
-    let lanes = match batch_lanes {
-        0 => DEFAULT_BATCH_LANES,
-        l => l.min(noc_sim::MAX_LANES),
+    let plans = noc_par::par_map_with(scenarios, workers, Matrices::new, |matrices, scenario| {
+        let plan = plan(&scenario, matrices);
+        (scenario, plan)
+    });
+    let jobs = plans
+        .iter()
+        .filter_map(|(_, plan)| plan.as_ref().ok())
+        .flat_map(|plan| {
+            plan.sims.iter().map(|sim| {
+                let topology = sim.edited.as_ref().unwrap_or(&plan.resolved.topo);
+                (topology, sim.workload.clone(), sim.config)
+            })
+        })
+        .collect();
+    // A scenario reports no per-router activity.
+    let keep = |stats| SimStats {
+        activity: Vec::new(),
+        ..stats
     };
-    // The fast path skips the faultpoint sites entirely, so it must not
-    // engage while any schedule is armed; placement manifests keep the
-    // per-scenario path so the (dominant) SA solves stay fanned across
-    // workers.
-    let fast = lanes > 1
-        && total > 1
-        && manifest.placement.is_none()
-        && manifest.faults.is_none()
-        && !faultpoint::armed();
-    let items: Vec<Value> = if fast {
-        run_scenarios_lockstep(scenarios, workers, lanes)
-    } else {
-        noc_par::par_map_with(
-            scenarios,
-            workers,
-            || (),
-            |(), scenario| match run_scenario(&scenario) {
-                Ok(value) => value,
-                Err(message) => {
-                    count("scenario.failed", 1);
-                    noc_json::obj! {
-                        "name" => Value::Str(scenario.name.clone()),
-                        "fingerprint" => Value::Str(format!("{:016x}", scenario.fingerprint)),
-                        "error" => Value::Str(message),
-                    }
+    let mut stats = noc_sim::simulate_many(jobs, workers, keep).into_iter();
+    let items: Vec<Value> = plans
+        .into_iter()
+        .map(|(scenario, plan)| match plan {
+            Ok(plan) => {
+                let mut totals = PhaseTotals::new();
+                for sim in &plan.sims {
+                    let s = stats.next().expect("every phase simulated");
+                    totals.push(&sim.phase, sim.rate, &s);
                 }
-            },
-        )
-    };
+                scenario_json(&scenario, &plan.resolved, totals)
+            }
+            Err(message) => {
+                count("scenario.failed", 1);
+                noc_json::obj! {
+                    "name" => Value::Str(scenario.name.clone()),
+                    "fingerprint" => Value::Str(format!("{:016x}", scenario.fingerprint)),
+                    "error" => Value::Str(message),
+                }
+            }
+        })
+        .collect();
     let failed = items.iter().filter(|v| v.get("error").is_some()).count();
     let mean_latency = {
         let oks: Vec<f64> = items
@@ -476,144 +481,6 @@ pub fn run_batch_with(
     Ok(BatchResult { items, summary })
 }
 
-/// The homogeneous-topology fast path: plans every (scenario, phase)
-/// simulation, groups sims by identical topology, packs each group
-/// `lanes` at a time into [`BatchSimulator`] lockstep passes over shared
-/// [`NetTables`], fans the passes across workers, and reassembles the
-/// per-scenario JSON in expansion order. Counter totals match the
-/// per-scenario path (`scenario.run` per scenario at plan time,
-/// `scenario.phase` per phase at assembly); per-item bytes match because
-/// every lane is bit-identical to its one-lane run.
-fn run_scenarios_lockstep(
-    scenarios: Vec<ResolvedScenario>,
-    workers: usize,
-    lanes: usize,
-) -> Vec<Value> {
-    enum Plan {
-        Run(ResolvedTopology, Vec<PhaseSim>),
-        Fail(Value),
-    }
-    let plans: Vec<(ResolvedScenario, Plan)> = scenarios
-        .into_iter()
-        .map(|scenario| {
-            count("scenario.run", 1);
-            let plan = resolve_topology(&scenario.manifest).and_then(|resolved| {
-                let sims = plan_phases(&scenario.manifest, &resolved)?;
-                Ok((resolved, sims))
-            });
-            let plan = match plan {
-                Ok((resolved, sims)) => Plan::Run(resolved, sims),
-                Err(message) => {
-                    count("scenario.failed", 1);
-                    Plan::Fail(noc_json::obj! {
-                        "name" => Value::Str(scenario.name.clone()),
-                        "fingerprint" => Value::Str(format!("{:016x}", scenario.fingerprint)),
-                        "error" => Value::Str(message),
-                    })
-                }
-            };
-            (scenario, plan)
-        })
-        .collect();
-
-    // Group phase sims by identical topology; build one set of tables per
-    // group, shared read-only across every lane and worker.
-    struct Group {
-        tables: Arc<NetTables>,
-        weights: HopWeights,
-        jobs: Vec<(usize, usize)>,
-    }
-    let mut groups: Vec<(MeshTopology, Group)> = Vec::new();
-    for (sid, (_, plan)) in plans.iter().enumerate() {
-        let Plan::Run(_, sims) = plan else { continue };
-        for (pid, sim) in sims.iter().enumerate() {
-            let found = groups.iter_mut().find(|(topo, g)| {
-                *topo == sim.topo
-                    && g.tables.vcs_per_port() == sim.config.vcs_per_port
-                    && g.weights == sim.config.weights
-            });
-            match found {
-                Some((_, g)) => g.jobs.push((sid, pid)),
-                None => {
-                    let dor = DorRouter::new(&sim.topo, sim.config.weights);
-                    let tables =
-                        Arc::new(NetTables::build(&sim.topo, &dor, sim.config.vcs_per_port));
-                    groups.push((
-                        sim.topo.clone(),
-                        Group {
-                            tables,
-                            weights: sim.config.weights,
-                            jobs: vec![(sid, pid)],
-                        },
-                    ));
-                }
-            }
-        }
-    }
-
-    // Lane-sized lockstep units.
-    type Unit = (Arc<NetTables>, Vec<(usize, usize)>);
-    let mut units: Vec<Unit> = Vec::new();
-    for (_, group) in groups {
-        for chunk in group.jobs.chunks(lanes) {
-            units.push((Arc::clone(&group.tables), chunk.to_vec()));
-        }
-    }
-
-    let sim_of = |sid: usize, pid: usize| -> &PhaseSim {
-        match &plans[sid].1 {
-            Plan::Run(_, sims) => &sims[pid],
-            Plan::Fail(_) => unreachable!("failed scenarios contribute no jobs"),
-        }
-    };
-    let done: Vec<Vec<(usize, usize, SimStats)>> = noc_par::par_map_with(
-        units,
-        workers,
-        || (),
-        |(), (tables, unit)| {
-            let replicas = unit
-                .iter()
-                .map(|&(sid, pid)| {
-                    let sim = sim_of(sid, pid);
-                    (sim.workload.clone(), sim.config)
-                })
-                .collect();
-            let stats = BatchSimulator::with_tables(tables, replicas).run();
-            unit.iter()
-                .zip(stats)
-                .map(|(&(sid, pid), s)| (sid, pid, s))
-                .collect()
-        },
-    );
-
-    // Scatter stats back and assemble each scenario in expansion order.
-    let mut per_scenario: Vec<Vec<Option<SimStats>>> = plans
-        .iter()
-        .map(|(_, plan)| match plan {
-            Plan::Run(_, sims) => vec![None; sims.len()],
-            Plan::Fail(_) => Vec::new(),
-        })
-        .collect();
-    for (sid, pid, stats) in done.into_iter().flatten() {
-        per_scenario[sid][pid] = Some(stats);
-    }
-    plans
-        .into_iter()
-        .zip(per_scenario)
-        .map(|((scenario, plan), stats)| match plan {
-            Plan::Fail(value) => value,
-            Plan::Run(resolved, sims) => {
-                let mut totals = PhaseTotals::new();
-                for (sim, s) in sims.iter().zip(stats) {
-                    let s = s.expect("every phase simulated");
-                    totals.push(&sim.phase, sim.rate, &s);
-                }
-                scenario_json(&scenario, &resolved, totals)
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,9 +496,8 @@ mod tests {
 
     #[test]
     fn scenario_runs_deterministically() {
-        let batch = expand::expand(&tiny()).unwrap();
-        let a = run_scenario(&batch[0]).unwrap();
-        let b = run_scenario(&batch[0]).unwrap();
+        let a = run_batch(&tiny(), 1).unwrap().items.remove(0);
+        let b = run_batch(&tiny(), 1).unwrap().items.remove(0);
         assert_eq!(a.compact(), b.compact());
         assert_eq!(a.get("name").and_then(Value::as_str), Some("t#0"));
         assert!(a.get("avg_latency").and_then(Value::as_f64).unwrap() > 0.0);
@@ -651,29 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_lanes_are_byte_identical_to_one_lane_runs() {
-        // 6 scenarios × 2 phases; the second phase fails a link, so the
-        // fast path must group two distinct per-phase topologies.
-        let m = Manifest::parse(
-            r#"{"scenario":1,"name":"lk","topology":{"n":4,"links":[[0,3]]},
-                "traffic":{"rate":0.01},"sim":{"warmup":100,"cycles":300},
-                "phases":[{"name":"a"},
-                          {"name":"b","rate_scale":1.5,"fail_links":[[0,3]]}],
-                "matrix":{"seed":[1,2,3],"rate":[0.01,0.02]}}"#,
-        )
-        .unwrap();
-        let single = run_batch_with(&m, 2, 1).unwrap();
-        assert_eq!(single.items.len(), 6);
-        for lanes in [4usize, 8] {
-            let fast = run_batch_with(&m, 2, lanes).unwrap();
-            assert_eq!(
-                fast, single,
-                "lanes={lanes} lockstep batch must be byte-identical to one-lane runs"
-            );
-        }
-    }
-
-    #[test]
     fn phases_apply_link_events() {
         let m = Manifest::parse(
             r#"{"scenario":1,"topology":{"n":4,"links":[[0,3]]},
@@ -683,8 +526,7 @@ mod tests {
                           {"name":"limp","degrade_links":[[0,3]]}]}"#,
         )
         .unwrap();
-        let batch = expand::expand(&m).unwrap();
-        let result = run_scenario(&batch[0]).unwrap();
+        let result = run_batch(&m, 1).unwrap().items.remove(0);
         let phases = result.get("phases").and_then(Value::as_array).unwrap();
         assert_eq!(phases.len(), 3);
         assert_eq!(
@@ -709,8 +551,7 @@ mod tests {
                 "traffic":{"rate":0.01},"sim":{"warmup":100,"cycles":200}}"#,
         )
         .unwrap();
-        let batch = expand::expand(&m).unwrap();
-        let result = run_scenario(&batch[0]).unwrap();
+        let result = run_batch(&m, 1).unwrap().items.remove(0);
         assert!(result.get("error").is_none());
         assert!(result.get("drained").is_some());
     }

@@ -7,8 +7,6 @@
 //!
 //! * the TCP daemon ([`crate::server`]) reads lines off sockets and
 //!   dispatches compute work onto its bounded worker pool;
-//! * the in-process channel transport ([`crate::local`]) serves the same
-//!   protocol over `mpsc` channels with inline execution;
 //! * the cluster layer (`noc-cluster`) drives the stages individually —
 //!   [`parse_line`](ServiceCore::parse_line),
 //!   [`answer_inline`](ServiceCore::answer_inline),
@@ -45,7 +43,7 @@ pub trait Dispatch {
 }
 
 /// Executes compute requests synchronously on the calling thread — the
-/// dispatcher of the in-process channel transport and of single-shot
+/// dispatcher of the deterministic cluster simulation and of single-shot
 /// embedders that want daemon semantics without threads.
 #[derive(Debug, Clone)]
 pub struct InlineDispatch {
@@ -291,9 +289,9 @@ impl ServiceCore {
     /// The full pipeline for one request line: parse → inline kinds →
     /// drain refusal → forwarder claim → cache → dispatch.
     ///
-    /// Every transport funnels through here so protocol semantics cannot
-    /// drift between TCP, the in-process channels, and the cluster
-    /// simulation.
+    /// The TCP server funnels every line through here and the cluster
+    /// simulation calls the same stages one at a time, so protocol
+    /// semantics cannot drift between them.
     pub fn handle_line(
         &self,
         line: &str,

@@ -482,8 +482,7 @@ fn exec_throughput(r: &ThroughputRequest) -> Result<Value, String> {
 }
 
 fn exec_scenario(r: &ScenarioRequest) -> Result<Value, String> {
-    let batch =
-        noc_scenario::run_batch_with(&r.manifest, r.workers, r.lanes).map_err(|e| e.to_string())?;
+    let batch = noc_scenario::run_batch(&r.manifest, r.workers).map_err(|e| e.to_string())?;
     // The `"scenario_stream"` marker is what `protocol::wire_lines` keys
     // on to fan the one cached value back out into the per-scenario
     // stream; the whole batch is cached as one value so a hit replays an
@@ -769,29 +768,26 @@ mod tests {
         let base = Request::Scenario(Box::new(ScenarioRequest {
             manifest: manifest.clone(),
             workers: 1,
-            lanes: 1,
         }));
         let wide = Request::Scenario(Box::new(ScenarioRequest {
             manifest: manifest.clone(),
             workers: 8,
-            lanes: 8,
         }));
         assert_eq!(
             cache_key(&base),
             cache_key(&wide),
-            "worker/lane counts must not change the cache key"
+            "worker counts must not change the cache key"
         );
         let mut reseeded = manifest;
         reseeded.seed = 7;
         let other = Request::Scenario(Box::new(ScenarioRequest {
             manifest: reseeded,
             workers: 1,
-            lanes: 1,
         }));
         assert_ne!(cache_key(&base), cache_key(&other));
         let a = execute(&base).unwrap();
         let b = execute(&wide).unwrap();
-        assert_eq!(a, b, "batch results must not depend on workers or lanes");
+        assert_eq!(a, b, "batch results must not depend on workers");
         assert_eq!(
             a.get("scenario_stream").and_then(Value::as_bool),
             Some(true)

@@ -24,8 +24,7 @@
 //! [`core`] composes protocol, cache, and metrics into the
 //! transport-agnostic request pipeline (parse → inline → forward →
 //! cache → dispatch) that every transport shares. [`server`] wires it
-//! into a TCP accept loop with graceful drain, [`local`] serves the same
-//! pipeline over in-process channels, and [`client`] provides the
+//! into a TCP accept loop with graceful drain, and [`client`] provides the
 //! blocking client plus the load generator used by
 //! `express-noc-cli loadgen`. The [`core::Forwarder`] seam is where the
 //! `noc-cluster` crate hooks shard ownership into the pipeline.
@@ -62,7 +61,6 @@ pub mod client;
 pub mod core;
 pub mod exec;
 pub mod fp;
-pub mod local;
 pub mod metrics;
 pub mod pool;
 pub mod protocol;
@@ -75,7 +73,6 @@ pub use client::{
     generate_load, generate_load_multi, Client, LoadReport, RetryPolicy, RetryingClient,
 };
 pub use exec::{ExecError, ExecOutput};
-pub use local::{LocalConn, LocalServer};
 pub use metrics::{trace_prometheus_text, Metrics};
 pub use pool::{Job, SubmitError, WorkerPool};
 pub use protocol::{Envelope, ErrorCode, Payload, Request, Response, MAX_LINE_BYTES};

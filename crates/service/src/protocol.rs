@@ -146,9 +146,6 @@ pub struct ScenarioRequest {
     pub manifest: noc_scenario::Manifest,
     /// Batch worker threads (`0` = one per core).
     pub workers: usize,
-    /// Lockstep batch lanes for the homogeneous fast path (`0` = default,
-    /// `1` = one replica per pass).
-    pub lanes: usize,
 }
 
 /// Parameters of a `frontier` request — the latency × power × link-budget

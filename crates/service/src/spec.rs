@@ -24,7 +24,6 @@ use noc_scenario::field::{Field, FieldDoc, FieldError, Fields, Ty, MAX_CHAINS, M
 use noc_scenario::field::{
     MAX_FLIT, MAX_HOP_CYCLES, MAX_MOVES, MAX_N, MAX_SIM_N, MAX_WEIGHT_STEPS, MIN_START_RATE,
 };
-use noc_sim::MAX_LANES;
 use noc_topology::{RowPlacement, MAX_C};
 use std::fmt::Write as _;
 
@@ -299,7 +298,6 @@ impl Fields for ScenarioRequest {
     const FIELDS: &'static [Field<Self>] = &[
         field!("manifest" => manifest, Ty::Manifest, Required),
         field!("workers" => workers, Int(0, MAX_CHAINS as u64), Optional(0), UNKEYED),
-        field!("lanes" => lanes, Int(0, MAX_LANES as u64), Optional(0), UNKEYED),
     ];
     /// Expansion bounds are the manifest's own; checking them at parse
     /// time refuses an oversized batch before it reaches a worker.

@@ -95,7 +95,6 @@ fn every_request_variant_round_trips() {
             )
             .expect("manifest parses"),
             workers: 3,
-            lanes: 2,
         })),
         Request::Frontier(FrontierRequest {
             n: 6,

@@ -84,9 +84,8 @@ fn request_lines_are_pinned() {
             Request::Scenario(Box::new(ScenarioRequest {
                 manifest: manifest(),
                 workers: 2,
-                lanes: 0,
             })),
-            r#"{"id":"scenario","kind":"scenario","deadline_ms":1234,"manifest":{"scenario":1,"name":"pin","seed":42,"topology":{"n":4,"links":[]},"traffic":{"pattern":"ur","rate":0.02,"hotspot_weight":0.5},"sim":{"flit":64,"warmup":500,"cycles":2000},"matrix":{"seed":[1,2]}},"workers":2,"lanes":0}"#,
+            r#"{"id":"scenario","kind":"scenario","deadline_ms":1234,"manifest":{"scenario":1,"name":"pin","seed":42,"topology":{"n":4,"links":[]},"traffic":{"pattern":"ur","rate":0.02,"hotspot_weight":0.5},"sim":{"flit":64,"warmup":500,"cycles":2000},"matrix":{"seed":[1,2]}},"workers":2}"#,
         ),
         (
             Request::Frontier(FrontierRequest {
@@ -236,7 +235,7 @@ const CASES: &[KindCase] = &[
     },
     KindCase {
         base: r#"{"id":"k","kind":"scenario","manifest":{"scenario":1,"topology":{"n":4}},
-                  "workers":2,"lanes":2}"#,
+                  "workers":2}"#,
         fields: &[
             (
                 "manifest",
@@ -244,7 +243,6 @@ const CASES: &[KindCase] = &[
                 true,
             ),
             ("workers", "3", false),
-            ("lanes", "3", false),
         ],
     },
     KindCase {
@@ -333,5 +331,24 @@ fn a_throughput_line_with_lanes_reads_as_one_without() {
         cache_key(&new.request).unwrap().stable_hash()
     );
     let answer = execute(&old.request).expect("the sweep runs");
+    assert_eq!(answer.compact(), execute(&new.request).unwrap().compact());
+}
+
+/// `scenario` once took a `lanes` field, the lockstep width of a path the
+/// executor no longer has. A line that still carries it parses, keys and
+/// answers exactly like the same line without it.
+#[test]
+fn a_scenario_line_with_lanes_reads_as_one_without() {
+    let old = r#"{"id":"s","kind":"scenario","manifest":{"scenario":1,"topology":{"n":4},"sim":{"warmup":50,"cycles":200},"matrix":{"seed":[1,2]}},"workers":1,"lanes":8}"#;
+    let new = old.replace(r#","lanes":8"#, "");
+    let (old, new) = (parse_request(old).unwrap(), parse_request(&new).unwrap());
+    assert_eq!(old, new);
+    assert_eq!(request_line(&old), request_line(&new));
+    let key = cache_key(&old.request).expect("compute kinds have a key");
+    assert_eq!(
+        key.stable_hash(),
+        cache_key(&new.request).unwrap().stable_hash()
+    );
+    let answer = execute(&old.request).expect("the batch runs");
     assert_eq!(answer.compact(), execute(&new.request).unwrap().compact());
 }

@@ -34,11 +34,14 @@
 //! There is one engine: [`BatchSimulator`] runs K replicas of a topology
 //! in lockstep, and [`Simulator`] is a batch of one. The golden
 //! fingerprints in `tests/golden.rs` pin its cycle-exact behaviour.
+//! [`simulate_many`] runs a batch of independent simulations, on any mix
+//! of topologies, as lockstep passes.
 
 pub mod batch;
 pub mod config;
 pub mod engine;
 pub mod flit;
+pub mod many;
 pub mod network;
 pub mod stats;
 pub mod throughput;
@@ -49,6 +52,7 @@ pub use batch::{
 };
 pub use config::SimConfig;
 pub use engine::Simulator;
+pub use many::{simulate_many, LOCKSTEP_LANES};
 pub use network::NetTables;
 pub use stats::{ActivityCounters, SimStats};
 pub use throughput::{

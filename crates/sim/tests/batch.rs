@@ -3,10 +3,11 @@
 //! **bit for bit** — same fingerprints, lane count 1/4/8, heterogeneous
 //! rates/seeds/flit widths/windows, express links, hub routers wider than
 //! one request word, and with tracing enabled. Batching is a performance
-//! layer, not a semantics.
+//! layer, not a semantics: [`simulate_many`] packs any mix of jobs into
+//! lockstep passes and still returns each job's one-lane result.
 
 use noc_model::PacketMix;
-use noc_sim::{BatchSimulator, NetTables, SimConfig, SimStats, Simulator};
+use noc_sim::{simulate_many, BatchSimulator, NetTables, SimConfig, SimStats, Simulator};
 use noc_topology::{MeshTopology, RowPlacement};
 use noc_traffic::{SyntheticPattern, TrafficMatrix, Workload};
 use std::sync::Arc;
@@ -145,4 +146,35 @@ fn shared_tables_constructor_matches_fresh_build() {
     let fresh = BatchSimulator::new(&topology, replicas.clone()).run();
     let shared = BatchSimulator::with_tables(tables, replicas).run();
     assert_bit_identical(&shared, &fresh);
+}
+
+#[test]
+fn simulate_many_matches_one_lane_runs_in_job_order() {
+    // Two topologies and two VC counts, interleaved: 10 jobs share the
+    // 2-VC mesh (two passes), 4 run the mesh at 3 VCs and 6 the express
+    // topology, so the runner forms three groups and scatters results back
+    // across them.
+    let mesh = MeshTopology::mesh(4);
+    let express = MeshTopology::uniform(4, &RowPlacement::with_links(4, [(0, 3)]).unwrap());
+    let jobs: Vec<(&MeshTopology, Workload, SimConfig)> = random_replicas(4, 20, 0x5a)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (workload, mut config))| {
+            if i % 3 == 2 {
+                return (&express, workload, config);
+            }
+            if i % 4 == 3 {
+                config.vcs_per_port = 3;
+            }
+            (&mesh, workload, config)
+        })
+        .collect();
+    let single: Vec<u64> = jobs
+        .iter()
+        .map(|(topology, w, c)| Simulator::new(topology, w.clone(), *c).run().fingerprint())
+        .collect();
+    for workers in [1, 3] {
+        let many = simulate_many(jobs.clone(), workers, |s| s.fingerprint());
+        assert_eq!(many, single, "workers = {workers}");
+    }
 }

@@ -45,7 +45,7 @@ pub struct MeshLink {
 
 /// An `n × n` mesh where every row and every column carries an express-link
 /// placement. Routers are numbered row-major: `id = y * n + x`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MeshTopology {
     n: usize,
     rows: Vec<RowPlacement>,

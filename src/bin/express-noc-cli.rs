@@ -181,15 +181,13 @@ commands:
             deterministic in-process cluster simulation: sharded requests,
             forwarding, replica failover, gossip-driven ring changes; same
             seed and script reproduce the identical event log
-  scenario  expand|run|describe <manifest.json> [--workers N] [--batch-lanes K]
-            [--addr HOST:PORT]
+  scenario  expand|run|describe <manifest.json>
+            [--workers N] [--addr HOST:PORT] (run only)
             scenario manifests (docs/SCENARIOS.md): 'describe' summarises the
             manifest and its expansion, 'expand' prints one NDJSON line per
             resolved scenario (name, fingerprint, axes), 'run' executes the
             whole batch and streams one NDJSON result line per scenario plus
-            a summary line — byte-identical for any --workers and any
-            --batch-lanes (lockstep replica lanes; 0 = default, 1 = one
-            replica per pass);
+            a summary line — byte-identical for any --workers;
             with --addr the manifest is sent to a running daemon instead and
             its streamed response is printed verbatim
   frontier {frontier}
@@ -529,14 +527,26 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
 /// front end (format reference: docs/SCENARIOS.md).
 fn cmd_scenario(args: &[String]) -> Result<(), String> {
     use express_noc::json::Value;
-    use express_noc::scenario::{expand, manifest_fingerprint, run_batch_with, Manifest};
+    use express_noc::scenario::{expand, manifest_fingerprint, run_batch, Manifest};
 
     let [action, path, rest @ ..] = args else {
         return Err("scenario needs an action and a manifest, e.g. \
                     scenario run examples/scenarios/ladder.json"
             .into());
     };
-    let opts = parse_flags(rest)?;
+    let pairs = spec::flag_pairs(rest)?;
+    let takes: &[&str] = match action.as_str() {
+        "run" => &["workers", "addr", "trace-out"],
+        _ => &["trace-out"],
+    };
+    if let Some((flag, _)) = pairs.iter().find(|(f, _)| !takes.contains(&f.as_str())) {
+        return Err(format!("unknown flag --{flag} for scenario {action}"));
+    }
+    let opts: Flags = pairs.into_iter().collect();
+    let trace_out = opts.get("trace-out");
+    if trace_out.is_some() {
+        express_noc::trace::enable();
+    }
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let manifest = Manifest::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     match action.as_str() {
@@ -592,22 +602,16 @@ fn cmd_scenario(args: &[String]) -> Result<(), String> {
         }
         "run" => {
             let workers: usize = get_or(&opts, "workers", 0)?;
-            let lanes: usize = get_or(&opts, "batch-lanes", 0)?;
             // With --addr the batch runs on a daemon and its streamed
             // NDJSON response is printed verbatim; otherwise it runs
             // in-process through the same `run_batch` the daemon uses.
             if let Some(addr) = opts.get("addr") {
-                let request = protocol::ScenarioRequest {
-                    manifest,
-                    workers,
-                    lanes,
-                };
+                let request = protocol::ScenarioRequest { manifest, workers };
                 for line in stream(addr, "scenario", Request::Scenario(Box::new(request)))? {
                     println!("{line}");
                 }
             } else {
-                let batch = run_batch_with(&manifest, workers, lanes)
-                    .map_err(|e| format!("{path}: {e}"))?;
+                let batch = run_batch(&manifest, workers).map_err(|e| format!("{path}: {e}"))?;
                 for item in batch.items.iter().chain([&batch.summary]) {
                     println!("{}", item.compact());
                 }
@@ -619,7 +623,10 @@ fn cmd_scenario(args: &[String]) -> Result<(), String> {
             ))
         }
     }
-    Ok(())
+    match trace_out {
+        Some(path) => write_trace(path),
+        None => Ok(()),
+    }
 }
 
 /// Sends `request` to the daemon at `addr` and returns its response

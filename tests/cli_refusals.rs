@@ -60,6 +60,20 @@ fn out_of_bound_and_unknown_flags_are_refused_naming_the_flag() {
             "checkpoint --n 8 --c 4 --unit-link-cycles 2 --snapshot F",
             "--unit-link-cycles",
         ),
+        // `scenario` dropped every flag it did not read, including the
+        // lockstep width it no longer has.
+        (
+            "scenario describe examples/scenarios/ladder.json --wrokers 3 --bogus x",
+            "--wrokers",
+        ),
+        (
+            "scenario expand examples/scenarios/ladder.json --workers 2",
+            "--workers",
+        ),
+        (
+            "scenario run examples/scenarios/ladder.json --batch-lanes 4",
+            "--batch-lanes",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_express-noc-cli"))
             .args(line.split(' '))
