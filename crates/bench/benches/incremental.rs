@@ -39,8 +39,9 @@ fn main() {
         let matrix = random_matrix(n, c_limit, 42);
         let nbits = matrix.bit_count();
 
-        // Full path: what the annealer does under EvalMode::Full — flip,
-        // decode, evaluate from scratch, flip back, decode, evaluate.
+        // Full path: what the annealer does for an objective without an
+        // incremental evaluator — flip, decode, evaluate from scratch,
+        // flip back, decode, evaluate.
         let mut full_m = matrix.clone();
         let mut bit = 0usize;
         let full = bench_timed(&format!("move_eval/full/n{n}_c{c_limit}"), || {

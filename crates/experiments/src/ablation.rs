@@ -39,7 +39,7 @@ pub struct GeneratorRow {
 }
 
 /// Candidate-generator ablation (same D&C initial, same move budget).
-pub fn run_generator() -> Vec<GeneratorRow> {
+fn run_generator() -> Vec<GeneratorRow> {
     let objective = AllPairsObjective::paper();
     let params = harness::sa_params();
     let instances: &[(usize, usize)] = &[(8, 4), (16, 4), (16, 8)];
@@ -101,7 +101,7 @@ pub struct InitialRow {
 
 /// Initial-solution ablation on `P̂(16, 8)` with a short SA budget, where
 /// seeding quality matters most.
-pub fn run_initial() -> Vec<InitialRow> {
+fn run_initial() -> Vec<InitialRow> {
     let objective = AllPairsObjective::paper();
     let (n, c) = (16usize, 8usize);
     let budget = SaParams::paper().with_moves(if harness::is_quick() { 300 } else { 1_500 });
@@ -170,7 +170,7 @@ pub struct ScheduleRow {
 }
 
 /// Annealing-schedule sensitivity around Table 1 on `P̂(16, 8)`.
-pub fn run_schedule() -> Vec<ScheduleRow> {
+fn run_schedule() -> Vec<ScheduleRow> {
     let objective = AllPairsObjective::paper();
     let (n, c) = (16usize, 8usize);
     let init = initial_solution(n, c, &objective);

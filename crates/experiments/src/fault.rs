@@ -133,7 +133,7 @@ pub fn evaluate(scheme: &Scheme) -> FaultRow {
 
 /// Per-row breakdown: the worst and mean degradation when the failure
 /// strikes each interior row individually.
-pub fn evaluate_per_row(scheme: &Scheme) -> Vec<RowFaultCase> {
+fn evaluate_per_row(scheme: &Scheme) -> Vec<RowFaultCase> {
     let n = scheme.topology.side();
     let model = LatencyModel::paper();
     let healthy = model

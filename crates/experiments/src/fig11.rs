@@ -27,7 +27,7 @@ pub struct BandwidthResult {
 }
 
 /// Runs one bandwidth setting.
-pub fn run_budget(base_flit_bits: u32) -> BandwidthResult {
+fn run_budget(base_flit_bits: u32) -> BandwidthResult {
     let budget = LinkBudget {
         n: 8,
         base_flit_bits,

@@ -65,7 +65,7 @@ pub fn benchmark_set() -> Vec<ParsecBenchmark> {
 
 /// Benchmark set scaled to the network size: the 16x16 sweep uses five
 /// representative profiles (one per communication class) to bound runtime.
-pub fn benchmark_set_for(n: usize) -> Vec<ParsecBenchmark> {
+fn benchmark_set_for(n: usize) -> Vec<ParsecBenchmark> {
     if n >= 16 && !harness::is_quick() {
         vec![
             ParsecBenchmark::Blackscholes,
@@ -80,7 +80,7 @@ pub fn benchmark_set_for(n: usize) -> Vec<ParsecBenchmark> {
 }
 
 /// Simulated latency of a scheme averaged over the benchmark set.
-pub fn parsec_average_latency(
+fn parsec_average_latency(
     scheme: &Scheme,
     budget: &LinkBudget,
     benchmarks: &[ParsecBenchmark],

@@ -5,7 +5,7 @@ use noc_model::{LatencyModel, LinkBudget, PacketMix, ZeroLoad};
 use noc_placement::{optimize_network, InitialStrategy, NetworkDesign, SaParams};
 use noc_routing::{DorRouter, HopWeights};
 use noc_sim::{SimConfig, SimStats, Simulator};
-use noc_topology::{hfb_mesh, hfb_row, implied_link_limit, MeshTopology, RowPlacement};
+use noc_topology::{hfb_mesh, hfb_row, implied_link_limit, MeshTopology};
 use noc_traffic::Workload;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -108,11 +108,6 @@ impl Scheme {
         let dor = DorRouter::new(&self.topology, HopWeights::PAPER);
         LatencyModel::paper().zero_load(&dor)
     }
-
-    /// Analytic average packet latency under the paper's packet mix.
-    pub fn analytic_latency(&self) -> f64 {
-        self.zero_load().avg_head + PacketMix::paper().serialization_latency(self.flit_bits)
-    }
 }
 
 /// SA schedule used by experiments (Table 1; quick mode shrinks the move
@@ -192,17 +187,6 @@ pub fn sim_config(scheme: &Scheme, budget: &LinkBudget, seed: u64) -> SimConfig 
 pub fn simulate(scheme: &Scheme, budget: &LinkBudget, workload: &Workload, seed: u64) -> SimStats {
     let config = sim_config(scheme, budget, seed);
     Simulator::new(&scheme.topology, workload.clone(), config).run()
-}
-
-/// Replicated-row design point helper used by sweep figures: the D&C_SA
-/// placement for one explicit link limit.
-pub fn placement_at(budget: &LinkBudget, c_limit: usize) -> RowPlacement {
-    best_design(budget, InitialStrategy::DivideAndConquer)
-        .points
-        .iter()
-        .find(|p| p.c_limit == c_limit)
-        .map(|p| p.placement.clone())
-        .unwrap_or_else(|| RowPlacement::new(budget.n))
 }
 
 #[cfg(test)]

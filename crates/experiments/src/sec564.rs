@@ -121,7 +121,7 @@ pub struct ConcentrationPoint {
 /// than our mixture profiles. This sweep makes the relationship explicit:
 /// as the sharing-graph share `λ` of the traffic grows, the gain climbs
 /// toward the paper's figure.
-pub fn concentration_sweep(
+fn concentration_sweep(
     budget: &noc_model::LinkBudget,
     c_limit: usize,
     flit_bits: u32,

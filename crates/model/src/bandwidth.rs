@@ -30,7 +30,7 @@ impl LinkBudget {
 
     /// Maximum useful link limit `C_full = ⌈n/2⌉·⌊n/2⌋ = n²/4` (Eq. 4):
     /// full row connectivity saturates the middle cross-section.
-    pub fn c_full(&self) -> usize {
+    fn c_full(&self) -> usize {
         (self.n / 2) * self.n.div_ceil(2)
     }
 

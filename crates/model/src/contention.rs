@@ -125,12 +125,6 @@ impl ContentionModel {
             predicted_latency: if den == 0.0 { 0.0 } else { num / den },
         }
     }
-
-    /// Total flit·hops per cycle — conservation diagnostic: must equal
-    /// `injection_rate · Σγ · mean_flits · mean hop count`.
-    pub fn total_flit_hops(analysis: &LoadAnalysis) -> f64 {
-        analysis.channel_load.values().sum()
-    }
 }
 
 #[cfg(test)]
@@ -228,7 +222,8 @@ mod tests {
                 }
             }
         }
-        assert!((ContentionModel::total_flit_hops(&a) - expected).abs() < 1e-9);
+        let total: f64 = a.channel_load.values().sum();
+        assert!((total - expected).abs() < 1e-9);
     }
 
     #[test]

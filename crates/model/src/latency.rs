@@ -48,11 +48,6 @@ impl RowObjective {
     pub fn eval_weighted(&self, row: &RowPlacement, gamma: &[f64]) -> f64 {
         monotone_apsp(row, self.weights).weighted_mean(gamma)
     }
-
-    /// Maximum pair segment latency on the row.
-    pub fn eval_max(&self, row: &RowPlacement) -> Cycles {
-        monotone_apsp(row, self.weights).max_pair()
-    }
 }
 
 /// Zero-load statistics of a full 2D topology under its DOR routing.

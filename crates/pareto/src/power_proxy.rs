@@ -77,7 +77,7 @@ impl StaticPowerModel {
     /// Per-router static power (mW) from the exact degree moments. This is
     /// the single pricing expression both evaluation paths share; change it
     /// and both change together, keeping them bit-identical.
-    pub fn power_mw_from_moments(&self, s1: u64, s2: u64) -> f64 {
+    fn power_mw_from_moments(&self, s1: u64, s2: u64) -> f64 {
         let n = self.n as f64;
         let s1 = s1 as f64;
         let s2 = s2 as f64;

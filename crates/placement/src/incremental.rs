@@ -18,7 +18,7 @@
 //! by `n²` in the same single `f64` division. The incremental objective is
 //! therefore **bit-identical** to the full evaluator: the annealer takes
 //! the same accept/reject branches, consumes the same RNG stream, and
-//! lands on the same result in either mode. [`anneal`] keeps a
+//! lands on the same result either way. [`anneal`] keeps a
 //! `debug_assertions` cross-check of this invariant on every move.
 //!
 //! **Which links change.** Flipping the connection point of layer `l` at

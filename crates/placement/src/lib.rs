@@ -62,4 +62,4 @@ pub use optimizer::{
     NetworkDesign, SweepPoint,
 };
 pub use resume::{SaChainState, SolveJob};
-pub use sa::{anneal, chain_seed, EvalMode, SaOutcome, SaParams, TracePoint};
+pub use sa::{anneal, chain_seed, SaOutcome, SaParams, TracePoint};

@@ -18,7 +18,7 @@ pub trait Objective: Sync {
     /// `Some` must guarantee the incremental values are **bit-identical**
     /// to [`eval`](Objective::eval) on the decoded placement — the
     /// annealer relies on this to keep accept/reject decisions, and thus
-    /// its RNG stream, independent of the evaluation mode. The default
+    /// its RNG stream, the same as under full evaluation. The default
     /// returns `None`, which makes [`anneal`](crate::sa::anneal) fall back
     /// to full per-move evaluation.
     fn incremental_evaluator(&self, matrix: &ConnectionMatrix) -> Option<Box<dyn MoveEvaluator>> {

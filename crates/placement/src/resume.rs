@@ -27,9 +27,7 @@ use crate::dnc::{initial_solution, DivisibleObjective};
 use crate::incremental::MoveEvaluator;
 use crate::objective::Objective;
 use crate::optimizer::InitialStrategy;
-use crate::sa::{
-    chain_seed, emit_epoch, random_placement, EvalMode, SaOutcome, SaParams, TracePoint,
-};
+use crate::sa::{chain_seed, emit_epoch, random_placement, SaOutcome, SaParams, TracePoint};
 use noc_rng::rngs::SmallRng;
 use noc_rng::{Rng, SeedableRng};
 use noc_snapshot::{Reader, SnapshotError, Writer};
@@ -139,7 +137,7 @@ impl SaChainState {
         if self.done {
             return true;
         }
-        if self.evaluator.is_none() && self.params.evaluator == EvalMode::Incremental {
+        if self.evaluator.is_none() {
             self.evaluator = objective.incremental_evaluator(&self.matrix);
             if let Some(ev) = &self.evaluator {
                 debug_assert_eq!(
@@ -453,10 +451,6 @@ fn write_params(w: &mut Writer, p: &SaParams) {
     w.write_f64(p.cooldown_scale);
     w.write_u64(p.moves_per_stage as u64);
     w.write_u64(p.chains as u64);
-    w.write_u8(match p.evaluator {
-        EvalMode::Incremental => 0,
-        EvalMode::Full => 1,
-    });
 }
 
 fn read_params(r: &mut Reader<'_>) -> Result<SaParams, SnapshotError> {
@@ -470,22 +464,12 @@ fn read_params(r: &mut Reader<'_>) -> Result<SaParams, SnapshotError> {
         });
     }
     let chains = r.read_u64()? as usize;
-    let evaluator = match r.read_u8()? {
-        0 => EvalMode::Incremental,
-        1 => EvalMode::Full,
-        _ => {
-            return Err(SnapshotError::Corrupt {
-                field: "evaluator mode",
-            })
-        }
-    };
     Ok(SaParams {
         initial_temperature,
         total_moves,
         cooldown_scale,
         moves_per_stage,
         chains,
-        evaluator,
     })
 }
 

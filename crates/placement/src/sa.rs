@@ -7,59 +7,25 @@
 //! `S_c = 2` after every `m_c = 10^3` moves. A move with `ΔL ≤ 0` is always
 //! accepted; otherwise it is accepted with probability `e^(−ΔL/T)`.
 //!
-//! Two knobs extend the paper's single-chain, full-evaluation loop without
-//! changing its results:
+//! [`SaParams::chains`] extends the paper's single-chain loop without
+//! changing its results: it runs `K` independent chains with derived
+//! seeds (see [`chain_seed`]) in parallel and keeps the best result —
+//! deterministic for a fixed `(seed, K)` regardless of thread count.
+//! Chain fan-out lives in [`solve_row`](crate::optimizer::solve_row);
+//! [`anneal`] itself is always one chain.
 //!
-//! * [`SaParams::evaluator`] selects between full per-move re-evaluation
-//!   and the incremental evaluator of [`crate::incremental`]; for
-//!   objectives that support it the two are bit-identical, so the mode is
-//!   a pure speed choice.
-//! * [`SaParams::chains`] runs `K` independent chains with derived seeds
-//!   (see [`chain_seed`]) in parallel and keeps the best result —
-//!   deterministic for a fixed `(seed, K)` regardless of thread count.
-//!   Chain fan-out lives in [`solve_row`](crate::optimizer::solve_row);
-//!   [`anneal`] itself is always one chain.
+//! A candidate is scored by the objective's incremental evaluator
+//! ([`crate::incremental`]) when it offers one, which is bit-identical to
+//! the paper's full re-evaluation and much cheaper per move, and by full
+//! re-evaluation otherwise.
 
 use crate::objective::Objective;
 use noc_rng::rngs::SmallRng;
 use noc_rng::Rng;
 use noc_topology::{ConnectionMatrix, RowPlacement};
 
-/// How the annealer computes candidate objectives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// Use the objective's incremental evaluator when it provides one
-    /// (bit-identical to full evaluation, much cheaper per move); fall
-    /// back to [`EvalMode::Full`] when it does not.
-    #[default]
-    Incremental,
-    /// Decode and fully re-evaluate every candidate, as written in the
-    /// paper. Useful for cross-checks and as the reference in benchmarks.
-    Full,
-}
-
-impl EvalMode {
-    /// Wire name of each mode, the one table the daemon protocol and the
-    /// CLI read.
-    pub const NAMES: [(&'static str, EvalMode); 2] = [
-        ("incremental", EvalMode::Incremental),
-        ("full", EvalMode::Full),
-    ];
-
-    /// The mode a wire name denotes.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::NAMES.iter().find(|r| r.0 == name).map(|r| r.1)
-    }
-
-    /// The mode's wire name.
-    pub fn name(self) -> &'static str {
-        let row = Self::NAMES.iter().find(|r| r.1 == self);
-        row.expect("every mode has a row in NAMES").0
-    }
-}
-
-/// Annealing schedule parameters (paper Table 1) plus the evaluation-mode
-/// and chain-count extensions.
+/// Annealing schedule parameters (paper Table 1) plus the chain-count
+/// extension.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaParams {
     /// Initial temperature `T0` in cycles.
@@ -74,15 +40,11 @@ pub struct SaParams {
     /// the paper's single chain exactly. Interpreted by
     /// [`solve_row`](crate::optimizer::solve_row).
     pub chains: usize,
-    /// Candidate evaluation mode. Not part of the fingerprint: for every
-    /// objective with an incremental evaluator the modes produce
-    /// bit-identical results, so cached results are shared across modes.
-    pub evaluator: EvalMode,
 }
 
 impl SaParams {
     /// The paper's Table 1 values: `T0 = 10`, `m = 10^4`, `S_c = 2`,
-    /// `m_c = 10^3` — one chain, incremental evaluation.
+    /// `m_c = 10^3` — one chain.
     pub fn paper() -> Self {
         SaParams {
             initial_temperature: 10.0,
@@ -90,7 +52,6 @@ impl SaParams {
             cooldown_scale: 2.0,
             moves_per_stage: 1_000,
             chains: 1,
-            evaluator: EvalMode::Incremental,
         }
     }
 
@@ -122,16 +83,11 @@ impl SaParams {
         SaParams { chains, ..self }
     }
 
-    /// Same schedule with an explicit candidate evaluation mode.
-    pub fn with_evaluator(self, evaluator: EvalMode) -> Self {
-        SaParams { evaluator, ..self }
-    }
-
     /// Stable fingerprint of the schedule. Together with `(n, C)`, the
     /// objective fingerprint, the initial strategy, and the seed, this
     /// pins down the annealing result exactly — the basis of the service
-    /// result cache. Covers the chain count (best-of-K changes the
-    /// result) but not the evaluation mode (which does not).
+    /// result cache. Covers the chain count, since best-of-K changes the
+    /// result.
     pub fn fingerprint(&self) -> u64 {
         let mut h = crate::fingerprint::Fnv1a::with_tag("sa-params");
         h.write_u64(self.initial_temperature.to_bits());
@@ -161,10 +117,10 @@ impl Default for SaParams {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePoint {
     /// Objective evaluations performed so far — the schedule-comparison
-    /// axis of Fig. 7. One candidate costs one evaluation in either mode:
-    /// a full `O(n·e)` routing solve under [`EvalMode::Full`], or a
-    /// recount of only the hop sums a bit flip can change under
-    /// [`EvalMode::Incremental`] (same count, cheaper wall-clock).
+    /// axis of Fig. 7. One candidate costs one evaluation however it is
+    /// scored: a full `O(n·e)` routing solve, or, where the objective
+    /// offers an incremental evaluator, a recount of only the hop sums a
+    /// bit flip can change (same count, cheaper wall-clock).
     pub evaluations: usize,
     /// Best objective value seen so far (cycles).
     pub best_objective: f64,
@@ -194,13 +150,13 @@ pub struct SaOutcome {
 /// initial solution (the D&C procedure), so traces of `OnlySA` and `D&C_SA`
 /// share a comparable runtime axis (Fig. 7).
 ///
-/// Under [`EvalMode::Incremental`] (the default) the per-move objective
-/// comes from the objective's [`MoveEvaluator`](crate::incremental::MoveEvaluator),
-/// which updates only the
-/// hop sums a bit flip can change; with `debug_assertions` every move
-/// cross-checks that value bit-for-bit against a full re-evaluation. The
-/// accept/reject sequence, RNG stream, counters, and outcome are identical
-/// in both modes.
+/// Where the objective offers a [`MoveEvaluator`](crate::incremental::MoveEvaluator)
+/// ([`Objective::incremental_evaluator`]), the per-move objective comes
+/// from it, updating only the hop sums a bit flip can change; with
+/// `debug_assertions` every move cross-checks that value bit-for-bit
+/// against a full re-evaluation. Otherwise every candidate is decoded and
+/// re-evaluated in full. The accept/reject sequence, RNG stream, counters
+/// and outcome are the same either way.
 ///
 /// # Panics
 /// Panics if the initial placement does not fit a `(n-2)×(C-1)` connection

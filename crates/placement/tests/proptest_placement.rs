@@ -5,10 +5,11 @@
 //! Cases are generated with the in-repo deterministic PRNG (`noc-rng`)
 //! instead of proptest, so the suite runs in hermetic offline builds.
 
+use noc_placement::dnc::DivisibleObjective;
 use noc_placement::objective::{AllPairsObjective, Objective};
 use noc_placement::{
-    anneal, exhaustive_optimal, initial_solution, sa::random_placement, EvalMode,
-    IncrementalAllPairs, MoveEvaluator, SaParams,
+    anneal, exhaustive_optimal, initial_solution, sa::random_placement, IncrementalAllPairs,
+    MoveEvaluator, SaParams,
 };
 use noc_rng::rngs::SmallRng;
 use noc_rng::{Rng, SeedableRng};
@@ -22,6 +23,23 @@ fn valid_placement(rng: &mut SmallRng) -> (RowPlacement, usize) {
     let nbits = (c - 1) * (n - 2);
     let bits: Vec<bool> = (0..nbits).map(|_| rng.gen::<bool>()).collect();
     (ConnectionMatrix::from_bits(n, c, bits).unwrap().decode(), c)
+}
+
+/// The paper's objective without its incremental evaluator: the annealer
+/// scores every candidate of it by full re-evaluation, the reference the
+/// incremental path must match.
+struct FullOnly(AllPairsObjective);
+
+impl Objective for FullOnly {
+    fn eval(&self, row: &RowPlacement) -> f64 {
+        self.0.eval(row)
+    }
+}
+
+impl DivisibleObjective for FullOnly {
+    fn restrict(&self, lo: usize, hi: usize) -> Self {
+        FullOnly(self.0.restrict(lo, hi))
+    }
 }
 
 fn for_cases(cases: u64, test_salt: u64, mut body: impl FnMut(&mut SmallRng)) {
@@ -227,8 +245,8 @@ fn incremental_matches_full_through_undo_sequences() {
     }
 }
 
-/// Rows longer than the 64-bit masks get no incremental evaluator and
-/// anneal in full under either mode, to the same result.
+/// Rows longer than the 64-bit masks get no incremental evaluator, so the
+/// paper's objective anneals them in full, as the full-only one does.
 #[test]
 fn rows_past_the_mask_width_anneal_identically_in_both_modes() {
     let obj = AllPairsObjective::paper();
@@ -242,7 +260,7 @@ fn rows_past_the_mask_width_anneal_identically_in_both_modes() {
         let row = RowPlacement::new(n);
         let base = SaParams::paper().with_moves(300);
         let fast = anneal(4, &row, &obj, &base, 65, 0);
-        let slow = anneal(4, &row, &obj, &base.with_evaluator(EvalMode::Full), 65, 0);
+        let slow = anneal(4, &row, &FullOnly(obj), &base, 65, 0);
         assert_eq!(fast.best, slow.best, "n={n}");
         assert_eq!(fast.best_objective.to_bits(), slow.best_objective.to_bits());
         assert_eq!(fast.accepted_moves, slow.accepted_moves);
@@ -254,8 +272,9 @@ fn rows_past_the_mask_width_anneal_identically_in_both_modes() {
     }
 }
 
-/// Annealing under `EvalMode::Incremental` and `EvalMode::Full` takes the
-/// same trajectory: same best placement, objective bits, and counters.
+/// Annealing with the incremental evaluator and with full re-evaluation
+/// takes the same trajectory: same best placement, objective bits, and
+/// counters.
 #[test]
 fn sa_evaluation_modes_agree_bit_for_bit() {
     for_cases(16, 0xA6, |rng| {
@@ -264,7 +283,7 @@ fn sa_evaluation_modes_agree_bit_for_bit() {
         let obj = AllPairsObjective::paper();
         let base = SaParams::paper().with_moves(400);
         let fast = anneal(c, &row, &obj, &base, seed, 0);
-        let slow = anneal(c, &row, &obj, &base.with_evaluator(EvalMode::Full), seed, 0);
+        let slow = anneal(c, &row, &FullOnly(obj), &base, seed, 0);
         assert_eq!(fast.best, slow.best);
         assert_eq!(fast.best_objective.to_bits(), slow.best_objective.to_bits());
         assert_eq!(fast.evaluations, slow.evaluations);
@@ -274,26 +293,19 @@ fn sa_evaluation_modes_agree_bit_for_bit() {
 }
 
 /// On every instance small enough for the branch-and-bound oracle, the
-/// paper-budget annealer reaches the exact optimum in both evaluation
-/// modes — the incremental fast path changes the speed, not the optima.
+/// paper-budget annealer reaches the exact optimum with the incremental
+/// evaluator and with full re-evaluation — the incremental fast path
+/// changes the speed, not the optima.
 #[test]
 fn incremental_sa_reaches_bb_optima() {
     let obj = AllPairsObjective::paper();
+    let params = SaParams::paper();
+    let dnc = noc_placement::InitialStrategy::DivideAndConquer;
     for (n, c) in [(4usize, 2usize), (4, 3), (6, 2), (6, 3), (8, 3), (8, 4)] {
         let opt = exhaustive_optimal(n, c, &obj);
-        for (mode, label) in [
-            (EvalMode::Incremental, "incremental"),
-            (EvalMode::Full, "full"),
-        ] {
-            let params = SaParams::paper().with_evaluator(mode);
-            let sa = noc_placement::solve_row(
-                n,
-                c,
-                &obj,
-                noc_placement::InitialStrategy::DivideAndConquer,
-                &params,
-                42,
-            );
+        let fast = noc_placement::solve_row(n, c, &obj, dnc, &params, 42);
+        let slow = noc_placement::solve_row(n, c, &FullOnly(obj), dnc, &params, 42);
+        for (sa, label) in [(fast, "incremental"), (slow, "full")] {
             assert_eq!(
                 sa.best_objective.to_bits(),
                 opt.best_objective.to_bits(),

@@ -104,13 +104,6 @@ pub fn channel_dependency_cycle(
     None
 }
 
-/// Convenience wrapper: true iff the DOR routing over `topology` is
-/// deadlock-free (acyclic CDG).
-pub fn is_deadlock_free(topology: &MeshTopology, weights: crate::HopWeights) -> bool {
-    let router = DorRouter::new(topology, weights);
-    channel_dependency_cycle(topology, &router).is_none()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,6 +111,13 @@ mod tests {
     use noc_topology::{hfb_mesh, RowPlacement};
 
     const W: HopWeights = HopWeights::PAPER;
+
+    /// Whether the DOR routing over `topology` is deadlock-free (acyclic
+    /// CDG).
+    fn is_deadlock_free(topology: &MeshTopology, weights: HopWeights) -> bool {
+        let router = DorRouter::new(topology, weights);
+        channel_dependency_cycle(topology, &router).is_none()
+    }
 
     #[test]
     fn plain_mesh_is_deadlock_free() {

@@ -9,7 +9,6 @@
 
 use crate::floyd_warshall::RowApsp;
 use crate::monotone::monotone_apsp;
-use crate::table::RowRouting;
 use crate::weights::HopWeights;
 use crate::Cycles;
 use noc_topology::{Coord, MeshTopology, Orientation};
@@ -98,16 +97,6 @@ impl DorRouter {
     /// APSP solve for column `x`.
     pub fn col_apsp(&self, x: usize) -> &RowApsp {
         &self.cols[x]
-    }
-
-    /// Routing tables for row `y` (X-dimension tables of its routers).
-    pub fn row_tables(&self, y: usize) -> RowRouting {
-        RowRouting::from_apsp(&self.rows[y])
-    }
-
-    /// Routing tables for column `x` (Y-dimension tables of its routers).
-    pub fn col_tables(&self, x: usize) -> RowRouting {
-        RowRouting::from_apsp(&self.cols[x])
     }
 
     fn coord(&self, id: usize) -> Coord {

@@ -69,18 +69,6 @@ impl RowApsp {
         self.dist.iter().map(|&d| d as u64).sum()
     }
 
-    /// Mean distance over all `n²` ordered pairs — the row objective
-    /// `L_D` of Eq. (2)/(5) (self-pairs included with latency 0, matching the
-    /// `N·N` denominator).
-    pub fn mean_all_pairs(&self) -> f64 {
-        self.sum_all_pairs() as f64 / (self.n * self.n) as f64
-    }
-
-    /// Maximum distance over all pairs — the zero-load worst case (Table 2).
-    pub fn max_pair(&self) -> Cycles {
-        self.dist.iter().copied().max().unwrap_or(0)
-    }
-
     /// Traffic-weighted mean distance: `Σ γ_ij · d(i,j) / Σ γ_ij` for the
     /// application-specific objective (§5.6.4). `gamma` is row-major `n × n`.
     ///
@@ -197,7 +185,6 @@ mod tests {
                 assert_eq!(apsp.hops(i, j), hops);
             }
         }
-        assert_eq!(apsp.max_pair(), 28);
     }
 
     #[test]
@@ -278,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn mean_all_pairs_matches_manual_sum() {
+    fn sum_all_pairs_matches_manual_sum() {
         let row = RowPlacement::with_links(4, [(0, 2)]).unwrap();
         let apsp = directional_apsp(&row, W);
         let mut total = 0u64;
@@ -288,7 +275,6 @@ mod tests {
             }
         }
         assert_eq!(apsp.sum_all_pairs(), total);
-        assert!((apsp.mean_all_pairs() - total as f64 / 16.0).abs() < 1e-12);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub fn monotone_apsp(row: &RowPlacement, weights: HopWeights) -> RowApsp {
 
 /// Monotone APSP over pre-built adjacency lists (lets the optimizer reuse
 /// the allocation-heavy part across candidate evaluations where possible).
-pub fn monotone_apsp_from_adjacency(adj: &RowAdjacency) -> RowApsp {
+fn monotone_apsp_from_adjacency(adj: &RowAdjacency) -> RowApsp {
     let n = adj.n;
     let mut dist = vec![0 as Cycles; n * n];
     let mut next = vec![usize::MAX; n * n];

@@ -8,7 +8,7 @@
 //! wrong type or out of bounds is refused naming the field.
 
 use noc_json::{FromJson, ToJson, Value};
-use noc_placement::{EvalMode, InitialStrategy};
+use noc_placement::InitialStrategy;
 use noc_traffic::SyntheticPattern;
 use std::fmt::Write as _;
 
@@ -64,8 +64,6 @@ pub enum Ty {
     Pattern,
     /// An initial-solution strategy by name.
     Strategy,
-    /// A candidate-evaluation mode by name.
-    Evaluator,
     /// `[[a, b], …]`, each a valid express link of the row.
     Links,
     /// `[[a, b], …]` router pairs, each stored as `(min, max)`.
@@ -99,7 +97,6 @@ impl Ty {
             Ty::Text => ("string", "any".into()),
             Ty::Pattern => ("string", names(&SyntheticPattern::NAMES, "; any case")),
             Ty::Strategy => ("string", names(&InitialStrategy::NAMES, "; d&c = dnc")),
-            Ty::Evaluator => ("string", names(&EvalMode::NAMES, "")),
             Ty::Links => ("array", "[a, b] express links of the row".into()),
             Ty::Spans => ("array", "[a, b] router pairs".into()),
             Ty::Section(name) => ("object", format!("the `{name}` fields")),
@@ -309,7 +306,7 @@ pub trait Fields: Default + 'static {
 
 impl<R: Fields> Field<R> {
     /// The default as lines carry it; `None` if required.
-    pub fn default_value(&self) -> Option<Value> {
+    fn default_value(&self) -> Option<Value> {
         let (Need::Optional(set) | Need::Quiet(set)) = self.need else {
             return None;
         };
@@ -519,8 +516,7 @@ macro_rules! name_wire {
 }
 name_wire!(
     SyntheticPattern => parse_pattern,
-    InitialStrategy => parse_strategy,
-    EvalMode => parse_evaluator
+    InitialStrategy => parse_strategy
 );
 
 /// An optional value: absent (`None`) unless present.
@@ -562,14 +558,4 @@ pub fn parse_pattern(name: &str) -> Result<SyntheticPattern, String> {
 pub fn parse_strategy(name: &str) -> Result<InitialStrategy, String> {
     InitialStrategy::from_name(if name == "d&c" { "dnc" } else { name })
         .ok_or_else(|| format!("unknown strategy {name:?} ({})", Ty::Strategy.describe().1))
-}
-
-/// A candidate-evaluation mode by wire name.
-pub fn parse_evaluator(name: &str) -> Result<EvalMode, String> {
-    EvalMode::from_name(name).ok_or_else(|| {
-        format!(
-            "unknown evaluator {name:?} ({})",
-            Ty::Evaluator.describe().1
-        )
-    })
 }

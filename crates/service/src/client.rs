@@ -153,57 +153,30 @@ fn retryable(result: &std::io::Result<Response>) -> bool {
 
 /// A [`Client`] wrapper that retries shed and transport-failed requests
 /// with seeded jittered exponential backoff, reconnecting as needed.
-///
-/// With more than one peer address ([`with_peers`]), connections are
-/// established deterministically round-robin through the list, so a
-/// transport failure fails over to the next peer on the retry that
-/// follows — the client-side half of cluster failover.
-///
-/// [`with_peers`]: RetryingClient::with_peers
 pub struct RetryingClient {
-    addrs: Vec<String>,
-    /// Index of the peer the next (re)connect will use.
-    next: usize,
+    addr: String,
     client: Option<Client>,
     policy: RetryPolicy,
     rng: SmallRng,
     retries: u64,
-    failovers: u64,
 }
 
 impl RetryingClient {
-    /// Single-peer client; connects lazily on first use and keeps `addr`
-    /// for reconnects.
+    /// Connects lazily on first use and keeps `addr` for reconnects.
     pub fn new(addr: &str, policy: RetryPolicy) -> RetryingClient {
-        RetryingClient::with_peers(&[addr.to_string()], policy)
-    }
-
-    /// Multi-peer client: each (re)connect uses the next address in
-    /// `addrs`, in order, starting from the first. Panics on an empty
-    /// list.
-    pub fn with_peers(addrs: &[String], policy: RetryPolicy) -> RetryingClient {
-        assert!(!addrs.is_empty(), "RetryingClient needs at least one peer");
         let rng = SmallRng::seed_from_u64(policy.seed);
         RetryingClient {
-            addrs: addrs.to_vec(),
-            next: 0,
+            addr: addr.to_string(),
             client: None,
             policy,
             rng,
             retries: 0,
-            failovers: 0,
         }
     }
 
     /// Total retries performed so far (not counting first attempts).
     pub fn retries(&self) -> u64 {
         self.retries
-    }
-
-    /// How many times a transport failure moved this client to another
-    /// peer (always 0 with a single peer).
-    pub fn failovers(&self) -> u64 {
-        self.failovers
     }
 
     /// Sends one request line, retrying per the policy. Returns the last
@@ -224,11 +197,8 @@ impl RetryingClient {
             }
             if outcome.is_err() {
                 // The connection died mid-exchange; the next attempt
-                // reconnects — to the next peer, if there is one.
+                // reconnects.
                 self.client = None;
-                if self.addrs.len() > 1 {
-                    self.failovers += 1;
-                }
             }
             last = Some(outcome);
         }
@@ -237,9 +207,7 @@ impl RetryingClient {
 
     fn try_once(&mut self, request_line: &str) -> std::io::Result<Response> {
         if self.client.is_none() {
-            let addr = &self.addrs[self.next % self.addrs.len()];
-            self.next = (self.next + 1) % self.addrs.len();
-            self.client = Some(Client::connect(addr)?);
+            self.client = Some(Client::connect(&self.addr)?);
         }
         let client = self.client.as_mut().expect("client just connected");
         client.request(request_line)

@@ -343,9 +343,10 @@ impl ServiceCore {
     }
 
     /// [`handle_line`](ServiceCore::handle_line) with inline execution
-    /// and no forwarding — the single-node, single-thread pipeline used
-    /// by embedders and tests.
-    pub fn handle_line_sync(&self, line: &str) -> Response {
+    /// and no forwarding — the single-node, single-thread pipeline the
+    /// tests drive.
+    #[cfg(test)]
+    fn handle_line_sync(&self, line: &str) -> Response {
         self.handle_line(line, &InlineDispatch::default(), None)
     }
 }

@@ -89,16 +89,13 @@ fn save_snapshot(
 }
 
 fn solve_params(r: &SolveRequest) -> SaParams {
-    SaParams::paper()
-        .with_moves(r.moves)
-        .with_chains(r.chains)
-        .with_evaluator(r.evaluator)
+    SaParams::paper().with_moves(r.moves).with_chains(r.chains)
 }
 
 /// Builds the resumable annealing job a solve request denotes — the same
 /// chains, seeds, and schedule `solve_row` would run, so finishing the
 /// job yields a bit-identical outcome.
-pub fn solve_job(r: &SolveRequest) -> noc_placement::SolveJob {
+fn solve_job(r: &SolveRequest) -> noc_placement::SolveJob {
     let objective = AllPairsObjective::with_weights(r.weights);
     noc_placement::SolveJob::new(
         r.n,
@@ -629,7 +626,6 @@ mod tests {
             strategy: InitialStrategy::DivideAndConquer,
             moves: 300,
             chains: 1,
-            evaluator: noc_placement::EvalMode::Incremental,
             seed,
             weights: HopWeights::PAPER,
             checkpoint: 0,
@@ -637,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn chains_key_but_evaluator_does_not() {
+    fn chains_are_keyed() {
         let base = solve_request(7);
         let Request::Solve(r) = &base else {
             unreachable!()
@@ -646,12 +642,7 @@ mod tests {
             chains: 4,
             ..r.clone()
         });
-        let full_eval = Request::Solve(SolveRequest {
-            evaluator: noc_placement::EvalMode::Full,
-            ..r.clone()
-        });
         assert_ne!(cache_key(&base), cache_key(&more_chains));
-        assert_eq!(cache_key(&base), cache_key(&full_eval));
     }
 
     #[test]
@@ -673,7 +664,6 @@ mod tests {
             strategy: InitialStrategy::DivideAndConquer,
             moves: 2_000_000,
             chains: 4,
-            evaluator: noc_placement::EvalMode::Incremental,
             seed: 9,
             weights: HopWeights::PAPER,
             checkpoint: 0,
@@ -703,7 +693,6 @@ mod tests {
             strategy: InitialStrategy::DivideAndConquer,
             moves: 200,
             chains: 1,
-            evaluator: noc_placement::EvalMode::Incremental,
             seed: 9,
             weights: HopWeights::PAPER,
             checkpoint: 0,

@@ -65,7 +65,7 @@ impl LatencyHistogram {
     /// Estimates the `q`-quantile (0 < q <= 1) in microseconds: the upper
     /// edge of the bucket holding the `ceil(q·count)`-th observation.
     /// Returns 0 with no observations.
-    pub fn quantile_micros(&self, q: f64) -> u64 {
+    fn quantile_micros(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
@@ -82,12 +82,12 @@ impl LatencyHistogram {
     }
 
     /// Sum of all observations in microseconds.
-    pub fn sum_micros(&self) -> u64 {
+    fn sum_micros(&self) -> u64 {
         self.sum_micros.load(Ordering::Relaxed)
     }
 
     /// Mean observation in microseconds (0 with no observations).
-    pub fn mean_micros(&self) -> f64 {
+    fn mean_micros(&self) -> f64 {
         let n = self.count();
         if n == 0 {
             0.0

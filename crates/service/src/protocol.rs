@@ -25,7 +25,7 @@
 
 use crate::spec::{kind, wire_label};
 use noc_json::Value;
-use noc_placement::{EvalMode, InitialStrategy};
+use noc_placement::InitialStrategy;
 use noc_routing::HopWeights;
 use noc_traffic::SyntheticPattern;
 use std::fmt::{self, Write as _};
@@ -60,8 +60,6 @@ pub struct SolveRequest {
     pub moves: usize,
     /// Independent annealing chains, best-of-K.
     pub chains: usize,
-    /// Candidate evaluation mode; both modes are bit-identical.
-    pub evaluator: EvalMode,
     /// RNG seed (the solve is deterministic given all fields).
     pub seed: u64,
     /// Hop weights of the objective.
@@ -582,7 +580,7 @@ pub fn best_effort_id(line: &str) -> String {
 /// use noc_service::protocol::{parse_request, request_line, Request};
 ///
 /// let env = parse_request(
-///     r#"{"id":"1","kind":"solve","n":8,"c":4,"chains":4,"evaluator":"full"}"#,
+///     r#"{"id":"1","kind":"solve","n":8,"c":4,"chains":4}"#,
 /// ).unwrap();
 /// let Request::Solve(solve) = &env.request else { panic!() };
 /// assert_eq!((solve.chains, solve.moves, solve.seed), (4, 10_000, 42));
@@ -661,7 +659,6 @@ mod tests {
                 assert_eq!(r.strategy, InitialStrategy::DivideAndConquer);
                 assert_eq!(r.weights, HopWeights::PAPER);
                 assert_eq!(r.chains, 1);
-                assert_eq!(r.evaluator, EvalMode::Incremental);
             }
             other => panic!("wrong variant {other:?}"),
         }
@@ -674,7 +671,6 @@ mod tests {
         assert!(parse_request(r#"{"kind":"solve","n":8,"c":0}"#).is_err());
         assert!(parse_request(r#"{"kind":"solve","n":8,"c":4,"chains":0}"#).is_err());
         assert!(parse_request(r#"{"kind":"solve","n":8,"c":4,"chains":65}"#).is_err());
-        assert!(parse_request(r#"{"kind":"solve","n":8,"c":4,"evaluator":"magic"}"#).is_err());
         assert!(parse_request(r#"{"kind":"optimal","n":17,"c":2}"#).is_err());
         assert!(parse_request(r#"{"kind":"simulate","n":8,"pattern":"ur","rate":1.5}"#).is_err());
         assert!(parse_request(r#"{"kind":"nope"}"#).is_err());
@@ -685,10 +681,6 @@ mod tests {
         for (line, field) in [
             (r#"{"kind":"solve","n":8,"c":10000000000000}"#, "c"),
             (r#"{"kind":"solve","n":8,"c":4,"strategy":5}"#, "strategy"),
-            (
-                r#"{"kind":"solve","n":8,"c":4,"evaluator":true}"#,
-                "evaluator",
-            ),
             (
                 r#"{"kind":"solve","n":8,"c":4,"router_cycles":4294967298}"#,
                 "router_cycles",

@@ -17,7 +17,7 @@ use crate::protocol::{
     SweepRequest, ThroughputRequest,
 };
 use noc_json::Value;
-use noc_placement::{EvalMode, InitialStrategy};
+use noc_placement::InitialStrategy;
 use noc_routing::HopWeights;
 use noc_scenario::field;
 use noc_scenario::field::{Field, FieldDoc, FieldError, Fields, Ty, MAX_CHAINS, MAX_CYCLES};
@@ -207,7 +207,7 @@ pub fn read_flags(
     (kind.read)(&Value::Obj(object)).map_err(|e| e.message(flag_label))
 }
 
-use Ty::{Evaluator, Int, Links, Pattern, Rate, RateFrom, Strategy};
+use Ty::{Int, Links, Pattern, Rate, RateFrom, Strategy};
 const U64: Ty = Ty::U64;
 const PAPER: HopWeights = HopWeights::PAPER;
 const UNKEYED: bool = false;
@@ -230,8 +230,6 @@ impl Fields for SolveRequest {
         field!("strategy" => strategy, Strategy, Optional(InitialStrategy::DivideAndConquer)),
         field!("moves" => moves, Int(0, MAX_MOVES as u64), Optional(10_000)),
         field!("chains" => chains, Int(1, MAX_CHAINS as u64), Optional(1)),
-        // The two modes are bit-identical (see `SaParams::fingerprint`).
-        field!("evaluator" => evaluator, Evaluator, Optional(EvalMode::Incremental), UNKEYED),
         field!("seed" => seed, U64, Optional(42)),
         field!("router_cycles" => weights.router_cycles, HOP_CYCLES, Optional(PAPER.router_cycles)),
         field!("unit_link_cycles" => weights.unit_link_cycles, HOP_CYCLES, Optional(PAPER.unit_link_cycles)),

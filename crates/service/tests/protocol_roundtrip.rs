@@ -4,7 +4,7 @@
 //! reference that builds each envelope as a `Value` and renders it.
 
 use noc_json::{obj, Value};
-use noc_placement::{EvalMode, InitialStrategy};
+use noc_placement::InitialStrategy;
 use noc_routing::HopWeights;
 use noc_service::protocol::{
     parse_request, request_line, wire_lines, Envelope, ErrorCode, FrontierRequest, OptimalRequest,
@@ -29,7 +29,6 @@ fn every_request_variant_round_trips() {
             strategy: InitialStrategy::Random,
             moves: 777,
             chains: 4,
-            evaluator: EvalMode::Full,
             seed: u64::MAX,
             weights: HopWeights {
                 router_cycles: 2,
@@ -43,7 +42,6 @@ fn every_request_variant_round_trips() {
             strategy: InitialStrategy::Greedy,
             moves: 10_000,
             chains: 1,
-            evaluator: EvalMode::Incremental,
             seed: 0,
             weights: HopWeights::PAPER,
             checkpoint: 0,

@@ -3,7 +3,7 @@
 //! compute kind's cache key covers.
 
 use noc_json::Value;
-use noc_placement::{EvalMode, InitialStrategy};
+use noc_placement::InitialStrategy;
 use noc_routing::HopWeights;
 use noc_service::exec::{cache_key, execute};
 use noc_service::protocol::{
@@ -29,7 +29,6 @@ fn request_lines_are_pinned() {
                 strategy: InitialStrategy::Greedy,
                 moves: 777,
                 chains: 4,
-                evaluator: EvalMode::Full,
                 seed: u64::MAX,
                 weights: HopWeights {
                     router_cycles: 2,
@@ -37,7 +36,7 @@ fn request_lines_are_pinned() {
                 },
                 checkpoint: 0,
             }),
-            r#"{"id":"solve","kind":"solve","deadline_ms":1234,"n":12,"c":5,"strategy":"greedy","moves":777,"chains":4,"evaluator":"full","seed":18446744073709551615,"router_cycles":2,"unit_link_cycles":1}"#,
+            r#"{"id":"solve","kind":"solve","deadline_ms":1234,"n":12,"c":5,"strategy":"greedy","moves":777,"chains":4,"seed":18446744073709551615,"router_cycles":2,"unit_link_cycles":1}"#,
         ),
         (
             Request::Optimal(OptimalRequest {
@@ -174,15 +173,13 @@ const ENVELOPE: &[(&str, &str, bool)] = &[
 const CASES: &[KindCase] = &[
     KindCase {
         base: r#"{"id":"k","kind":"solve","n":8,"c":4,"strategy":"dnc","moves":500,"chains":2,
-                  "evaluator":"incremental","seed":7,"router_cycles":3,"unit_link_cycles":1,
-                  "checkpoint":2}"#,
+                  "seed":7,"router_cycles":3,"unit_link_cycles":1,"checkpoint":2}"#,
         fields: &[
             ("n", "9", true),
             ("c", "3", true),
             ("strategy", r#""greedy""#, true),
             ("moves", "501", true),
             ("chains", "3", true),
-            ("evaluator", r#""full""#, false),
             ("seed", "8", true),
             ("router_cycles", "2", true),
             ("unit_link_cycles", "2", true),
@@ -312,6 +309,31 @@ fn cache_key_covers_exactly_the_keyed_fields() {
                 assert_ne!(other_key.stable_hash(), key.stable_hash(), "{kind}.{field}");
             }
         }
+    }
+}
+
+/// `solve` once took an `evaluator` field choosing between two
+/// bit-identical ways of scoring a candidate. A line that still carries
+/// it, with any value, parses, keys and answers exactly like the same line
+/// without it.
+#[test]
+fn a_solve_line_carrying_evaluator_reads_as_one_without() {
+    let new = r#"{"id":"s","kind":"solve","n":8,"c":4,"moves":300,"seed":7}"#;
+    let new = parse_request(new).unwrap();
+    let key = cache_key(&new.request).expect("compute kinds have a key");
+    let answer = execute(&new.request).expect("the solve runs").compact();
+    for evaluator in ["full", "incremental", "magic"] {
+        let old = format!(
+            r#"{{"id":"s","kind":"solve","n":8,"c":4,"moves":300,"evaluator":"{evaluator}","seed":7}}"#
+        );
+        let old = parse_request(&old).unwrap();
+        assert_eq!(old, new, "{evaluator}");
+        assert_eq!(request_line(&old), request_line(&new));
+        assert_eq!(
+            cache_key(&old.request).unwrap().stable_hash(),
+            key.stable_hash()
+        );
+        assert_eq!(execute(&old.request).unwrap().compact(), answer);
     }
 }
 

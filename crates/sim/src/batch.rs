@@ -384,9 +384,6 @@ pub struct BatchSimulator {
     ovc_credits: Vec<u32>,
     out_va_rr: Vec<u32>,
     out_sa_rr: Vec<u32>,
-    /// Per `router·K + lane`: input VCs that hold a flit or a packet's
-    /// route. Snapshot state only; arbitration walks [`Self::occ`].
-    active_inputs: Vec<u32>,
     /// Derived occupancy masks over [`Self::vc_len`]; never serialized.
     /// Its `words` is also the request-mask width.
     occ: Occupancy,
@@ -452,8 +449,6 @@ fn push_word_at(
     grp_head: &mut [u64],
     elig_slot: &mut Vec<u32>,
     vc_len: &mut [u32],
-    vc_rov: &[u32],
-    active_inputs: &mut [u32],
     occ: &mut Occupancy,
     port: usize,
     v: usize,
@@ -465,9 +460,6 @@ fn push_word_at(
     let gi = g * k + l;
     if vc_len[gi] == 0 {
         let r = tables.in_port_router[port] as usize;
-        if vc_rov[gi] & ROV_ROUTE == ROV_ROUTE {
-            active_inputs[r * k + l] += 1;
-        }
         occ.fill(g, l, r, g - tables.in_port_off[r] as usize * tables.vcs);
         front_word[gi] = word;
         // The VC was empty, so its head/eligibility bits are clear; the
@@ -696,7 +688,6 @@ impl BatchSimulator {
             ovc_credits,
             out_va_rr: vec![0u32; total_outputs * k],
             out_sa_rr: vec![0u32; total_outputs * k],
-            active_inputs: vec![0u32; routers * k],
             occ,
             req: vec![0u64; max_outputs * k * words],
             req_sa: vec![0u64; max_outputs * k * words],
@@ -919,8 +910,6 @@ impl BatchSimulator {
             grp_head,
             elig_wheel,
             vc_len,
-            vc_rov,
-            active_inputs,
             occ,
             activity,
             arrivals,
@@ -945,8 +934,6 @@ impl BatchSimulator {
                 grp_head,
                 elig_slot,
                 vc_len,
-                vc_rov,
-                active_inputs,
                 occ,
                 ev.port as usize,
                 ev.vc as usize,
@@ -975,8 +962,6 @@ impl BatchSimulator {
             grp_head,
             elig_wheel,
             vc_len,
-            vc_rov,
-            active_inputs,
             occ,
             pending,
             ..
@@ -1052,8 +1037,6 @@ impl BatchSimulator {
                         grp_head,
                         elig_slot,
                         vc_len,
-                        vc_rov,
-                        active_inputs,
                         occ,
                         inj,
                         vc_idx,
@@ -1119,7 +1102,6 @@ impl BatchSimulator {
             ovc_credits,
             out_va_rr,
             out_sa_rr,
-            active_inputs,
             occ,
             req,
             req_sa,
@@ -1466,9 +1448,6 @@ impl BatchSimulator {
                                 grp_noovc[g] |= lb;
                                 ovc_free[o * vcs + ovc] |= lb;
                             }
-                            if vc_len[gi] == 0 && rovs[gl] & ROV_ROUTE == ROV_ROUTE {
-                                active_inputs[r * k + l] -= 1;
-                            }
 
                             // Return the freed buffer slot upstream (1-cycle wire).
                             let cb = tables.in_credit_base[in_lo + i];
@@ -1709,7 +1688,6 @@ impl BatchSimulator {
         w.write_u32s(&self.ovc_credits);
         w.write_u32s(&self.out_va_rr);
         w.write_u32s(&self.out_sa_rr);
-        w.write_u32s(&self.active_inputs);
         for slot in &self.credit_wheel {
             w.write_u32s(slot);
         }
@@ -1936,7 +1914,6 @@ impl BatchSimulator {
             ),
             ("va round-robin", &mut self.out_va_rr, total_outputs * k),
             ("sa round-robin", &mut self.out_sa_rr, total_outputs * k),
-            ("active input counts", &mut self.active_inputs, routers * k),
         ] {
             let vs = r.read_u32s()?;
             if vs.len() != expected {

@@ -32,7 +32,7 @@ impl Simulator {
     }
 
     /// Builds a simulator reusing an existing routing solve.
-    pub fn with_router(
+    fn with_router(
         topology: &MeshTopology,
         dor: &DorRouter,
         workload: Workload,

@@ -14,13 +14,6 @@ pub struct Flit {
     pub dst: u16,
 }
 
-impl Flit {
-    /// Whether this is the head flit (carries routing information).
-    pub fn is_head(&self) -> bool {
-        self.seq == 0
-    }
-}
-
 /// Sentinel for "not yet happened" in [`PacketRecord`] completion cycles.
 pub const PENDING: u32 = u32::MAX;
 
@@ -51,57 +44,12 @@ pub struct PacketRecord {
     pub measured: bool,
 }
 
-impl PacketRecord {
-    /// Head latency in cycles, if the head flit has arrived.
-    pub fn head_latency(&self) -> Option<u64> {
-        (self.head_done != PENDING).then(|| (self.head_done - self.created) as u64)
-    }
-
-    /// Full packet latency in cycles (creation to tail delivery).
-    pub fn packet_latency(&self) -> Option<u64> {
-        (self.tail_done != PENDING).then(|| (self.tail_done - self.created) as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn head_flit_detection() {
-        let head = Flit {
-            packet: 0,
-            seq: 0,
-            tail: false,
-            dst: 5,
-        };
-        let tail = Flit {
-            packet: 0,
-            seq: 3,
-            tail: true,
-            dst: 5,
-        };
-        assert!(head.is_head());
-        assert!(!tail.is_head());
-        assert!(tail.tail);
-    }
-
-    #[test]
-    fn latencies_need_completion() {
-        let mut rec = PacketRecord {
-            src: 0,
-            dst: 9,
-            flits: 2,
-            created: 100,
-            head_done: PENDING,
-            tail_done: PENDING,
-            measured: true,
-        };
-        assert_eq!(rec.head_latency(), None);
-        rec.head_done = 110;
-        rec.tail_done = 111;
-        assert_eq!(rec.head_latency(), Some(10));
-        assert_eq!(rec.packet_latency(), Some(11));
+    fn packet_record_packs_to_24_bytes() {
         assert_eq!(std::mem::size_of::<PacketRecord>(), 24);
     }
 }

@@ -76,7 +76,7 @@ impl NetTables {
     }
 
     /// Input ports of router `r` as a flat range (injection port last).
-    pub fn input_ports(&self, r: usize) -> std::ops::Range<usize> {
+    fn input_ports(&self, r: usize) -> std::ops::Range<usize> {
         self.in_port_off[r] as usize..self.in_port_off[r + 1] as usize
     }
 

@@ -199,15 +199,6 @@ impl SimStats {
         }
         total
     }
-
-    /// Delivered fraction of measured packets.
-    pub fn completion_ratio(&self) -> f64 {
-        if self.measured_packets == 0 {
-            1.0
-        } else {
-            self.completed_packets as f64 / self.measured_packets as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -226,28 +217,5 @@ mod tests {
         a.add(&a.clone());
         assert_eq!(a.buffer_writes, 2);
         assert_eq!(a.link_flit_segments, 8);
-    }
-
-    #[test]
-    fn completion_ratio_handles_empty_runs() {
-        let stats = SimStats {
-            cycles: 0,
-            measure_cycles: 0,
-            nodes: 16,
-            measured_packets: 0,
-            completed_packets: 0,
-            avg_packet_latency: 0.0,
-            avg_head_latency: 0.0,
-            max_packet_latency: 0,
-            p50_latency: 0.0,
-            p95_latency: 0.0,
-            p99_latency: 0.0,
-            accepted_throughput: 0.0,
-            offered_rate: 0.0,
-            avg_flits_per_packet: 0.0,
-            activity: vec![],
-            drained: true,
-        };
-        assert_eq!(stats.completion_ratio(), 1.0);
     }
 }

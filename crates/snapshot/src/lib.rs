@@ -34,9 +34,10 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"NSNP";
 
 /// Current snapshot format version. Any layout change bumps this; a
-/// reader only accepts snapshots of exactly this version. Version 2 added
-/// a per-lane packet-source tag and replay cursor to `sim-batch`.
-pub const VERSION: u16 = 2;
+/// reader only accepts snapshots of exactly this version. Version 3
+/// dropped the evaluator byte from `sa-chain`/`sa-job` parameters and the
+/// active-input counts from `sim-batch`.
+pub const VERSION: u16 = 3;
 
 /// Structured failure when decoding a snapshot. Every malformed input
 /// maps to one of these variants — decoding never panics.
@@ -180,14 +181,6 @@ impl Writer {
         }
     }
 
-    /// Appends an f64 slice with a length prefix (bit-exact).
-    pub fn write_f64s(&mut self, vs: &[f64]) {
-        self.write_len(vs.len());
-        for &v in vs {
-            self.write_f64(v);
-        }
-    }
-
     /// Appends a bool slice with a length prefix.
     pub fn write_bools(&mut self, vs: &[bool]) {
         self.write_len(vs.len());
@@ -311,13 +304,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a length-prefixed byte string.
-    pub fn read_bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
+    fn read_bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
         let len = self.read_len(1)?;
         self.take(len)
     }
 
     /// Reads a length-prefixed UTF-8 string.
-    pub fn read_str(&mut self) -> Result<&'a str, SnapshotError> {
+    fn read_str(&mut self) -> Result<&'a str, SnapshotError> {
         std::str::from_utf8(self.read_bytes()?).map_err(|_| SnapshotError::Corrupt {
             field: "utf-8 string",
         })
@@ -333,12 +326,6 @@ impl<'a> Reader<'a> {
     pub fn read_u32s(&mut self) -> Result<Vec<u32>, SnapshotError> {
         let len = self.read_len(4)?;
         (0..len).map(|_| self.read_u32()).collect()
-    }
-
-    /// Reads a length-prefixed f64 slice (bit-exact).
-    pub fn read_f64s(&mut self) -> Result<Vec<f64>, SnapshotError> {
-        let len = self.read_len(8)?;
-        (0..len).map(|_| self.read_f64()).collect()
     }
 
     /// Reads a length-prefixed bool slice.

@@ -107,8 +107,10 @@ impl MeshTopology {
         self.n * self.n
     }
 
-    /// Flat router id for a coordinate.
-    pub fn router_id(&self, coord: Coord) -> usize {
+    /// Flat router id for a coordinate, the inverse of [`Self::coord`]
+    /// that tests check.
+    #[cfg(test)]
+    fn router_id(&self, coord: Coord) -> usize {
         debug_assert!(coord.x < self.n && coord.y < self.n);
         coord.y * self.n + coord.x
     }

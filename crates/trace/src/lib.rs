@@ -161,13 +161,6 @@ pub fn drain_events() -> Vec<Event> {
         .unwrap_or_default()
 }
 
-/// Copies out the retained events without clearing the ring.
-pub fn snapshot_events() -> Vec<Event> {
-    installed_sink()
-        .map(|s| s.ring().snapshot())
-        .unwrap_or_default()
-}
-
 /// JSON snapshot of the metric registry (empty object when tracing was
 /// never enabled).
 pub fn registry_snapshot() -> noc_json::Value {

@@ -1,14 +1,12 @@
-//! Traffic traces: recorded packet streams for replay and for deriving
-//! empirical traffic matrices.
+//! Traffic traces: recorded packet streams for replay.
 //!
 //! The paper's application-specific flow (§5.6.4) is "first run each
 //! benchmark on a baseline network once to collect traffic statistics, then
 //! apply the revised scheme". A [`Trace`] is that collection step's output:
-//! a time-ordered list of injections that can be (a) replayed cycle-exactly
-//! through the simulator and (b) collapsed into the `γ` matrix the
-//! application-specific optimizer consumes.
+//! a time-ordered list of injections that replays cycle-exactly through the
+//! simulator, and whose empirical `γ` matrix converges to the recorded
+//! workload's.
 
-use crate::matrix::TrafficMatrix;
 use crate::workload::Workload;
 use noc_rng::rngs::SmallRng;
 use noc_rng::SeedableRng;
@@ -97,17 +95,6 @@ impl Trace {
         Trace { side, events }
     }
 
-    /// Collapses the trace into an empirical traffic matrix `γ` (packet
-    /// counts, row-normalised) — the optimizer-facing statistic.
-    pub fn to_matrix(&self) -> TrafficMatrix {
-        let routers = self.side * self.side;
-        let mut rates = vec![0.0; routers * routers];
-        for e in &self.events {
-            rates[e.src * routers + e.dst] += 1.0;
-        }
-        TrafficMatrix::from_rates(self.side, rates)
-    }
-
     /// Mean injection rate in packets per node per cycle over the recorded
     /// horizon.
     pub fn mean_rate(&self) -> f64 {
@@ -117,64 +104,25 @@ impl Trace {
         let horizon = (self.horizon() + 1) as f64;
         self.events.len() as f64 / (horizon * (self.side * self.side) as f64)
     }
-
-    /// Serialises the trace as CSV lines `cycle,src,dst,bits`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("cycle,src,dst,bits\n");
-        for e in &self.events {
-            out.push_str(&format!("{},{},{},{}\n", e.cycle, e.src, e.dst, e.bits));
-        }
-        out
-    }
-
-    /// Parses a CSV trace (`cycle,src,dst,bits`, with or without header).
-    pub fn from_csv(side: usize, csv: &str) -> Result<Self, String> {
-        let mut events = Vec::new();
-        for (i, line) in csv.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with("cycle") {
-                continue;
-            }
-            let mut cols = line.split(',').map(str::trim);
-            let mut next = |name: &str| {
-                cols.next()
-                    .ok_or_else(|| format!("line {}: missing {name}", i + 1))
-            };
-            let cycle = next("cycle")?
-                .parse()
-                .map_err(|_| format!("line {}: bad cycle", i + 1))?;
-            let src = next("src")?
-                .parse()
-                .map_err(|_| format!("line {}: bad src", i + 1))?;
-            let dst = next("dst")?
-                .parse()
-                .map_err(|_| format!("line {}: bad dst", i + 1))?;
-            let bits = next("bits")?
-                .parse()
-                .map_err(|_| format!("line {}: bad bits", i + 1))?;
-            events.push(TraceEvent {
-                cycle,
-                src,
-                dst,
-                bits,
-            });
-        }
-        let routers = side * side;
-        if events
-            .iter()
-            .any(|e| e.src >= routers || e.dst >= routers || e.src == e.dst || e.bits == 0)
-        {
-            return Err("trace contains invalid events for this mesh size".into());
-        }
-        Ok(Trace::new(side, events))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::TrafficMatrix;
     use crate::patterns::SyntheticPattern;
     use noc_model::PacketMix;
+
+    /// The trace collapsed into an empirical traffic matrix `γ` (packet
+    /// counts, row-normalised).
+    fn empirical_matrix(trace: &Trace) -> TrafficMatrix {
+        let routers = trace.side * trace.side;
+        let mut rates = vec![0.0; routers * routers];
+        for e in &trace.events {
+            rates[e.src * routers + e.dst] += 1.0;
+        }
+        TrafficMatrix::from_rates(trace.side, rates)
+    }
 
     fn sample_trace() -> Trace {
         Trace::new(
@@ -211,15 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trips() {
-        let t = sample_trace();
-        let parsed = Trace::from_csv(4, &t.to_csv()).unwrap();
-        assert_eq!(parsed, t);
-        assert!(Trace::from_csv(2, &t.to_csv()).is_err()); // out of range for 2x2
-        assert!(Trace::from_csv(4, "1,2").is_err());
-    }
-
-    #[test]
     fn recorded_trace_matches_workload_statistics() {
         let workload = Workload::new(
             TrafficMatrix::from_pattern(SyntheticPattern::UniformRandom, 4),
@@ -233,7 +172,7 @@ mod tests {
             trace.mean_rate()
         );
         // The empirical matrix approaches the true (uniform) matrix.
-        let empirical = trace.to_matrix();
+        let empirical = empirical_matrix(&trace);
         for src in 0..16 {
             for dst in 0..16 {
                 if src == dst {

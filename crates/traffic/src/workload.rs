@@ -87,9 +87,9 @@ impl Workload {
         classes.last().expect("mix is non-empty").bits
     }
 
-    /// Offered load in bits per node per cycle — used to position sweeps
-    /// relative to saturation.
-    pub fn offered_bits_per_node(&self) -> f64 {
+    /// Offered load in bits per node per cycle, which tests scale.
+    #[cfg(test)]
+    fn offered_bits_per_node(&self) -> f64 {
         self.injection_rate * self.mix.mean_bits()
     }
 }

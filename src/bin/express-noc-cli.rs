@@ -542,16 +542,16 @@ fn cmd_scenario(args: &[String]) -> Result<(), String> {
     if let Some((flag, _)) = pairs.iter().find(|(f, _)| !takes.contains(&f.as_str())) {
         return Err(format!("unknown flag --{flag} for scenario {action}"));
     }
-    let opts: Flags = pairs.into_iter().collect();
+    let opts: Flags = pairs.iter().cloned().collect();
     let trace_out = opts.get("trace-out");
     if trace_out.is_some() {
         express_noc::trace::enable();
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let manifest = Manifest::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let batch = expand(&manifest).map_err(|e| format!("{path}: {e}"))?;
     match action.as_str() {
         "describe" => {
-            let batch = expand(&manifest).map_err(|e| format!("{path}: {e}"))?;
             println!(
                 "manifest:    {} (scenario format v{})",
                 manifest.name, manifest.version
@@ -590,7 +590,7 @@ fn cmd_scenario(args: &[String]) -> Result<(), String> {
             println!("scenarios:   {}", batch.len());
         }
         "expand" => {
-            for s in expand(&manifest).map_err(|e| format!("{path}: {e}"))? {
+            for s in batch {
                 let line = express_noc::json::obj! {
                     "index" => Value::Int(s.index as i128),
                     "name" => Value::Str(s.name.clone()),
@@ -601,18 +601,25 @@ fn cmd_scenario(args: &[String]) -> Result<(), String> {
             }
         }
         "run" => {
-            let workers: usize = get_or(&opts, "workers", 0)?;
+            // The run is a `scenario` request: `--workers` is its field,
+            // read and bounded by the kind's declaration.
+            let kind = spec::kind("scenario").ok_or("undeclared request kind")?;
+            let flags = [vec![("manifest".to_string(), text)], pairs].concat();
+            let request = spec::read_flags(kind, &flags, &["addr", "trace-out"])?;
+            let Request::Scenario(scenario) = &request else {
+                unreachable!("the scenario kind reads scenario requests")
+            };
             // With --addr the batch runs on a daemon and its streamed
             // NDJSON response is printed verbatim; otherwise it runs
             // in-process through the same `run_batch` the daemon uses.
             if let Some(addr) = opts.get("addr") {
-                let request = protocol::ScenarioRequest { manifest, workers };
-                for line in stream(addr, "scenario", Request::Scenario(Box::new(request)))? {
+                for line in stream(addr, "scenario", request)? {
                     println!("{line}");
                 }
             } else {
-                let batch = run_batch(&manifest, workers).map_err(|e| format!("{path}: {e}"))?;
-                for item in batch.items.iter().chain([&batch.summary]) {
+                let results = run_batch(&scenario.manifest, scenario.workers)
+                    .map_err(|e| format!("{path}: {e}"))?;
+                for item in results.items.iter().chain([&results.summary]) {
                     println!("{}", item.compact());
                 }
             }

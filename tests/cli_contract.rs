@@ -77,7 +77,7 @@ fn checkpoint_then_resume_prints_the_uninterrupted_solve() {
     assert_eq!(
         out.replace(path, "SNAPSHOT"),
         "checkpointed P(8,4) at move 1000/3000: state_hash 377a20f0b64e4b12 \
-         (436 bytes to SNAPSHOT)\n"
+         (434 bytes to SNAPSHOT)\n"
     );
     assert_eq!(run_cli(&["resume", "--snapshot", path]), SOLVE_3000);
     let _ = std::fs::remove_dir_all(&dir);

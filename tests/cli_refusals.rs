@@ -74,6 +74,18 @@ fn out_of_bound_and_unknown_flags_are_refused_naming_the_flag() {
             "scenario run examples/scenarios/ladder.json --batch-lanes 4",
             "--batch-lanes",
         ),
+        // `scenario run --workers` had no bound, although the wire's
+        // `workers` field stops at 64. These are refused, never run.
+        (
+            "scenario run examples/scenarios/ladder.json --workers 65",
+            "--workers",
+        ),
+        (
+            "scenario run examples/scenarios/ladder.json --workers 1000",
+            "--workers",
+        ),
+        // An evaluation mode `solve` no longer has.
+        ("solve --n 8 --c 4 --evaluator full", "--evaluator"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_express-noc-cli"))
             .args(line.split(' '))

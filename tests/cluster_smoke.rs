@@ -4,7 +4,7 @@
 //! between TCP peers.
 
 use express_noc::cluster::{ClusterSim, ScriptAction, SimConfig, TcpForwarder};
-use express_noc::placement::{EvalMode, InitialStrategy};
+use express_noc::placement::InitialStrategy;
 use express_noc::routing::HopWeights;
 use express_noc::service::protocol::{self, Request, SolveRequest};
 use express_noc::service::{Client, Response, Server, ServiceConfig};
@@ -90,7 +90,6 @@ fn two_tcp_daemons_forward_to_the_shard_owner() {
                 strategy: InitialStrategy::DivideAndConquer,
                 moves: 60,
                 chains: 1,
-                evaluator: EvalMode::Incremental,
                 seed,
                 weights: HopWeights::PAPER,
                 checkpoint: 0,

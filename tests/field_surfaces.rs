@@ -88,7 +88,6 @@ fn values(ty: Ty, rng: &mut SmallRng) -> Vec<Value> {
             .map(s)
             .to_vec(),
         Ty::Strategy => ["dnc", "d&c", "random", "greedy", "zz"].map(s).to_vec(),
-        Ty::Evaluator => ["incremental", "full", "zz"].map(s).to_vec(),
         Ty::Links => ["[]", "[[0,2]]", "[[2,0],[1,3]]", "[[0,99]]", "[[1]]", "5"]
             .map(|text| noc_json::parse(text).unwrap())
             .to_vec(),

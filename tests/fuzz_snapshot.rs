@@ -185,18 +185,23 @@ fn random_garbage_never_panics() {
 #[test]
 fn version_bump_reports_unsupported_version() {
     for (name, bytes, decoder) in subjects() {
-        let mut mutated = bytes.clone();
-        let bumped = VERSION + 1;
-        mutated[4..6].copy_from_slice(&bumped.to_le_bytes());
-        // Recompute nothing: the digest now mismatches too, but the header
-        // is validated first so the version error must win — a reader from
-        // the future should say "unsupported version", not "corrupt".
-        let err = decoder(&mutated).expect_err("bumped version accepted");
-        match err {
-            SnapshotError::UnsupportedVersion { found, supported } => {
-                assert_eq!((found, supported), (bumped, VERSION), "{name}");
+        // A stream from a newer writer, and one from the version before,
+        // whose layout this reader no longer has.
+        for version in [VERSION + 1, VERSION - 1] {
+            let mut mutated = bytes.clone();
+            mutated[4..6].copy_from_slice(&version.to_le_bytes());
+            // Recompute nothing: the digest now mismatches too, but the
+            // header is validated first so the version error must win — a
+            // reader should say "unsupported version", not "corrupt".
+            let err = decoder(&mutated).expect_err("other version accepted");
+            match err {
+                SnapshotError::UnsupportedVersion { found, supported } => {
+                    assert_eq!((found, supported), (version, VERSION), "{name}");
+                }
+                other => {
+                    panic!("{name}: version {version} produced {other:?}, not UnsupportedVersion")
+                }
             }
-            other => panic!("{name}: version bump produced {other:?}, not UnsupportedVersion"),
         }
     }
 }
