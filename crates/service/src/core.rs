@@ -410,6 +410,18 @@ mod tests {
     }
 
     #[test]
+    fn inline_lines_round_trip_through_the_parser() {
+        let core = core();
+        core.metrics().record_ok("solve", 35);
+        for kind in ["metrics", "health", "trace", "prometheus", "shutdown"] {
+            let line = format!(r#"{{"id":"i","kind":"{kind}"}}"#);
+            let wire = core.handle_line_sync(&line).to_line();
+            let parsed = noc_json::parse(&wire).unwrap_or_else(|e| panic!("{kind}: {e}"));
+            assert_eq!(parsed.compact(), wire, "{kind}");
+        }
+    }
+
+    #[test]
     fn oversized_link_limits_are_bad_requests() {
         // Each of these once reached `ConnectionMatrix::new`, whose
         // allocation failure aborts the process past any panic recovery.
