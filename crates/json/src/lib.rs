@@ -10,6 +10,11 @@
 //! Integers are kept in an [`i128`] variant so every `u64`/`i64` value
 //! (seeds, cycle counts, fingerprints) round-trips exactly; only genuine
 //! floating-point data goes through `f64`.
+//!
+//! [`write_str`], [`write_int`] and [`write_float`] are the scalar writers
+//! [`Value::write_compact`] itself uses, exported so a caller can write a
+//! JSON line by hand, without building a [`Value`], and still write the
+//! bytes a rendered value would.
 
 mod parse;
 mod print;
@@ -120,8 +125,34 @@ impl Value {
 
 /// Appends `s` to `out` as a quoted, escaped JSON string: the rendering
 /// of `Value::Str(s)` without building the [`Value`].
+/// [`Value::write_compact`] writes every string and key through it.
 pub fn write_str(s: &str, out: &mut String) {
     print::write_string(s, out);
+}
+
+/// Appends `s` to `out` escaped as the inside of a JSON string, without
+/// the quotes [`write_str`] puts around it, so one string can be written
+/// in pieces.
+pub fn write_escaped(s: &str, out: &mut String) {
+    print::write_escaped(s, out);
+}
+
+/// Appends `i` to `out` as a JSON integer, exactly as `format!("{i}")`
+/// writes it: the rendering of `Value::Int(i)`, which
+/// [`Value::write_compact`] writes through this same function. A
+/// magnitude that fits a `u64` is written without the `fmt` machinery;
+/// only wider `i128`s go through it.
+pub fn write_int(i: i128, out: &mut String) {
+    print::write_int(i, out);
+}
+
+/// Appends `f` to `out` as a JSON number: the shortest text that reads
+/// back as the same `f64`, always with a decimal point or an exponent
+/// (`1.0`, not `1`), and `null` for NaN and the infinities, which JSON
+/// cannot express. The rendering of `Value::Float(f)`, which
+/// [`Value::write_compact`] writes through this same function.
+pub fn write_float(f: f64, out: &mut String) {
+    print::write_float(f, out);
 }
 
 /// Conversion into a [`Value`].

@@ -1,6 +1,9 @@
 //! Compact and pretty JSON writers. Both write into a caller-owned
 //! buffer: numbers are formatted in place and unescaped string runs are
 //! copied as slices, so rendering allocates nothing beyond the buffer.
+//! The scalar writers ([`write_int`], [`write_float`], [`write_string`])
+//! are exported by the crate root, so text written by hand matches a
+//! rendered [`Value`] byte for byte.
 
 use crate::Value;
 use std::fmt::Write as _;
@@ -9,10 +12,8 @@ pub(crate) fn write_compact(value: &Value, out: &mut String) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::Float(f) => write_f64(*f, out),
+        Value::Int(i) => write_int(*i, out),
+        Value::Float(f) => write_float(*f, out),
         Value::Str(s) => write_string(s, out),
         Value::Arr(items) => {
             out.push('[');
@@ -79,8 +80,32 @@ fn push_indent(level: usize, out: &mut String) {
     }
 }
 
+/// Writes `i` in decimal, as `format!("{i}")` does. A magnitude that
+/// fits a `u64` is written digit by digit; only wider `i128`s go through
+/// the `fmt` machinery.
+pub(crate) fn write_int(i: i128, out: &mut String) {
+    let Ok(mut magnitude) = u64::try_from(i.unsigned_abs()) else {
+        let _ = write!(out, "{i}");
+        return;
+    };
+    if i < 0 {
+        out.push('-');
+    }
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (magnitude % 10) as u8;
+        magnitude /= 10;
+        if magnitude == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+}
+
 /// JSON has no NaN/Infinity; mirror serde_json's lossy `null` for them.
-fn write_f64(f: f64, out: &mut String) {
+pub(crate) fn write_float(f: f64, out: &mut String) {
     if f.is_finite() {
         // `{:?}` prints the shortest string that round-trips the f64 and
         // always includes a decimal point or exponent.
@@ -90,10 +115,17 @@ fn write_f64(f: f64, out: &mut String) {
     }
 }
 
-/// Writes `s` as a quoted JSON string. Every byte that needs escaping is
-/// ASCII, so the unescaped runs between them are copied as `&str` slices.
+/// Writes `s` as a quoted JSON string.
 pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
+    write_escaped(s, out);
+    out.push('"');
+}
+
+/// Writes `s` escaped as the inside of a JSON string. Every byte that
+/// needs escaping is ASCII, so the unescaped runs between them are copied
+/// as `&str` slices.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     let mut run = 0;
     for (i, byte) in s.bytes().enumerate() {
         if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
@@ -113,7 +145,6 @@ pub(crate) fn write_string(s: &str, out: &mut String) {
         run = i + 1;
     }
     out.push_str(&s[run..]);
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! floats become `null`), `write_compact` appends exactly `compact`, and
 //! the pretty form parses back to the same tree.
 
-use noc_json::{parse, write_str, Value};
+use noc_json::{parse, write_escaped, write_float, write_int, write_str, Value};
 
 /// SplitMix64: a dependency-free seeded stream for the generators.
 struct Stream(u64);
@@ -177,6 +177,66 @@ fn write_str_matches_the_string_value() {
     let mut buf = String::new();
     write_str("a\"b\\c\nd\u{1}é", &mut buf);
     assert_eq!(buf, r#""a\"b\\c\nd\u0001é""#);
+}
+
+#[test]
+fn write_escaped_is_write_str_without_the_quotes() {
+    for seed in 0..200 {
+        let text = random_string(&mut Stream(seed));
+        let (mut quoted, mut bare) = (String::new(), String::new());
+        write_str(&text, &mut quoted);
+        write_escaped(&text, &mut bare);
+        assert_eq!(format!("\"{bare}\""), quoted);
+    }
+}
+
+#[test]
+fn write_int_matches_format() {
+    let wide = i128::from(u64::MAX);
+    let mut cases = vec![
+        0,
+        1,
+        -1,
+        9,
+        10,
+        -10,
+        i128::from(i64::MIN),
+        i128::from(i64::MAX),
+        wide,
+        -wide,
+        wide + 1,
+        -wide - 1,
+        i128::MIN,
+        i128::MAX,
+    ];
+    let mut s = Stream(0x1D);
+    cases.extend((0..500).map(|_| {
+        let bits = (i128::from(s.next()) << 64) | i128::from(s.next());
+        // Every width from one digit to the full i128.
+        bits >> s.below(127)
+    }));
+    for i in cases {
+        let mut buf = String::from("x");
+        write_int(i, &mut buf);
+        assert_eq!(buf, format!("x{i}"));
+        assert_eq!(&buf[1..], Value::Int(i).compact());
+    }
+}
+
+#[test]
+fn write_float_matches_the_float_value() {
+    let mut s = Stream(0xF1);
+    for _ in 0..500 {
+        let f = random_float(&mut s);
+        let mut buf = String::new();
+        write_float(f, &mut buf);
+        assert_eq!(buf, Value::Float(f).compact());
+    }
+    for (f, text) in [(1.0, "1.0"), (0.5, "0.5"), (f64::NAN, "null")] {
+        let mut buf = String::new();
+        write_float(f, &mut buf);
+        assert_eq!(buf, text);
+    }
 }
 
 #[test]

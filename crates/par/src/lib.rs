@@ -9,13 +9,18 @@
 //! land back in input order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
-/// The default worker count: one per available core.
+/// The default worker count: one per available core. The OS is asked
+/// once, on the first call (on Linux that reads cgroup files), and the
+/// count is remembered for the life of the process.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Applies `f` to every item on a pool of scoped threads, preserving input
@@ -45,12 +50,15 @@ where
     F: Fn(&mut S, T) -> U + Sync,
 {
     let n = items.len();
-    let workers = if workers == 0 {
-        default_workers()
+    // Clamp to the item count first, so 0 or 1 items run inline without
+    // asking for the core count.
+    let workers = if n <= 1 {
+        1
+    } else if workers == 0 {
+        default_workers().min(n)
     } else {
-        workers
-    }
-    .min(n);
+        workers.min(n)
+    };
     if workers <= 1 {
         let mut state = init();
         return items.into_iter().map(|item| f(&mut state, item)).collect();
@@ -239,6 +247,28 @@ mod tests {
         for workers in [2, 4, 8] {
             let par = super::par_map_with(items.clone(), workers, || (), |(), x| x * x + 1);
             assert_eq!(seq, par, "results must not depend on worker count");
+        }
+    }
+
+    #[test]
+    fn zero_and_one_items_run_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for items in [vec![], vec![5u64]] {
+            let sequential: Vec<_> = items.iter().map(|x| (x * 3, caller)).collect();
+            for workers in [0, 1, 4] {
+                let mapped = super::par_map_with(
+                    items.clone(),
+                    workers,
+                    || (),
+                    |(), x| (x * 3, std::thread::current().id()),
+                );
+                assert_eq!(
+                    mapped,
+                    sequential,
+                    "{} items, {workers} workers",
+                    items.len()
+                );
+            }
         }
     }
 

@@ -24,8 +24,8 @@ use crate::exec::{self, ExecError, ExecOutput};
 use crate::fp;
 use crate::metrics::{trace_inc, trace_prometheus_text, Metrics};
 use crate::protocol::{self, Envelope, ErrorCode, Payload, Request, Response};
-use noc_json::Value;
-use std::sync::atomic::{AtomicBool, Ordering};
+use noc_json::{write_int, Value};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -97,6 +97,10 @@ pub struct ServiceCore {
     shutdown: AtomicBool,
     started: Instant,
     workers: usize,
+    /// Length of the last `metrics` answer, to size the next one's buffer.
+    metrics_len: AtomicUsize,
+    /// Length of the last `prometheus` answer, likewise.
+    prometheus_len: AtomicUsize,
 }
 
 impl ServiceCore {
@@ -110,6 +114,8 @@ impl ServiceCore {
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             workers: workers.max(1),
+            metrics_len: AtomicUsize::new(0),
+            prometheus_len: AtomicUsize::new(0),
         }
     }
 
@@ -135,17 +141,33 @@ impl ServiceCore {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// The `health` response body.
-    pub fn health(&self, queue_depth: usize) -> Value {
-        noc_json::obj! {
-            "status" => Value::Str(
-                if self.is_draining() { "draining" } else { "ok" }.to_string(),
-            ),
-            "uptime_ms" => Value::Int(self.started.elapsed().as_millis() as i128),
-            "workers" => Value::Int(self.workers as i128),
-            "queue_depth" => Value::Int(queue_depth as i128),
-            "cache_entries" => Value::Int(self.cache.len() as i128),
-        }
+    /// Writes the `health` answer's compact JSON: status, uptime, workers,
+    /// queue depth and cache entries.
+    fn write_health(&self, queue_depth: usize, out: &mut String) {
+        out.push_str(if self.is_draining() {
+            r#"{"status":"draining","uptime_ms":"#
+        } else {
+            r#"{"status":"ok","uptime_ms":"#
+        });
+        write_int(self.started.elapsed().as_millis() as i128, out);
+        out.push_str(r#","workers":"#);
+        write_int(self.workers as i128, out);
+        out.push_str(r#","queue_depth":"#);
+        write_int(queue_depth as i128, out);
+        out.push_str(r#","cache_entries":"#);
+        write_int(self.cache.len() as i128, out);
+        out.push('}');
+    }
+
+    /// Writes the `prometheus` answer's compact JSON: the core metrics,
+    /// then the `noc-trace` counters (the robustness and cluster
+    /// families, absent when tracing was never enabled), as one body
+    /// string escaped as it is written.
+    fn write_prometheus(&self, out: &mut String) {
+        out.push_str(r#"{"content_type":"text/plain; version=0.0.4","body":""#);
+        self.metrics.write_prometheus_body(out);
+        noc_json::write_escaped(&trace_prometheus_text(), out);
+        out.push_str("\"}");
     }
 
     /// Parses one request line, recording protocol metrics. `Err` carries
@@ -185,41 +207,39 @@ impl ServiceCore {
         queue_depth: usize,
         accepted_at: Instant,
     ) -> Option<Response> {
-        let body = match envelope.request {
+        // Every kind but `trace` is written once, straight to its compact
+        // JSON.
+        let result = match envelope.request {
             Request::Metrics => {
                 self.metrics.set_queue_depth(queue_depth as u64);
-                self.metrics.snapshot()
+                write_sized(&self.metrics_len, |out| self.metrics.write_snapshot(out))
             }
-            Request::Health => self.health(queue_depth),
+            Request::Health => {
+                let mut json = String::with_capacity(128);
+                self.write_health(queue_depth, &mut json);
+                Payload::from_line(json)
+            }
             Request::Shutdown => {
                 self.begin_drain();
-                noc_json::obj! { "draining" => Value::Bool(true) }
+                Payload::from_line(r#"{"draining":true}"#.to_string())
             }
             Request::Trace => {
                 let events = noc_trace::drain_events();
-                noc_json::obj! {
+                Payload::from(noc_json::obj! {
                     "enabled" => Value::Bool(noc_trace::enabled()),
                     "events" => Value::Arr(events.iter().map(|e| e.to_json()).collect()),
                     "registry" => noc_trace::registry_snapshot(),
-                }
+                })
             }
             Request::Prometheus => {
                 self.metrics.set_queue_depth(queue_depth as u64);
-                // Core metrics first, then the noc-trace counters (the
-                // robustness and cluster families); the trace section is
-                // empty when tracing was never enabled.
-                let mut text = self.metrics.prometheus_text();
-                text.push_str(&trace_prometheus_text());
-                noc_json::obj! {
-                    "content_type" => Value::Str("text/plain; version=0.0.4".to_string()),
-                    "body" => Value::Str(text),
-                }
+                write_sized(&self.prometheus_len, |out| self.write_prometheus(out))
             }
             _ => return None,
         };
         let micros = accepted_at.elapsed().as_micros() as u64;
         self.metrics.record_ok(envelope.request.kind(), micros);
-        Some(Response::ok(envelope.id.clone(), false, body))
+        Some(Response::ok(envelope.id.clone(), false, result))
     }
 
     /// Looks the request up in the result cache, recording hit/miss
@@ -349,6 +369,16 @@ impl ServiceCore {
     fn handle_line_sync(&self, line: &str) -> Response {
         self.handle_line(line, &InlineDispatch::default(), None)
     }
+}
+
+/// Writes an inline answer into a buffer sized from the last answer of
+/// its kind, with a quarter to spare, so a registry that grows between
+/// scrapes still writes its answer without growing the buffer.
+fn write_sized(last_len: &AtomicUsize, write: impl FnOnce(&mut String)) -> Payload {
+    let mut json = String::with_capacity(last_len.load(Ordering::Relaxed) * 5 / 4);
+    write(&mut json);
+    last_len.store(json.len(), Ordering::Relaxed);
+    Payload::from_line(json)
 }
 
 #[cfg(test)]

@@ -1,5 +1,9 @@
 //! In-process metrics: lock-free counters and log-bucket latency
-//! histograms, snapshotted to JSON on demand by `metrics` requests.
+//! histograms, written on demand straight to wire text: the `metrics`
+//! answer's compact JSON ([`Metrics::write_snapshot`]) and the
+//! `prometheus` answer's exposition, already escaped for its JSON string
+//! ([`Metrics::write_prometheus_body`]). Neither builds a `Value` tree or
+//! an intermediate `String`.
 //!
 //! Counters are plain relaxed atomics — metrics reads race with updates
 //! by design and only need to be approximately consistent with each
@@ -7,7 +11,7 @@
 //! quantile estimates are exact to within a factor of two, which is
 //! plenty for load-shedding decisions and dashboards.
 
-use noc_json::Value;
+use noc_json::{write_float, write_int, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Request kinds tracked per-kind: every kind in [`crate::spec::KINDS`],
@@ -96,13 +100,17 @@ impl LatencyHistogram {
         }
     }
 
-    fn snapshot(&self) -> Value {
-        noc_json::obj! {
-            "count" => Value::Int(self.count() as i128),
-            "mean_us" => Value::Float(self.mean_micros()),
-            "p50_us" => Value::Int(self.quantile_micros(0.50) as i128),
-            "p99_us" => Value::Int(self.quantile_micros(0.99) as i128),
-        }
+    /// Writes `{"count":..,"mean_us":..,"p50_us":..,"p99_us":..}`.
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"count\":");
+        write_int(self.count().into(), out);
+        out.push_str(",\"mean_us\":");
+        write_float(self.mean_micros(), out);
+        out.push_str(",\"p50_us\":");
+        write_int(self.quantile_micros(0.50).into(), out);
+        out.push_str(",\"p99_us\":");
+        write_int(self.quantile_micros(0.99).into(), out);
+        out.push('}');
     }
 }
 
@@ -214,112 +222,184 @@ impl Metrics {
         self.cache_hits.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of every counter and histogram as the `metrics` response
-    /// payload.
-    pub fn snapshot(&self) -> Value {
-        let load = |a: &AtomicU64| Value::Int(a.load(Ordering::Relaxed) as i128);
-        let requests: Vec<(String, Value)> = KINDS
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k.to_string(), load(&self.requests_by_kind[i])))
-            .collect();
-        let service_time: Vec<(String, Value)> = KINDS
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.service_time_by_kind[*i].count() > 0)
-            .map(|(i, &k)| (k.to_string(), self.service_time_by_kind[i].snapshot()))
-            .collect();
-        noc_json::obj! {
-            "requests" => Value::Obj(requests),
-            "responses_ok" => load(&self.responses_ok),
-            "responses_err" => load(&self.responses_err),
-            "bad_requests" => load(&self.bad_requests),
-            "shed_overloaded" => load(&self.shed_overloaded),
-            "deadline_exceeded" => load(&self.deadline_exceeded),
-            "degraded" => load(&self.degraded),
-            "worker_respawns" => load(&self.worker_respawns),
-            "cache_hits" => load(&self.cache_hits),
-            "cache_misses" => load(&self.cache_misses),
-            "connections_opened" => load(&self.connections_opened),
-            "connections_active" => load(&self.connections_active),
-            "queue_depth" => load(&self.queue_depth),
-            "inflight" => load(&self.inflight),
-            "service_time_us" => Value::Obj(service_time),
-        }
+    /// The single-valued counters and gauges, as (`metrics` key,
+    /// prometheus name, prometheus type, value), in the order both
+    /// answers list them.
+    fn scalars(&self) -> [(&'static str, &'static str, &'static str, &AtomicU64); 13] {
+        [
+            (
+                "responses_ok",
+                "noc_responses_ok_total",
+                "counter",
+                &self.responses_ok,
+            ),
+            (
+                "responses_err",
+                "noc_responses_err_total",
+                "counter",
+                &self.responses_err,
+            ),
+            (
+                "bad_requests",
+                "noc_bad_requests_total",
+                "counter",
+                &self.bad_requests,
+            ),
+            (
+                "shed_overloaded",
+                "noc_shed_overloaded_total",
+                "counter",
+                &self.shed_overloaded,
+            ),
+            (
+                "deadline_exceeded",
+                "noc_deadline_exceeded_total",
+                "counter",
+                &self.deadline_exceeded,
+            ),
+            ("degraded", "noc_degraded_total", "counter", &self.degraded),
+            (
+                "worker_respawns",
+                "noc_worker_respawns_total",
+                "counter",
+                &self.worker_respawns,
+            ),
+            (
+                "cache_hits",
+                "noc_cache_hits_total",
+                "counter",
+                &self.cache_hits,
+            ),
+            (
+                "cache_misses",
+                "noc_cache_misses_total",
+                "counter",
+                &self.cache_misses,
+            ),
+            (
+                "connections_opened",
+                "noc_connections_opened_total",
+                "counter",
+                &self.connections_opened,
+            ),
+            (
+                "connections_active",
+                "noc_connections_active",
+                "gauge",
+                &self.connections_active,
+            ),
+            ("queue_depth", "noc_queue_depth", "gauge", &self.queue_depth),
+            ("inflight", "noc_inflight", "gauge", &self.inflight),
+        ]
     }
 
-    /// Renders every counter and histogram in the Prometheus text
-    /// exposition format (served by the `prometheus` request kind).
-    pub fn prometheus_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-
-        out.push_str("# TYPE noc_requests_total counter\n");
-        for (i, &kind) in KINDS.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "noc_requests_total{{kind=\"{kind}\"}} {}",
-                load(&self.requests_by_kind[i])
-            );
+    /// Writes every counter and histogram as the `metrics` answer's
+    /// compact JSON object: `requests` per kind, the scalar counters, and
+    /// `service_time_us` for each kind that has answered. Kind names and
+    /// keys are static identifiers that need no escaping.
+    pub fn write_snapshot(&self, out: &mut String) {
+        out.push_str("{\"requests\":{");
+        for (i, kind) in KINDS.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_key(kind, out);
+            write_int(load(&self.requests_by_kind[i]), out);
         }
-        let counters: [(&str, &AtomicU64); 9] = [
-            ("noc_responses_ok_total", &self.responses_ok),
-            ("noc_responses_err_total", &self.responses_err),
-            ("noc_bad_requests_total", &self.bad_requests),
-            ("noc_shed_overloaded_total", &self.shed_overloaded),
-            ("noc_deadline_exceeded_total", &self.deadline_exceeded),
-            ("noc_degraded_total", &self.degraded),
-            ("noc_worker_respawns_total", &self.worker_respawns),
-            ("noc_cache_hits_total", &self.cache_hits),
-            ("noc_cache_misses_total", &self.cache_misses),
-        ];
-        for (name, counter) in counters {
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {}", load(counter));
+        out.push('}');
+        for (key, _, _, value) in self.scalars() {
+            out.push(',');
+            push_key(key, out);
+            write_int(load(value), out);
         }
-        let _ = writeln!(
-            out,
-            "# TYPE noc_connections_opened_total counter\nnoc_connections_opened_total {}",
-            load(&self.connections_opened)
-        );
-        let gauges: [(&str, &AtomicU64); 3] = [
-            ("noc_connections_active", &self.connections_active),
-            ("noc_queue_depth", &self.queue_depth),
-            ("noc_inflight", &self.inflight),
-        ];
-        for (name, gauge) in gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {}", load(gauge));
-        }
-
-        out.push_str("# TYPE noc_service_time_microseconds summary\n");
-        for (i, &kind) in KINDS.iter().enumerate() {
-            let hist = &self.service_time_by_kind[i];
+        out.push_str(",\"service_time_us\":{");
+        let mut first = true;
+        for (kind, hist) in KINDS.iter().zip(&self.service_time_by_kind) {
             if hist.count() == 0 {
                 continue;
             }
-            let _ = writeln!(
-                out,
-                "noc_service_time_microseconds{{kind=\"{kind}\",quantile=\"0.5\"}} {}",
-                hist.quantile_micros(0.50)
-            );
-            let _ = writeln!(
-                out,
-                "noc_service_time_microseconds{{kind=\"{kind}\",quantile=\"0.99\"}} {}",
-                hist.quantile_micros(0.99)
-            );
-            let _ = writeln!(
-                out,
-                "noc_service_time_microseconds_sum{{kind=\"{kind}\"}} {}",
-                hist.sum_micros()
-            );
-            let _ = writeln!(
-                out,
-                "noc_service_time_microseconds_count{{kind=\"{kind}\"}} {}",
-                hist.count()
-            );
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            push_key(kind, out);
+            hist.write_json(out);
         }
-        out
+        out.push_str("}}");
     }
+
+    /// The `metrics` answer as a `Value`: a parse of the line
+    /// [`write_snapshot`](Metrics::write_snapshot) writes, for callers
+    /// that read counters by key.
+    pub fn snapshot(&self) -> Value {
+        let mut line = String::new();
+        self.write_snapshot(&mut line);
+        noc_json::parse(&line).expect("the metrics snapshot is written as valid JSON")
+    }
+
+    /// Writes every counter and histogram in the Prometheus text
+    /// exposition format, already escaped as the inside of a JSON string
+    /// (each `"` as `\"`, each newline as `\n`): the `prometheus`
+    /// answer's `body`, written without a second escaping pass. Kind and
+    /// metric names are static identifiers that need no escaping.
+    pub fn write_prometheus_body(&self, out: &mut String) {
+        out.push_str(r"# TYPE noc_requests_total counter\n");
+        for (i, kind) in KINDS.iter().enumerate() {
+            push_labelled("noc_requests_total", kind, "", out);
+            write_int(load(&self.requests_by_kind[i]), out);
+            out.push_str(r"\n");
+        }
+        for (_, name, family, value) in self.scalars() {
+            out.push_str("# TYPE ");
+            out.push_str(name);
+            out.push(' ');
+            out.push_str(family);
+            out.push_str(r"\n");
+            out.push_str(name);
+            out.push(' ');
+            write_int(load(value), out);
+            out.push_str(r"\n");
+        }
+        out.push_str(r"# TYPE noc_service_time_microseconds summary\n");
+        for (kind, hist) in KINDS.iter().zip(&self.service_time_by_kind) {
+            if hist.count() == 0 {
+                continue;
+            }
+            let samples = [
+                ("", r#",quantile=\"0.5\""#, hist.quantile_micros(0.50)),
+                ("", r#",quantile=\"0.99\""#, hist.quantile_micros(0.99)),
+                ("_sum", "", hist.sum_micros()),
+                ("_count", "", hist.count()),
+            ];
+            for (suffix, quantile, value) in samples {
+                out.push_str("noc_service_time_microseconds");
+                push_labelled(suffix, kind, quantile, out);
+                write_int(value.into(), out);
+                out.push_str(r"\n");
+            }
+        }
+    }
+}
+
+fn load(counter: &AtomicU64) -> i128 {
+    counter.load(Ordering::Relaxed).into()
+}
+
+/// Appends `"key":`.
+fn push_key(key: &str, out: &mut String) {
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+/// Appends `name{kind=\"kind\"extra} `, escaped for a JSON string.
+fn push_labelled(name: &str, kind: &str, extra: &str, out: &mut String) {
+    out.push_str(name);
+    out.push_str(r#"{kind=\""#);
+    out.push_str(kind);
+    out.push_str(r#"\""#);
+    out.push_str(extra);
+    out.push_str("} ");
 }
 
 /// Bumps the named `noc-trace` counter (no-op when tracing is off). The
@@ -344,8 +424,8 @@ pub(crate) fn trace_test_lock() -> std::sync::MutexGuard<'static, ()> {
 /// Renders the `noc-trace` registry's counters and gauges in the
 /// Prometheus text exposition format, as `noc_trace_counter` /
 /// `noc_trace_gauge` families labelled by metric name. Empty when
-/// tracing was never enabled. Appended to [`Metrics::prometheus_text`]
-/// by the `prometheus` request handler.
+/// tracing was never enabled. The `prometheus` request handler appends it,
+/// escaped, to the body [`Metrics::write_prometheus_body`] writes.
 pub fn trace_prometheus_text() -> String {
     use std::fmt::Write as _;
     let Some(sink) = noc_trace::installed_sink() else {
@@ -495,12 +575,29 @@ mod tests {
     }
 
     #[test]
+    fn kind_names_need_no_escaping() {
+        // The writers copy kind names into JSON keys and escaped label
+        // values as they are.
+        for kind in KINDS {
+            let mut quoted = String::new();
+            noc_json::write_str(kind, &mut quoted);
+            assert_eq!(quoted, format!("\"{kind}\""));
+        }
+    }
+
+    #[test]
     fn prometheus_text_is_well_formed() {
         let m = Metrics::new();
         m.record_request("solve");
         m.record_ok("solve", 1500);
         m.record_cache(true);
-        let text = m.prometheus_text();
+        // The body is escaped for a JSON string: quoted, it parses to the
+        // exposition text.
+        let mut quoted = String::from('"');
+        m.write_prometheus_body(&mut quoted);
+        quoted.push('"');
+        let body = noc_json::parse(&quoted).expect("the body is an escaped JSON string");
+        let text = body.as_str().expect("a string");
         assert!(text.contains("# TYPE noc_requests_total counter"));
         assert!(text.contains("noc_requests_total{kind=\"solve\"} 1"));
         assert!(text.contains("noc_cache_hits_total 1"));

@@ -20,8 +20,11 @@
 //! final summary line carrying `"done":true` (see [`wire_lines`]).
 //!
 //! A success carries its result as a [`Payload`]: the `Value` and its
-//! wire text, rendered at most once and shared by every clone, so the
-//! result cache answers a hit with the very text its miss wrote.
+//! wire text, each made at most once and shared by every clone. A compute
+//! result is value-first: its text is rendered from the value, once, so
+//! the result cache answers a hit with the very text its miss wrote. An
+//! inline answer is text-first: written straight to its compact JSON, its
+//! value parsed from that text only if a caller reads it.
 
 use crate::spec::{kind, wire_label};
 use noc_json::Value;
@@ -276,16 +279,24 @@ impl ErrorCode {
 
 /// A success response's result: the `Value` and its wire text.
 ///
-/// Cloning bumps a reference count. The text is rendered on first use
-/// and then shared by every clone, so the result cache, which stores the
-/// payload a miss answered with, serves a hit without copying the value
-/// or rendering it again. Dereferences to the `Value`; two payloads are
-/// equal when their values are.
+/// Cloning bumps a reference count. A payload is made from one of the
+/// two and derives the other on first use, shared by every clone after:
+/// - *value-first* (`From<Value>`): every compute result, and the only
+///   kind the result cache stores. The text is rendered when first
+///   needed, so a hit is served without copying the value or rendering
+///   it again;
+/// - *text-first* ([`Payload::from_line`]): the inline answers, written
+///   straight to their compact JSON. The value is parsed from that text
+///   only if a caller reads it.
+///
+/// Dereferences to the `Value`; two payloads are equal when their values
+/// are.
 #[derive(Clone)]
 pub struct Payload(Arc<Rendered>);
 
+/// At least one of the two is always set.
 struct Rendered {
-    value: Value,
+    value: OnceLock<Value>,
     text: OnceLock<Text>,
 }
 
@@ -322,9 +333,18 @@ impl Text {
 }
 
 impl Payload {
+    /// A text-first payload: `json` is the result's compact JSON, one
+    /// object on one line, written without building a `Value`.
+    pub(crate) fn from_line(json: String) -> Payload {
+        Payload(Arc::new(Rendered {
+            value: OnceLock::new(),
+            text: OnceLock::from(Text::Line(json)),
+        }))
+    }
+
     /// The wire text, rendered on the first call.
     pub(crate) fn text(&self) -> &Text {
-        self.0.text.get_or_init(|| Text::render(&self.0.value))
+        self.0.text.get_or_init(|| Text::render(self))
     }
 
     /// Whether both handles share one allocation.
@@ -337,17 +357,18 @@ impl Payload {
     /// place; `None` while another handle shares the payload.
     #[cfg(test)]
     pub(crate) fn parts_mut(&mut self) -> Option<(&mut Value, &mut Text)> {
-        let _ = self.text();
+        let _ = (self.text(), &**self);
         let rendered = Arc::get_mut(&mut self.0)?;
+        let value = rendered.value.get_mut().expect("parsed above");
         let text = rendered.text.get_mut().expect("rendered above");
-        Some((&mut rendered.value, text))
+        Some((value, text))
     }
 }
 
 impl From<Value> for Payload {
     fn from(value: Value) -> Self {
         Payload(Arc::new(Rendered {
-            value,
+            value: OnceLock::from(value),
             text: OnceLock::new(),
         }))
     }
@@ -356,20 +377,26 @@ impl From<Value> for Payload {
 impl Deref for Payload {
     type Target = Value;
 
+    /// The value, parsed from a text-first payload's line on first use.
     fn deref(&self) -> &Value {
-        &self.0.value
+        self.0.value.get_or_init(|| match self.0.text.get() {
+            Some(Text::Line(json)) => {
+                noc_json::parse(json).expect("an inline answer is written as valid JSON")
+            }
+            _ => unreachable!("a payload without its value holds its line"),
+        })
     }
 }
 
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.value.fmt(f)
+        (**self).fmt(f)
     }
 }
 
 impl PartialEq for Payload {
     fn eq(&self, other: &Payload) -> bool {
-        self.0.value == other.0.value
+        **self == **other
     }
 }
 

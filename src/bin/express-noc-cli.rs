@@ -32,6 +32,14 @@ fn write_stdout(args: std::fmt::Arguments) {
     }
 }
 
+/// Writes formatted output to stderr, ignoring a write error: a closed
+/// stderr (`... 2>&1 | head -1`) must not turn a failure's exit code 1
+/// into std's "failed printing to stderr" panic.
+fn write_stderr(args: std::fmt::Arguments) {
+    use std::io::Write;
+    let _ = std::io::stderr().lock().write_fmt(args);
+}
+
 // Every `print!` / `println!` in this file goes through `write_stdout`.
 macro_rules! print {
     ($($arg:tt)*) => {
@@ -51,7 +59,7 @@ macro_rules! println {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
-        eprintln!("{}", usage());
+        write_stderr(format_args!("{}\n", usage()));
         return ExitCode::FAILURE;
     };
     // `request` takes a positional JSON argument before its flags, and
@@ -64,7 +72,7 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", usage());
+            write_stderr(format_args!("error: {e}\n\n{}\n", usage()));
             ExitCode::FAILURE
         }
     }
