@@ -223,73 +223,24 @@ impl Metrics {
     }
 
     /// The single-valued counters and gauges, as (`metrics` key,
-    /// prometheus name, prometheus type, value), in the order both
-    /// answers list them.
-    fn scalars(&self) -> [(&'static str, &'static str, &'static str, &AtomicU64); 13] {
+    /// prometheus type, value), in the order both answers list them.
+    /// Prometheus names a counter `noc_<key>_total` and a gauge
+    /// `noc_<key>`.
+    fn scalars(&self) -> [(&'static str, &'static str, &AtomicU64); 13] {
         [
-            (
-                "responses_ok",
-                "noc_responses_ok_total",
-                "counter",
-                &self.responses_ok,
-            ),
-            (
-                "responses_err",
-                "noc_responses_err_total",
-                "counter",
-                &self.responses_err,
-            ),
-            (
-                "bad_requests",
-                "noc_bad_requests_total",
-                "counter",
-                &self.bad_requests,
-            ),
-            (
-                "shed_overloaded",
-                "noc_shed_overloaded_total",
-                "counter",
-                &self.shed_overloaded,
-            ),
-            (
-                "deadline_exceeded",
-                "noc_deadline_exceeded_total",
-                "counter",
-                &self.deadline_exceeded,
-            ),
-            ("degraded", "noc_degraded_total", "counter", &self.degraded),
-            (
-                "worker_respawns",
-                "noc_worker_respawns_total",
-                "counter",
-                &self.worker_respawns,
-            ),
-            (
-                "cache_hits",
-                "noc_cache_hits_total",
-                "counter",
-                &self.cache_hits,
-            ),
-            (
-                "cache_misses",
-                "noc_cache_misses_total",
-                "counter",
-                &self.cache_misses,
-            ),
-            (
-                "connections_opened",
-                "noc_connections_opened_total",
-                "counter",
-                &self.connections_opened,
-            ),
-            (
-                "connections_active",
-                "noc_connections_active",
-                "gauge",
-                &self.connections_active,
-            ),
-            ("queue_depth", "noc_queue_depth", "gauge", &self.queue_depth),
-            ("inflight", "noc_inflight", "gauge", &self.inflight),
+            ("responses_ok", "counter", &self.responses_ok),
+            ("responses_err", "counter", &self.responses_err),
+            ("bad_requests", "counter", &self.bad_requests),
+            ("shed_overloaded", "counter", &self.shed_overloaded),
+            ("deadline_exceeded", "counter", &self.deadline_exceeded),
+            ("degraded", "counter", &self.degraded),
+            ("worker_respawns", "counter", &self.worker_respawns),
+            ("cache_hits", "counter", &self.cache_hits),
+            ("cache_misses", "counter", &self.cache_misses),
+            ("connections_opened", "counter", &self.connections_opened),
+            ("connections_active", "gauge", &self.connections_active),
+            ("queue_depth", "gauge", &self.queue_depth),
+            ("inflight", "gauge", &self.inflight),
         ]
     }
 
@@ -307,7 +258,7 @@ impl Metrics {
             write_int(load(&self.requests_by_kind[i]), out);
         }
         out.push('}');
-        for (key, _, _, value) in self.scalars() {
+        for (key, _, value) in self.scalars() {
             out.push(',');
             push_key(key, out);
             write_int(load(value), out);
@@ -349,14 +300,10 @@ impl Metrics {
             write_int(load(&self.requests_by_kind[i]), out);
             out.push_str(r"\n");
         }
-        for (_, name, family, value) in self.scalars() {
-            out.push_str("# TYPE ");
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(family);
-            out.push_str(r"\n");
-            out.push_str(name);
-            out.push(' ');
+        for (key, family, value) in self.scalars() {
+            let suffix = if family == "counter" { "_total" } else { "" };
+            push_all(out, &["# TYPE noc_", key, suffix, " ", family, r"\n"]);
+            push_all(out, &["noc_", key, suffix, " "]);
             write_int(load(value), out);
             out.push_str(r"\n");
         }
@@ -365,15 +312,15 @@ impl Metrics {
             if hist.count() == 0 {
                 continue;
             }
+            const NAME: &str = "noc_service_time_microseconds";
             let samples = [
-                ("", r#",quantile=\"0.5\""#, hist.quantile_micros(0.50)),
-                ("", r#",quantile=\"0.99\""#, hist.quantile_micros(0.99)),
-                ("_sum", "", hist.sum_micros()),
-                ("_count", "", hist.count()),
+                (NAME, r#",quantile=\"0.5\""#, hist.quantile_micros(0.50)),
+                (NAME, r#",quantile=\"0.99\""#, hist.quantile_micros(0.99)),
+                ("noc_service_time_microseconds_sum", "", hist.sum_micros()),
+                ("noc_service_time_microseconds_count", "", hist.count()),
             ];
-            for (suffix, quantile, value) in samples {
-                out.push_str("noc_service_time_microseconds");
-                push_labelled(suffix, kind, quantile, out);
+            for (name, quantile, value) in samples {
+                push_labelled(name, kind, quantile, out);
                 write_int(value.into(), out);
                 out.push_str(r"\n");
             }
@@ -385,21 +332,21 @@ fn load(counter: &AtomicU64) -> i128 {
     counter.load(Ordering::Relaxed).into()
 }
 
+/// Appends each piece in turn.
+fn push_all(out: &mut String, pieces: &[&str]) {
+    for piece in pieces {
+        out.push_str(piece);
+    }
+}
+
 /// Appends `"key":`.
 fn push_key(key: &str, out: &mut String) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
+    push_all(out, &["\"", key, "\":"]);
 }
 
 /// Appends `name{kind=\"kind\"extra} `, escaped for a JSON string.
 fn push_labelled(name: &str, kind: &str, extra: &str, out: &mut String) {
-    out.push_str(name);
-    out.push_str(r#"{kind=\""#);
-    out.push_str(kind);
-    out.push_str(r#"\""#);
-    out.push_str(extra);
-    out.push_str("} ");
+    push_all(out, &[name, r#"{kind=\""#, kind, r#"\""#, extra, "} "]);
 }
 
 /// Bumps the named `noc-trace` counter (no-op when tracing is off). The

@@ -285,7 +285,7 @@ impl ErrorCode {
 ///   kind the result cache stores. The text is rendered when first
 ///   needed, so a hit is served without copying the value or rendering
 ///   it again;
-/// - *text-first* ([`Payload::from_line`]): the inline answers, written
+/// - *text-first* (`Payload::from_line`): the inline answers, written
 ///   straight to their compact JSON. The value is parsed from that text
 ///   only if a caller reads it.
 ///
