@@ -657,6 +657,98 @@ pub fn generate() -> String {
          `complete` no longer clones the value for the cache or walks it byte\n\
          by byte. Every run passed its correctness checks."
     );
+    let _ = writeln!(
+        out,
+        "\n\
+         **Inline answers, written once.** `metrics` built a `Value` tree that\n\
+         `wire_lines` then rendered. `prometheus` built its body with `writeln!`\n\
+         into a `String`, and rendering escaped that body in a second pass.\n\
+         `health` and `shutdown` built small `Value`s. Now each is written once,\n\
+         straight into its compact JSON, through the scalar writers\n\
+         `Value::write_compact` uses (`write_int` prints digits without `fmt`),\n\
+         the prometheus body already escaped. Its `Value` is parsed only if a\n\
+         caller reads it; only `trace` still builds one. Wire bytes are\n\
+         unchanged: crates/service/tests/inline_answers.rs pins them, and the\n\
+         golden digests pass. Per kind, `handle_line` + `wire_lines` over the\n\
+         `replay` ring (seed 1, 30 passes of its 3,840 lines with no checks\n\
+         between requests, p50 of two runs each; allocations plus reallocations\n\
+         per call from crates/service/tests/alloc_budget.rs):"
+    );
+    let _ = writeln!(
+        out,
+        "\n\
+         | kind | p50 before | p50 after | allocations before | after |\n\
+         |---|---|---|---|---|\n\
+         | `health` | 1.24–1.28 µs | 0.80–0.82 µs | 22 | 11 |\n\
+         | `metrics` | 6.00–6.30 µs | 2.64–2.70 µs | 92 | 11 |\n\
+         | `prometheus` | 8.33–8.68 µs | 2.52–2.53 µs | 32 | 11 |\n\
+         | `solve` hit | 2.11–2.22 µs | 2.12–2.17 µs | 21 | 21 |\n\
+         | `simulate` hit | 2.75–2.90 µs | 2.77–2.81 µs | 25 | 25 |\n\
+         | `sweep` hit | 2.77–2.85 µs | 2.87–2.88 µs | 13 | 13 |\n\
+         | `frontier` hit | 4.10–4.25 µs | 4.19–4.23 µs | 26 | 26 |"
+    );
+    let _ = writeln!(
+        out,
+        "\n\
+         `metrics` and `prometheus` were the two slowest kinds, the slowest 10%\n\
+         of `replay`'s samples, so its p90 fell in the gap between the frontier\n\
+         hits and `metrics`. Now both sit among the hits, and p90 falls among\n\
+         the frontier hits. End to end, with tracing off, over 10 interleaved\n\
+         25 s pairs on seed 1 (alternating which side ran first). Values are\n\
+         median [q1, q3]:"
+    );
+    let _ = writeln!(
+        out,
+        "\n\
+         | replay | parent | change | change wins |\n\
+         |---|---|---|---|\n\
+         | p90 | 6.06 µs [5.52, 6.22] | 4.35 µs [4.19, 4.67] | 10/10 |\n\
+         | p50 | 3.22 µs [2.88, 3.47] | 2.80 µs [2.74, 3.00] | 9/10 |\n\
+         | req/s | 237.8k [222.1k, 258.0k] | 258.2k [239.7k, 264.6k] | 8/10 |\n\
+         | setup | 0.209 s [0.196, 0.251] | 0.200 s [0.192, 0.205] | 6/10 |\n\
+         | peak RSS | 23.10 MiB [23.06, 23.12] | 23.13 MiB [23.10, 23.16] | 4/10 |"
+    );
+    let _ = writeln!(
+        out,
+        "\n\
+         p90 falls by 28%, 2.4 times the parent's quartile spread (0.70 µs). On\n\
+         seed 5, which was not used while writing the change, 4 pairs agree: p90\n\
+         6.94 → 5.82 µs (4/4), p50 3.99 → 3.82 µs (3/4), req/s 195.0k → 193.9k\n\
+         (3/4). Both sides reach `replay`'s cap of 3,000,000 requests before\n\
+         25 s. The benchmark's checks, untimed but inside req/s's wall time, now\n\
+         parse each inline answer, since they read `degraded` from every\n\
+         response. Traced (2 pairs), `service.inline_us` + `service.serialize_us`\n\
+         fall from 2.35–2.65 to 1.79–1.87 µs per request, `serialize` alone from\n\
+         0.58–0.62 to 0.21–0.22 µs, and `service.response_bytes` (774.1) and the\n\
+         kernel counts are unchanged."
+    );
+    let _ = writeln!(
+        out,
+        "\n\
+         `place`, `simulate` and `batch` time no inline request. Below are their\n\
+         change/parent medians on seed 1, with the pairs the change won in\n\
+         parentheses. A metric is unresolved where either side's quartile\n\
+         spread exceeds its 0.25 bound; `replay`'s setup above is unresolved\n\
+         too (26%)."
+    );
+    let _ = writeln!(
+        out,
+        "\n\
+         | workload (pairs) | setup | req/s | p50 | p90 | peak RSS |\n\
+         |---|---|---|---|---|---|\n\
+         | `place` (8) | 0.940 (3), unresolved | 1.006 (2), unresolved | 1.042 (2) | 0.923 (4), unresolved | 0.994 (5) |\n\
+         | `simulate` (4) | 1.048 (1), unresolved | 0.986 (2) | 1.004 (2) | 1.045 (2) | 1.000 (2) |\n\
+         | `batch` (12) | 1.066 (4), unresolved | 0.928 (5) | 1.046 (6) | 1.052 (6) | 0.997 (7) |"
+    );
+    let _ = writeln!(
+        out,
+        "\n\
+         None of their medians moved by more than 7.2%. One block of 4 `batch`\n\
+         pairs read its setup 1.38x, yet timed directly, three alternating runs\n\
+         of its five setups read 0.635–0.661 s on the parent and 0.629–0.658 s\n\
+         on the change: the host's speed drifted by up to 40% within minutes.\n\
+         Every run passed its correctness checks."
+    );
 
     // ---- fault ----
     section(&mut out, "Extension — single express-link failure");

@@ -1,9 +1,9 @@
 //! Compact and pretty JSON writers. Both write into a caller-owned
 //! buffer: numbers are formatted in place and unescaped string runs are
 //! copied as slices, so rendering allocates nothing beyond the buffer.
-//! The scalar writers ([`write_int`], [`write_float`], [`write_string`])
-//! are exported by the crate root, so text written by hand matches a
-//! rendered [`Value`] byte for byte.
+//! The crate root exports the scalar writers (as `write_str`,
+//! `write_escaped`, `write_int` and `write_float`), so text written by
+//! hand matches a rendered [`Value`] byte for byte.
 
 use crate::Value;
 use std::fmt::Write as _;

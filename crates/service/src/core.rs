@@ -452,6 +452,30 @@ mod tests {
     }
 
     #[test]
+    fn prometheus_body_carries_the_trace_counters_escaped() {
+        let _lock = crate::metrics::trace_test_lock();
+        noc_trace::enable_with_capacity(1024);
+        // A name that needs escaping: the trace section is escaped as it
+        // is appended to the already-escaped core metrics.
+        trace_inc("service.test.\"esc\\aped\"");
+        let response = core().handle_line_sync(r#"{"id":"p","kind":"prometheus"}"#);
+        noc_trace::disable();
+        let Response::Ok { result, .. } = response else {
+            panic!("prometheus failed: {response:?}")
+        };
+        let body = result.get("body").and_then(Value::as_str).expect("a body");
+        assert!(body.starts_with("# TYPE noc_requests_total counter\n"));
+        let trace = body
+            .find("# TYPE noc_trace_counter counter\n")
+            .expect("a trace section");
+        assert!(body[..trace].contains("\n# TYPE noc_inflight gauge\n"));
+        assert!(
+            body[trace..].contains("\nnoc_trace_counter{name=\"service.test.\"esc\\aped\"\"} 1\n"),
+            "{body}"
+        );
+    }
+
+    #[test]
     fn oversized_link_limits_are_bad_requests() {
         // Each of these once reached `ConnectionMatrix::new`, whose
         // allocation failure aborts the process past any panic recovery.
