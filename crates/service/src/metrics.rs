@@ -328,6 +328,7 @@ impl Metrics {
     }
 }
 
+/// A counter's current value, as [`write_int`] takes it.
 fn load(counter: &AtomicU64) -> i128 {
     counter.load(Ordering::Relaxed).into()
 }
