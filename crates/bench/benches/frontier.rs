@@ -8,17 +8,31 @@
 //! scalarization. Results are written to `BENCH_frontier.json` next to
 //! the committed baseline.
 
+use noc_bench::best_interleaved;
 use noc_json::Value;
 use noc_pareto::{compute_frontier, FrontierConfig, ScalarizedObjective, StaticPowerModel};
+use noc_placement::dnc::DivisibleObjective;
 use noc_placement::{solve_row, AllPairsObjective, InitialStrategy, SaParams};
 
 const N: usize = 8;
 const C_LIMIT: usize = 2;
 const MOVES: usize = 20_000;
 const SEED: u64 = 7;
-/// Interleaved rounds; each side keeps its best (minimum) — the stable
-/// estimator on a shared host, mirroring the batch benchmark.
+/// Interleaved rounds (`noc_bench::best_interleaved`); each side keeps
+/// its best, the stable estimator on a shared host.
 const ROUNDS: usize = 9;
+
+/// One D&C-seeded solve of the benchmark instance.
+fn solve<O: DivisibleObjective>(objective: &O, sa: &SaParams) {
+    std::hint::black_box(solve_row(
+        N,
+        C_LIMIT,
+        objective,
+        InitialStrategy::DivideAndConquer,
+        sa,
+        SEED,
+    ));
+}
 
 fn main() {
     let cfg = FrontierConfig::paper(N, SEED);
@@ -32,40 +46,11 @@ fn main() {
         0.5,
     );
 
-    // Single-objective and scalarized solves alternate order round by
-    // round so neither side systematically benefits from a warmed cache
-    // or the turbo budget.
-    let mut best_single = std::time::Duration::MAX;
-    let mut best_scalar = std::time::Duration::MAX;
-    for round in 0..ROUNDS {
-        for pos in 0..2 {
-            if (round + pos) % 2 == 0 {
-                let start = std::time::Instant::now();
-                std::hint::black_box(solve_row(
-                    N,
-                    C_LIMIT,
-                    &latency,
-                    InitialStrategy::DivideAndConquer,
-                    &sa,
-                    SEED,
-                ));
-                best_single = best_single.min(start.elapsed());
-            } else {
-                let start = std::time::Instant::now();
-                std::hint::black_box(solve_row(
-                    N,
-                    C_LIMIT,
-                    &scalarized,
-                    InitialStrategy::DivideAndConquer,
-                    &sa,
-                    SEED,
-                ));
-                best_scalar = best_scalar.min(start.elapsed());
-            }
-        }
-    }
-    let single_ms = best_single.as_secs_f64() * 1e3;
-    let scalar_ms = best_scalar.as_secs_f64() * 1e3;
+    let mut single = || solve(&latency, &sa);
+    let mut scalar = || solve(&scalarized, &sa);
+    let best = best_interleaved(ROUNDS, &mut [&mut single, &mut scalar]);
+    let single_ms = best[0].as_secs_f64() * 1e3;
+    let scalar_ms = best[1].as_secs_f64() * 1e3;
     let ratio = scalar_ms / single_ms;
     println!("    single-objective solve: {single_ms:.3} ms (best of {ROUNDS})");
     println!("    scalarized solve:       {scalar_ms:.3} ms ({ratio:.3}x single)");
@@ -74,13 +59,9 @@ fn main() {
     let mut small = FrontierConfig::paper(N, SEED);
     small.weight_steps = 3;
     small.sa = SaParams::paper().with_moves(2_000);
-    let mut best_frontier = std::time::Duration::MAX;
     let mut result = None;
-    for _ in 0..3 {
-        let start = std::time::Instant::now();
-        result = Some(std::hint::black_box(compute_frontier(&small)));
-        best_frontier = best_frontier.min(start.elapsed());
-    }
+    let mut frontier = || result = Some(std::hint::black_box(compute_frontier(&small)));
+    let best_frontier = best_interleaved(3, &mut [&mut frontier])[0];
     let result = result.expect("frontier ran");
     let frontier_ms = best_frontier.as_secs_f64() * 1e3;
     let per_scalarization_ms = frontier_ms / result.scalarizations as f64;

@@ -2,8 +2,8 @@
 //!
 //! Every annealing move flips one bit of the connection matrix, yet the
 //! full evaluator decodes the matrix and re-solves all `n²` pairs. This
-//! module scores a flip from hop counts instead, over one `u64` mask of
-//! outgoing links per router.
+//! module scores a flip from hop counts instead, kept as one row of `u8`
+//! hop counts per router, and recomputes only the rows the flip changes.
 //!
 //! **Hop counts carry the objective.** A U-turn-free path from `i` to
 //! `j > i` visits strictly increasing routers (see
@@ -28,16 +28,27 @@
 //! and `(a, b)` can appear or vanish, and only when no other layer
 //! encodes the same span.
 //!
-//! **Which sources change.** A forward path from `i` only uses links whose
-//! left endpoint is at least `i`. A changed link's left endpoint is `a` or
-//! `r`, so only the sources `i ≤ r` — precisely, up to the largest left
-//! endpoint of a changed link — can change their hop sum `Σ_j H(i, j)`.
-//! Each of them is recomputed by a breadth-first search over the masks.
-//! The annealer undoes a rejected move by flipping the same bit again,
-//! which searches those sources once more.
+//! **Which rows change.** Row `i` holds `H(i, j)` for every `j`: `0` at
+//! `j = i`, and `u8::MAX` where `j` is unreachable (left of `i`, and the
+//! padding). A forward path leaves `i` by one of its out-links, so
+//! `H(i, ·) = min` over out-links `i → k` of `1 + H(k, ·)`, the add
+//! saturating at `u8::MAX`. A row can change only if one of its own
+//! out-links changed, which makes it the left endpoint of a changed link,
+//! or if a row it links into changed. The evaluator walks right to left:
+//! it recomputes the left endpoints of the changed links, then every row
+//! with an out-link into a row that came out different. Every out-link
+//! points right, so each row is recomputed at most once, after all the
+//! rows it reads. A row that comes out equal to its old value changes
+//! nothing left of it. The annealer undoes a rejected move by flipping
+//! the same bit again, which recomputes the same rows once more.
 //!
-//! Rows of more than [`MAX_ROUTERS`] routers do not fit the masks;
-//! [`IncrementalAllPairs::try_new`] and so
+//! **Row width.** A row is `n` rounded up to 32 or 64 entries, a width
+//! [`IncrementalAllPairs::try_new`] picks from `n` and the compiler sees
+//! as a constant, so recomputing a row is a few vector `min`s. A
+//! 16-entry width for rows of up to 16 routers measured slower than 32:
+//! the compiler splits its rows into 8- and 4-byte pieces.
+//! Rows of more than [`MAX_ROUTERS`] routers do not fit the widest row
+//! or the `u64` link masks; [`IncrementalAllPairs::try_new`] and so
 //! [`Objective::incremental_evaluator`] return `None` for them, and the
 //! annealer evaluates their moves in full.
 //!
@@ -89,7 +100,8 @@ pub trait MoveEvaluator {
     fn flip(&mut self, bit: usize) -> f64;
 }
 
-/// Longest row [`IncrementalAllPairs`] takes: one `u64` mask per router.
+/// Longest row [`IncrementalAllPairs`] takes: one `u64` mask per router
+/// and one hop-count row of at most 64 entries.
 pub const MAX_ROUTERS: usize = 64;
 
 /// One distinct express link a flip added or removed.
@@ -125,14 +137,80 @@ impl LinkChanges {
     }
 }
 
+/// The hop-count rows `H(i, ·)`, one per router: 32 entries wide for
+/// rows of up to 32 routers, 64 for longer ones.
+#[derive(Debug, Clone)]
+enum Rows {
+    W32(Vec<[u8; 32]>),
+    W64(Vec<[u8; 64]>),
+}
+
+/// `LONE[64 - i..][..W]` is the row in which router `i` reaches only
+/// itself. A recomputed row takes its own `0` from it by a vector `min`;
+/// a byte store at the variable index `i` compiled to byte-by-byte code.
+static LONE: [u8; 2 * MAX_ROUTERS] = {
+    let mut row = [u8::MAX; 2 * MAX_ROUTERS];
+    row[MAX_ROUTERS] = 0;
+    row
+};
+
+/// The row, `W` entries wide, in which router `i` reaches only itself.
+fn lone<const W: usize>(i: usize) -> [u8; W] {
+    LONE[MAX_ROUTERS - i..][..W]
+        .try_into()
+        .expect("a row is W entries")
+}
+
+/// Recomputes the rows in `dirty`, and every row with an out-link into a
+/// row that changed, right to left; moves `total` by each changed row's
+/// new sum minus its old.
+fn rescore<const W: usize>(
+    rows: &mut [[u8; W]],
+    out: &[u64; MAX_ROUTERS],
+    inbound: &[u64; MAX_ROUTERS],
+    mut dirty: u64,
+    total: &mut u64,
+) {
+    while dirty != 0 {
+        let i = 63 - dirty.leading_zeros() as usize;
+        dirty ^= 1 << i;
+        let old = rows[i];
+        // The row is built in place: an accumulator carried through the
+        // link loop in a local compiles to byte-by-byte code. Every row
+        // but the last links to the next router.
+        rows[i] = rows[i + 1];
+        let mut links = out[i] & (out[i] - 1);
+        while links != 0 {
+            let via = rows[links.trailing_zeros() as usize];
+            links &= links - 1;
+            for (h, v) in rows[i].iter_mut().zip(via) {
+                *h = (*h).min(v);
+            }
+        }
+        for (h, own) in rows[i].iter_mut().zip(lone::<W>(i)) {
+            *h = h.saturating_add(1).min(own);
+        }
+        if rows[i] != old {
+            // The unreachable entries are the same in both rows.
+            *total = *total + row_sum(&rows[i]) - row_sum(&old);
+            dirty |= inbound[i];
+        }
+    }
+}
+
+/// The sum of a row's entries, unreachable ones included.
+fn row_sum<const W: usize>(row: &[u8; W]) -> u64 {
+    row.iter().map(|&h| u32::from(h)).sum::<u32>() as u64
+}
+
 /// Incremental all-pairs mean segment latency — the fast path behind
 /// [`AllPairsObjective`](crate::objective::AllPairsObjective).
 ///
 /// Holds the connection points of each layer as a mask, the multiplicity
-/// of every span across layers, the distinct links as one out-mask per
-/// router, and the hop sum of every source. [`flip`](MoveEvaluator::flip)
-/// finds the span boundaries with two bit scans and searches again from
-/// at most `r + 1` sources.
+/// of every span across layers, the distinct links as out- and in-masks
+/// per router, and the hop counts `H(i, j)` as one row per router.
+/// [`flip`](MoveEvaluator::flip) finds the span boundaries with two bit
+/// scans and recomputes only the rows the changed links reach.
 #[derive(Debug, Clone)]
 pub struct IncrementalAllPairs {
     n: usize,
@@ -151,9 +229,11 @@ pub struct IncrementalAllPairs {
     /// `out[k]`: bit `j` set when the row has a link `k → j`, local or
     /// express.
     out: [u64; MAX_ROUTERS],
-    /// `hops[i]`: `Σ_{j>i} H(i, j)`.
-    hops: [u32; MAX_ROUTERS],
-    /// `Σ_i hops[i]`.
+    /// `inbound[j]`: bit `k` set when the row has a link `k → j`.
+    inbound: [u64; MAX_ROUTERS],
+    /// `H(i, j)` at `rows[i][j]`.
+    rows: Rows,
+    /// `Σ_{i<j} H(i, j)`.
     total_hops: u64,
 }
 
@@ -171,8 +251,10 @@ impl IncrementalAllPairs {
         }
         let points = matrix.points();
         let mut out = [0u64; MAX_ROUTERS];
-        for (k, mask) in out.iter_mut().enumerate().take(n - 1) {
-            *mask = 1 << (k + 1);
+        let mut inbound = [0u64; MAX_ROUTERS];
+        for k in 0..n - 1 {
+            out[k] = 1 << (k + 1);
+            inbound[k + 1] = 1 << k;
         }
         let n64 = n as u64;
         let mut eval = IncrementalAllPairs {
@@ -184,8 +266,14 @@ impl IncrementalAllPairs {
             layers: vec![0; matrix.layers()],
             spans: vec![0; n * n],
             out,
-            hops: [0; MAX_ROUTERS],
-            total_hops: 0,
+            inbound,
+            rows: if n <= 32 {
+                Rows::W32((0..n).map(lone).collect())
+            } else {
+                Rows::W64((0..n).map(lone).collect())
+            },
+            // Every row reaches only its own router, until `rescore`.
+            total_hops: u8::MAX as u64 * n64 * (n64 - 1) / 2,
         };
         for layer in 0..matrix.layers() {
             let mut span_start = 0;
@@ -200,10 +288,8 @@ impl IncrementalAllPairs {
             }
             eval.add_span(span_start, n - 1);
         }
-        for i in 0..n {
-            eval.hops[i] = eval.hop_sum(i);
-            eval.total_hops += eval.hops[i] as u64;
-        }
+        // The last row has no out-link: it stays as it is.
+        eval.rescore(eval.row >> 1);
         Some(eval)
     }
 
@@ -235,46 +321,18 @@ impl IncrementalAllPairs {
             changes.note(a, r, true, self.add_span(a, r));
             changes.note(r, b, true, self.add_span(r, b));
         }
-        self.rescore(&changes);
+        self.rescore(changes.as_slice().iter().fold(0, |m, c| m | 1 << c.a));
         changes
     }
 
-    /// Brings the hop sums up to date after a flip changed the links
-    /// `changes`.
-    fn rescore(&mut self, changes: &LinkChanges) {
-        // Source i searches only links with left endpoint ≥ i.
-        let sources = changes.as_slice().iter().map(|c| c.a + 1).max();
-        let sources = sources.unwrap_or(0);
-        for i in 0..sources {
-            let sum = self.hop_sum(i);
-            self.total_hops = self.total_hops - self.hops[i] as u64 + sum as u64;
-            self.hops[i] = sum;
+    /// Brings the rows up to date after the out-links of the rows in
+    /// `dirty` changed.
+    fn rescore(&mut self, dirty: u64) {
+        let (out, inbound, total) = (&self.out, &self.inbound, &mut self.total_hops);
+        match &mut self.rows {
+            Rows::W32(rows) => rescore(rows, out, inbound, dirty, total),
+            Rows::W64(rows) => rescore(rows, out, inbound, dirty, total),
         }
-    }
-
-    /// `Σ_{j>i} H(i, j)`: a breadth-first search from `i` over the
-    /// out-masks. Every router right of `i` is reached, through the local
-    /// links if nothing shorter; the search also stops if a level finds
-    /// nothing new, so no mask state can make it loop.
-    fn hop_sum(&self, i: usize) -> u32 {
-        let right = self.row & (u64::MAX << i);
-        let mut reached = 1u64 << i;
-        let mut frontier = reached;
-        let mut level = 0;
-        let mut sum = 0;
-        while reached != right && frontier != 0 {
-            let mut next = 0;
-            let mut pending = frontier;
-            while pending != 0 {
-                next |= self.out[(pending.trailing_zeros() as usize) % MAX_ROUTERS];
-                pending &= pending - 1;
-            }
-            frontier = next & !reached;
-            reached |= frontier;
-            level += 1;
-            sum += level * frontier.count_ones();
-        }
-        sum
     }
 
     /// Counts one layer's span `(a, b)`; returns whether its express link
@@ -288,6 +346,7 @@ impl IncrementalAllPairs {
         *count += 1;
         if *count == 1 {
             self.out[a] |= 1 << b;
+            self.inbound[b] |= 1 << a;
         }
         *count == 1
     }
@@ -303,6 +362,7 @@ impl IncrementalAllPairs {
         *count -= 1;
         if *count == 0 {
             self.out[a] &= !(1 << b);
+            self.inbound[b] &= !(1 << a);
         }
         *count == 0
     }
@@ -446,5 +506,67 @@ mod tests {
         };
         assert!(takes(2, huge));
         assert!(!takes(3, huge));
+    }
+
+    /// `H(i, j)` as the evaluator holds it.
+    fn hops(inc: &IncrementalAllPairs, i: usize, j: usize) -> u8 {
+        match &inc.rows {
+            Rows::W32(rows) => rows[i][j],
+            Rows::W64(rows) => rows[i][j],
+        }
+    }
+
+    /// Checks every forward entry of every row against the hop counts of
+    /// the monotone DP's shortest paths.
+    fn assert_rows_match_dp(inc: &IncrementalAllPairs, matrix: &ConnectionMatrix, what: &str) {
+        let n = matrix.routers();
+        let apsp = noc_routing::monotone::monotone_apsp(&matrix.decode(), HopWeights::PAPER);
+        for i in 0..n {
+            for j in i..n {
+                assert_eq!(
+                    u32::from(hops(inc, i, j)),
+                    apsp.hops(i, j),
+                    "{what}: H({i}, {j}) of P({n}, {})",
+                    matrix.link_limit()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_flip_recomputes_every_row_that_reaches_a_changed_row() {
+        // Connecting router 3 in layer 0 of the P(8, 3) mesh adds the one
+        // link (2, 4). Only row 2 has a new out-link, but rows 1 and 0
+        // reach router 4 through router 2, so they shorten too.
+        let mut matrix = ConnectionMatrix::new(8, 3);
+        let mut inc = IncrementalAllPairs::try_new(&matrix, HopWeights::PAPER).unwrap();
+        assert_eq!([0, 1, 2].map(|i| hops(&inc, i, 4)), [4, 3, 2]);
+        matrix.flip_flat(2);
+        inc.flip(2);
+        assert_eq!([0, 1, 2].map(|i| hops(&inc, i, 4)), [3, 2, 1]);
+        assert_rows_match_dp(&inc, &matrix, "after the flip");
+        matrix.flip_flat(2);
+        inc.flip(2);
+        assert_eq!([0, 1, 2].map(|i| hops(&inc, i, 4)), [4, 3, 2]);
+        assert_rows_match_dp(&inc, &matrix, "after the undo");
+    }
+
+    #[test]
+    fn rows_match_the_dp_at_every_row_width() {
+        // Both widths' shortest and longest rows, and a row of the
+        // annealer's usual size.
+        let mut rng = SmallRng::seed_from_u64(0x0517);
+        for (n, c) in [(2usize, 2usize), (12, 4), (32, 8), (33, 8), (64, 8)] {
+            let mut matrix = ConnectionMatrix::new(n, c);
+            let mut inc = IncrementalAllPairs::try_new(&matrix, HopWeights::PAPER).unwrap();
+            assert_rows_match_dp(&inc, &matrix, "fresh");
+            let bits = matrix.bit_count();
+            for step in 0..if bits == 0 { 0 } else { 120 } {
+                let bit = rng.gen_range(0..bits);
+                matrix.flip_flat(bit);
+                inc.flip(bit);
+                assert_rows_match_dp(&inc, &matrix, &format!("step {step}, flip {bit}"));
+            }
+        }
     }
 }

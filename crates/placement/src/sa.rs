@@ -119,8 +119,8 @@ pub struct TracePoint {
     /// Objective evaluations performed so far — the schedule-comparison
     /// axis of Fig. 7. One candidate costs one evaluation however it is
     /// scored: a full `O(n·e)` routing solve, or, where the objective
-    /// offers an incremental evaluator, a recount of only the hop sums a
-    /// bit flip can change (same count, cheaper wall-clock).
+    /// offers an incremental evaluator, a recount of only the hop-count
+    /// rows a bit flip changes (same count, cheaper wall-clock).
     pub evaluations: usize,
     /// Best objective value seen so far (cycles).
     pub best_objective: f64,
@@ -152,7 +152,7 @@ pub struct SaOutcome {
 ///
 /// Where the objective offers a [`MoveEvaluator`](crate::incremental::MoveEvaluator)
 /// ([`Objective::incremental_evaluator`]), the per-move objective comes
-/// from it, updating only the hop sums a bit flip can change; with
+/// from it, updating only the hop-count rows a bit flip changes; with
 /// `debug_assertions` every move cross-checks that value bit-for-bit
 /// against a full re-evaluation. Otherwise every candidate is decoded and
 /// re-evaluated in full. The accept/reject sequence, RNG stream, counters

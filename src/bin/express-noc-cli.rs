@@ -10,7 +10,7 @@ use express_noc::model::LatencyModel;
 use express_noc::placement::objective::AllPairsObjective;
 use express_noc::placement::{InitialStrategy, SolveJob};
 use express_noc::routing::{channel_dependency_cycle, DorRouter, HopWeights};
-use express_noc::scenario::field::parse_links;
+use express_noc::scenario::field::{parse_links, Ty, Wire, MAX_CHAINS};
 use express_noc::service::protocol::{self, Envelope, Request, SolveRequest};
 use express_noc::service::{exec, generate_load_multi, spec, Client, Server, ServiceConfig};
 use express_noc::topology::{display, MeshTopology, RowPlacement};
@@ -210,6 +210,9 @@ the flags of solve, checkpoint, optimal, sweep, simulate and frontier are
 their request kind's fields with - for _, but the daemon's checkpoint
 interval (docs/PROTOCOL.md gives each field's bounds and default)
 
+serve --workers, loadgen --connections and cluster-sim --workers take a
+thread count of 0 to 64, the bound of the request field workers
+
 any command also accepts --trace-out PATH: enable the in-process noc-trace
 sink for the run and write its event log (SA convergence series, per-link
 utilization, spans) as NDJSON to PATH on success";
@@ -243,6 +246,20 @@ fn get_or<T: std::str::FromStr>(opts: &Flags, name: &str, default: T) -> Result<
         None => Ok(default),
         Some(_) => get(opts, name),
     }
+}
+
+/// A thread count (`serve --workers`, `loadgen --connections`,
+/// `cluster-sim --workers`), bounded like the wire's `workers` field: one
+/// flag must not start unboundedly many threads.
+fn get_threads(opts: &Flags, name: &str, default: usize) -> Result<usize, String> {
+    const THREADS: Ty = Ty::Int(0, MAX_CHAINS as u64);
+    let Some(text) = opts.get(name) else {
+        return Ok(default);
+    };
+    let count = THREADS
+        .flag_value(text)
+        .and_then(|v| usize::read(&v, THREADS).map_err(|e| e.message(|field| field.to_string())));
+    count.map_err(|why| format!("flag --{name}: {why}"))
 }
 
 /// A number `exec` writes into every result of its kind; integers print
@@ -468,7 +485,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     let defaults = ServiceConfig::default();
     let config = ServiceConfig {
         addr: get_or(opts, "addr", defaults.addr.clone())?,
-        workers: get_or(opts, "workers", defaults.workers)?,
+        workers: get_threads(opts, "workers", defaults.workers)?,
         queue_capacity: get_or(opts, "queue", defaults.queue_capacity)?,
         cache_capacity: get_or(opts, "cache", defaults.cache_capacity)?,
         cache_shards: defaults.cache_shards,
@@ -695,7 +712,7 @@ fn cmd_loadgen(opts: &Flags) -> Result<(), String> {
     if addrs.is_empty() {
         return Err("--addr needs at least one address".into());
     }
-    let connections: usize = get_or(opts, "connections", 4)?;
+    let connections = get_threads(opts, "connections", 4)?;
     let requests: usize = get_or(opts, "requests", 50)?;
     let kind: String = get_or(opts, "kind", "solve".to_string())?;
     let n: usize = get_or(opts, "n", 8)?;
@@ -766,7 +783,7 @@ fn cmd_cluster_sim(opts: &Flags) -> Result<(), String> {
     let nodes: usize = get_or(opts, "nodes", 3)?;
     let seed: u64 = get_or(opts, "seed", 0)?;
     let requests: u64 = get_or(opts, "requests", 12)?;
-    let workers: usize = get_or(opts, "workers", 1)?;
+    let workers = get_threads(opts, "workers", 1)?;
     let drop_rate: f64 = get_or(opts, "drop", 0.0)?;
     let dup_rate: f64 = get_or(opts, "dup", 0.0)?;
     let verbose: usize = get_or(opts, "verbose", 0)?;

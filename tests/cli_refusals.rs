@@ -84,6 +84,15 @@ fn out_of_bound_and_unknown_flags_are_refused_naming_the_flag() {
             "scenario run examples/scenarios/ladder.json --workers 1000",
             "--workers",
         ),
+        // `serve`, `loadgen` and `cluster-sim` started one thread per
+        // worker or connection asked for, with no bound. These are
+        // refused, never run; the unbindable address makes `serve` fail
+        // before its pool starts should the bound ever be lost.
+        ("serve --addr unbindable --workers 65", "--workers"),
+        ("serve --addr unbindable --workers 100000", "--workers"),
+        ("loadgen --connections 65", "--connections"),
+        ("loadgen --connections -1", "--connections"),
+        ("cluster-sim --workers 65", "--workers"),
         // An evaluation mode `solve` no longer has.
         ("solve --n 8 --c 4 --evaluator full", "--evaluator"),
     ] {
