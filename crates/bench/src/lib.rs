@@ -17,15 +17,10 @@ pub fn random_row(n: usize, c_limit: usize, seed: u64) -> RowPlacement {
 }
 
 /// Minimal wall-clock micro-benchmark harness (criterion replacement for
-/// offline builds): runs `f` until ~200 ms of samples accumulate and
-/// reports the per-iteration time. Statistics are intentionally simple —
-/// these benches guide relative sizing decisions, not publication numbers.
-pub fn bench<F: FnMut()>(name: &str, f: F) {
-    bench_timed(name, f);
-}
-
-/// Like [`bench()`], but also returns the measured per-iteration time so a
-/// bench binary can derive ratios (e.g. a speedup figure) from two runs.
+/// offline builds): runs `f` until ~200 ms of samples accumulate, prints
+/// the per-iteration time and returns it. Statistics are intentionally
+/// simple; cases compared with each other should be timed with
+/// [`best_interleaved`] instead.
 pub fn bench_timed<F: FnMut()>(name: &str, mut f: F) -> std::time::Duration {
     // Warm up and estimate a single-iteration cost.
     let start = std::time::Instant::now();

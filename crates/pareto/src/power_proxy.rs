@@ -26,9 +26,9 @@
 //! annealer's accept/reject branches (and hence its RNG stream) must not
 //! depend on the evaluation mode.
 
-use noc_placement::LinkChanges;
+use noc_placement::LinkChange;
 use noc_power::PowerConfig;
-use noc_topology::RowPlacement;
+use noc_topology::{Link, RowPlacement};
 
 /// Prices the placement-dependent static power of the `n × n` network a
 /// row placement replicates to. Values are per-router milliwatts, a scale
@@ -119,7 +119,8 @@ impl StaticPowerModel {
 }
 
 /// Tracks [`StaticPowerModel::eval_row`] of a placement under the link
-/// changes of single-bit flips, with an `O(1)` moment update per change.
+/// changes of single-bit flips or of the link searches' single-link
+/// additions and removals, with an `O(1)` moment update per change.
 ///
 /// The latency kernel ([`IncrementalAllPairs::flip_links`]) already walks
 /// the flipped layer's spans and counts each span's multiplicity across
@@ -150,13 +151,14 @@ impl IncrementalStaticPower {
             row.len(),
             "power model sized for a different row"
         );
-        let degree: Vec<u64> = (0..row.len()).map(|r| row.degree(r) as u64).collect();
-        IncrementalStaticPower {
+        let mut power = IncrementalStaticPower {
             model,
-            s1: degree.iter().sum(),
-            s2: degree.iter().map(|d| d * d).sum(),
-            degree,
-        }
+            degree: vec![0; row.len()],
+            s1: 0,
+            s2: 0,
+        };
+        power.set_links(row.express_links());
+        power
     }
 
     /// Per-router static power (mW) of the tracked placement, bit-identical
@@ -165,16 +167,32 @@ impl IncrementalStaticPower {
         self.model.power_mw_from_moments(self.s1, self.s2)
     }
 
-    /// Applies the link changes of one flip.
-    pub fn apply(&mut self, changes: &LinkChanges) {
-        for change in changes.as_slice() {
-            for r in [change.a, change.b] {
-                let old = self.degree[r];
-                let new = if change.added { old + 1 } else { old - 1 };
-                self.degree[r] = new;
-                self.s1 = self.s1 - old + new;
-                self.s2 = self.s2 - old * old + new * new;
-            }
+    /// Applies one distinct express link's appearance or removal.
+    pub fn apply(&mut self, change: LinkChange) {
+        for r in [change.a, change.b] {
+            let old = self.degree[r];
+            let new = if change.added { old + 1 } else { old - 1 };
+            self.degree[r] = new;
+            self.s1 = self.s1 - old + new;
+            self.s2 = self.s2 - old * old + new * new;
+        }
+    }
+
+    /// Replaces the tracked placement by the mesh row plus the distinct
+    /// express links `links`.
+    pub(crate) fn set_links(&mut self, links: impl IntoIterator<Item = Link>) {
+        let n = self.degree.len();
+        for (r, d) in self.degree.iter_mut().enumerate() {
+            *d = u64::from(r > 0) + u64::from(r + 1 < n);
+        }
+        self.s1 = self.degree.iter().sum();
+        self.s2 = self.degree.iter().map(|d| d * d).sum();
+        for link in links {
+            self.apply(LinkChange {
+                a: link.a,
+                b: link.b,
+                added: true,
+            });
         }
     }
 }
@@ -241,6 +259,13 @@ mod tests {
         (kernel, IncrementalStaticPower::new(&matrix.decode(), m))
     }
 
+    /// Flips `bit` in the kernel and feeds the tracker its link changes.
+    fn flip(kernel: &mut IncrementalAllPairs, inc: &mut IncrementalStaticPower, bit: usize) {
+        for &change in kernel.flip_links(bit).as_slice() {
+            inc.apply(change);
+        }
+    }
+
     #[test]
     fn incremental_matches_full_on_random_walks() {
         let mut rng = SmallRng::seed_from_u64(0xBEEF);
@@ -257,7 +282,7 @@ mod tests {
             for step in 0..300 {
                 let bit = rng.gen_range(0..bits);
                 matrix.flip_flat(bit);
-                inc.apply(&kernel.flip_links(bit));
+                flip(&mut kernel, &mut inc, bit);
                 let fast = inc.objective();
                 let slow = m.eval_row(&matrix.decode());
                 assert_eq!(
@@ -276,12 +301,12 @@ mod tests {
         let (mut kernel, mut inc) = tracked(&matrix, m);
         for bit in [0usize, 7, 3, 12] {
             matrix.flip_flat(bit);
-            inc.apply(&kernel.flip_links(bit));
+            flip(&mut kernel, &mut inc, bit);
         }
         let before = inc.objective().to_bits();
         for bit in 0..matrix.bit_count() {
-            inc.apply(&kernel.flip_links(bit));
-            inc.apply(&kernel.flip_links(bit));
+            flip(&mut kernel, &mut inc, bit);
+            flip(&mut kernel, &mut inc, bit);
             assert_eq!(inc.objective().to_bits(), before, "bit {bit}");
         }
     }

@@ -20,8 +20,11 @@
 
 use crate::power_proxy::{IncrementalStaticPower, StaticPowerModel};
 use noc_placement::dnc::DivisibleObjective;
-use noc_placement::{AllPairsObjective, IncrementalAllPairs, MoveEvaluator, Objective};
-use noc_topology::{ConnectionMatrix, RowPlacement};
+use noc_placement::{
+    AllPairsObjective, HopRows, IncrementalAllPairs, LinkChange, LinkEvaluator, MoveEvaluator,
+    Objective,
+};
+use noc_topology::{ConnectionMatrix, Link, RowPlacement};
 
 /// The weighted-sum objective `w_latency · L(row) + w_power · P(row)`.
 #[derive(Debug, Clone, Copy)]
@@ -76,6 +79,16 @@ impl ScalarizedObjective {
         h.write_f64(self.w_power);
         h.finish()
     }
+
+    /// Pairs a latency kernel tracking `placement` with a power tracker.
+    fn evaluator<K>(&self, latency: K, placement: &RowPlacement) -> ScalarizedEvaluator<K> {
+        ScalarizedEvaluator {
+            latency,
+            power: IncrementalStaticPower::new(placement, self.power),
+            w_latency: self.w_latency,
+            w_power: self.w_power,
+        }
+    }
 }
 
 impl Objective for ScalarizedObjective {
@@ -87,12 +100,14 @@ impl Objective for ScalarizedObjective {
     /// [`IncrementalAllPairs::try_new`]); `None` beyond them.
     fn incremental_evaluator(&self, matrix: &ConnectionMatrix) -> Option<Box<dyn MoveEvaluator>> {
         let latency = IncrementalAllPairs::try_new(matrix, self.latency.weights())?;
-        Some(Box::new(ScalarizedEvaluator {
-            latency,
-            power: IncrementalStaticPower::new(&matrix.decode(), self.power),
-            w_latency: self.w_latency,
-            w_power: self.w_power,
-        }))
+        Some(Box::new(self.evaluator(latency, &matrix.decode())))
+    }
+
+    /// The latency rows, driven one link at a time, on the rows
+    /// [`HopRows::try_new`] takes; `None` beyond them.
+    fn link_evaluator(&self, placement: &RowPlacement) -> Option<Box<dyn LinkEvaluator>> {
+        let latency = HopRows::try_new(placement, self.latency.weights())?;
+        Some(Box::new(self.evaluator(latency, placement)))
     }
 }
 
@@ -107,28 +122,59 @@ impl DivisibleObjective for ScalarizedObjective {
     }
 }
 
-/// Incremental evaluator pairing the latency kernel with the `O(1)`
-/// power-moment patch. The kernel walks the flipped layer's spans once
-/// and hands the link changes to the power tracker, so per-move cost
+/// Evaluator pairing a latency kernel with the `O(1)` power-moment patch:
+/// [`IncrementalAllPairs`] for annealing moves, [`HopRows`] for the link
+/// searches. The kernel reports the distinct links that change, and the
+/// power tracker takes them one [`LinkChange`] at a time, so per-move cost
 /// stays within the latency kernel's envelope (benchmarked in
 /// `benches/frontier.rs`).
 #[derive(Debug, Clone)]
-pub struct ScalarizedEvaluator {
-    latency: IncrementalAllPairs,
+pub struct ScalarizedEvaluator<K> {
+    latency: K,
     power: IncrementalStaticPower,
     w_latency: f64,
     w_power: f64,
 }
 
-impl MoveEvaluator for ScalarizedEvaluator {
+impl<K> ScalarizedEvaluator<K> {
+    /// `w_l·L + w_p·P`, the expression [`ScalarizedObjective::eval`]
+    /// computes.
+    fn blend(&self, latency: f64) -> f64 {
+        self.w_latency * latency + self.w_power * self.power.objective()
+    }
+}
+
+impl MoveEvaluator for ScalarizedEvaluator<IncrementalAllPairs> {
     fn objective(&self) -> f64 {
-        self.w_latency * self.latency.objective() + self.w_power * self.power.objective()
+        self.blend(self.latency.objective())
     }
 
     fn flip(&mut self, bit: usize) -> f64 {
-        let changes = self.latency.flip_links(bit);
-        self.power.apply(&changes);
+        for &change in self.latency.flip_links(bit).as_slice() {
+            self.power.apply(change);
+        }
         self.objective()
+    }
+}
+
+impl LinkEvaluator for ScalarizedEvaluator<HopRows> {
+    fn objective(&self) -> f64 {
+        self.blend(self.latency.objective())
+    }
+
+    fn add_link(&mut self, a: usize, b: usize) {
+        self.latency.add_link(a, b);
+        self.power.apply(LinkChange { a, b, added: true });
+    }
+
+    fn remove_link(&mut self, a: usize, b: usize) {
+        self.latency.remove_link(a, b);
+        self.power.apply(LinkChange { a, b, added: false });
+    }
+
+    fn set_links(&mut self, links: &[Link]) {
+        self.latency.set_links(links.iter().copied());
+        self.power.set_links(links.iter().copied());
     }
 }
 

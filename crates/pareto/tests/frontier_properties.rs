@@ -4,12 +4,12 @@
 use noc_model::PacketMix;
 use noc_pareto::{
     compute_frontier, dominates_raw, frontier_seed, scalarized_solve, FrontierConfig, ParetoPoint,
-    StaticPowerModel,
+    ScalarizedObjective, StaticPowerModel,
 };
 use noc_placement::dnc::DivisibleObjective;
 use noc_placement::{
-    evaluate_design, optimize_network, solve_row, AllPairsObjective, InitialStrategy, Objective,
-    SaParams,
+    evaluate_design, exhaustive_optimal, greedy_solution, initial_solution, optimize_network,
+    solve_row, AllPairsObjective, InitialStrategy, Objective, SaParams,
 };
 use noc_routing::HopWeights;
 use noc_topology::RowPlacement;
@@ -182,6 +182,76 @@ fn power_extreme_reproduces_power_min_solve_bit_identically() {
             reference.best_objective.to_bits(),
             "C = {c}"
         );
+    }
+}
+
+/// The scalarized objective without its evaluators: every candidate is
+/// evaluated in full.
+struct FullOnly(ScalarizedObjective);
+
+impl Objective for FullOnly {
+    fn eval(&self, row: &RowPlacement) -> f64 {
+        self.0.eval(row)
+    }
+}
+
+impl DivisibleObjective for FullOnly {
+    fn restrict(&self, lo: usize, hi: usize) -> Self {
+        FullOnly(self.0.restrict(lo, hi))
+    }
+}
+
+/// D&C, greedy insertion and the branch-and-bound score a scalarization's
+/// candidate links on the latency rows and the power tracker, and return
+/// what full evaluation of every candidate returns.
+#[test]
+fn scalarized_searches_answer_the_same_on_rows_as_in_full() {
+    let cfg = quick(8, 5);
+    for (n, c) in [(4usize, 2usize), (7, 3), (8, 4), (12, 3), (16, 5), (24, 8)] {
+        for (w_latency, w_power) in [(1.0, 0.0), (0.5, 0.5), (0.25, 0.75), (0.0, 1.0)] {
+            let obj = ScalarizedObjective::new(
+                AllPairsObjective::with_weights(cfg.hop_weights),
+                StaticPowerModel::new(n, 128, cfg.buffer_bits_per_router, &cfg.power),
+                w_latency,
+                w_power,
+            );
+            let what = format!("P({n},{c}) w = ({w_latency}, {w_power})");
+            for (label, rows, full) in [
+                (
+                    "D&C",
+                    initial_solution(n, c, &obj),
+                    initial_solution(n, c, &FullOnly(obj)),
+                ),
+                (
+                    "greedy",
+                    greedy_solution(n, c, &obj),
+                    greedy_solution(n, c, &FullOnly(obj)),
+                ),
+            ] {
+                assert_eq!(rows.placement, full.placement, "{label} {what}");
+                assert_eq!(
+                    rows.objective.to_bits(),
+                    full.objective.to_bits(),
+                    "{label} {what}"
+                );
+                assert_eq!(rows.evaluations, full.evaluations, "{label} {what}");
+            }
+            if n <= 8 {
+                let rows = exhaustive_optimal(n, c, &obj);
+                let full = exhaustive_optimal(n, c, &FullOnly(obj));
+                assert_eq!(rows.best, full.best, "optimal {what}");
+                assert_eq!(
+                    rows.best_objective.to_bits(),
+                    full.best_objective.to_bits(),
+                    "optimal {what}"
+                );
+                assert_eq!(
+                    (rows.evaluations, rows.nodes),
+                    (full.evaluations, full.nodes),
+                    "optimal {what}"
+                );
+            }
+        }
     }
 }
 

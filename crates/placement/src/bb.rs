@@ -9,13 +9,25 @@
 //!    link set. Only *maximal* feasible sets can be optimal, and the search
 //!    evaluates exactly those.
 //! 2. **Feasibility pruning** — cross-section counts are maintained
-//!    incrementally, so infeasible subtrees are cut without decoding.
+//!    incrementally, with a mask of the cuts that have no layer left, so
+//!    infeasible subtrees are cut without decoding.
+//!
+//! A maximal leaf is scored on the objective's [link evaluator] when it
+//! has one: its hop-count rows are rebuilt from the chosen links in one
+//! right-to-left pass, and no placement is built unless the leaf improves
+//! on the best. Stepping the rows with every link the DFS takes and drops
+//! measured about 3x slower (P(10,5) and P(12,4)): the DFS reaches far
+//! more leaves than are maximal. Objectives without a link evaluator
+//! evaluate each maximal leaf's placement in full, with identical results.
 //!
 //! This solver is the base case of the divide-and-conquer procedure
 //! `I(n, C)` (where `n ≤ 4` makes it trivial) and the optimality reference
 //! for Fig. 12 (`P(4,2)`, `P(8,2)`, `P(8,3)`, `P(8,4)`, `P(16,2)`).
+//!
+//! [link evaluator]: crate::objective::Objective::link_evaluator
 
-use crate::objective::Objective;
+use crate::incremental::LinkEvaluator;
+use crate::objective::{current, Objective};
 use noc_topology::{Link, RowPlacement};
 
 /// Result of an exhaustive solve.
@@ -37,8 +49,18 @@ struct Search<'a, O: Objective + ?Sized> {
     c_limit: usize,
     candidates: Vec<Link>,
     objective: &'a O,
+    /// The objective's link evaluator, set to the chosen links at each
+    /// maximal leaf.
+    rows: Option<Box<dyn LinkEvaluator>>,
     /// Express-link count per cut for the current prefix.
     sections: Vec<usize>,
+    /// Cuts with no express layer left: their count is `C − 1` (one layer
+    /// is local).
+    full: u64,
+    /// The cuts each candidate crosses, as a mask.
+    crosses: Vec<u64>,
+    /// Whether each candidate is in the current prefix.
+    taken: Vec<bool>,
     chosen: Vec<Link>,
     best: RowPlacement,
     best_objective: f64,
@@ -47,15 +69,36 @@ struct Search<'a, O: Objective + ?Sized> {
 }
 
 impl<O: Objective + ?Sized> Search<'_, O> {
-    fn fits(&self, link: &Link) -> bool {
-        // Express links per cut are limited to C - 1 (one layer is local).
-        (link.a..link.b).all(|cut| self.sections[cut] + 1 < self.c_limit)
+    fn fits(&self, index: usize) -> bool {
+        self.crosses[index] & self.full == 0
     }
 
-    fn place(&mut self, link: Link, delta: isize) {
+    /// Takes candidate `index` into the prefix, or drops it again.
+    fn take(&mut self, index: usize, taken: bool) {
+        let link = self.candidates[index];
         for cut in link.a..link.b {
-            self.sections[cut] = (self.sections[cut] as isize + delta) as usize;
+            if taken {
+                self.sections[cut] += 1;
+            } else {
+                self.sections[cut] -= 1;
+            }
+            if self.sections[cut] + 1 == self.c_limit {
+                self.full |= 1 << cut;
+            } else {
+                self.full &= !(1 << cut);
+            }
         }
+        self.taken[index] = taken;
+        if taken {
+            self.chosen.push(link);
+        } else {
+            self.chosen.pop();
+        }
+    }
+
+    fn chosen_row(&self) -> RowPlacement {
+        RowPlacement::with_links(self.n, self.chosen.iter().map(|l| (l.a, l.b)))
+            .expect("chosen links are valid by construction")
     }
 
     fn dfs(&mut self, index: usize) {
@@ -63,30 +106,31 @@ impl<O: Objective + ?Sized> Search<'_, O> {
         if index == self.candidates.len() {
             // Evaluate only maximal sets: if any candidate could still be
             // added, a superset (visited elsewhere) dominates this leaf.
-            let maximal = !self
-                .candidates
-                .iter()
-                .any(|link| !self.chosen.contains(link) && self.fits(link));
+            let maximal = !(0..self.candidates.len()).any(|i| !self.taken[i] && self.fits(i));
             if maximal {
-                let row = RowPlacement::with_links(self.n, self.chosen.iter().map(|l| (l.a, l.b)))
-                    .expect("chosen links are valid by construction");
-                let obj = self.objective.eval(&row);
+                let (obj, row) = match self.rows.as_mut() {
+                    Some(rows) => {
+                        rows.set_links(&self.chosen);
+                        (rows.objective(), None)
+                    }
+                    None => {
+                        let row = self.chosen_row();
+                        (self.objective.eval(&row), Some(row))
+                    }
+                };
                 self.evaluations += 1;
                 if obj < self.best_objective {
                     self.best_objective = obj;
-                    self.best = row;
+                    self.best = row.unwrap_or_else(|| self.chosen_row());
                 }
             }
             return;
         }
-        let link = self.candidates[index];
         // Branch 1: include the link when feasible.
-        if self.fits(&link) {
-            self.place(link, 1);
-            self.chosen.push(link);
+        if self.fits(index) {
+            self.take(index, true);
             self.dfs(index + 1);
-            self.chosen.pop();
-            self.place(link, -1);
+            self.take(index, false);
         }
         // Branch 2: exclude it.
         self.dfs(index + 1);
@@ -95,9 +139,17 @@ impl<O: Objective + ?Sized> Search<'_, O> {
 
 /// Exhaustively solves `P̂(n, C)`, returning an optimal placement.
 ///
-/// Complexity is exponential in the number of candidate links
-/// (`(n-1)(n-2)/2`); practical up to `n = 8` for any `C` and up to `n = 16`
-/// for small `C` — exactly the instances Fig. 12 reports.
+/// Complexity is exponential in the `L = (n-1)(n-2)/2` candidate links.
+/// Once `C` lets every link fit, the search visits all `2^(L+1) − 1` DFS
+/// nodes: 4.2M at `n = 8` (tens of milliseconds), 2^29 − 1 at `n = 9`
+/// (seconds), 2^37 − 1 at `n = 10`. Longer rows finish only for small `C`:
+/// in seconds up to P(10,6), P(11,5), P(12,4) and P(16,3), the instances
+/// of Fig. 12 among them (measured times are in the `optimal` request's
+/// refusal table, `crates/service/src/spec.rs`).
+///
+/// # Panics
+/// Panics if `n < 2`, `C < 1`, or `n > 65` with `C > 1` (the cut masks
+/// hold 64 cuts; such a search could not finish anyway).
 pub fn exhaustive_optimal<O: Objective + ?Sized>(
     n: usize,
     c_limit: usize,
@@ -122,15 +174,28 @@ pub fn exhaustive_optimal<O: Objective + ?Sized>(
         .collect();
     candidates.sort_by_key(|l| std::cmp::Reverse(l.span()));
 
+    assert!(
+        n <= 65,
+        "the cut masks hold the 64 cuts of at most 65 routers"
+    );
+    let rows = objective.link_evaluator(&mesh);
+    let best_objective = current(objective, rows.as_deref(), &mesh);
     let mut search = Search {
         n,
         c_limit,
+        crosses: candidates
+            .iter()
+            .map(|l| (u64::MAX >> (64 - l.span())) << l.a)
+            .collect(),
+        taken: vec![false; candidates.len()],
         candidates,
         objective,
+        rows,
         sections: vec![0; n - 1],
+        full: 0,
         chosen: Vec::new(),
-        best: mesh.clone(),
-        best_objective: objective.eval(&mesh),
+        best: mesh,
+        best_objective,
         evaluations: 1,
         nodes: 0,
     };

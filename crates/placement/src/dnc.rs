@@ -9,10 +9,13 @@
 //!
 //! The paper analyses this at `O(n⁵)` total via the master theorem (an
 //! `O(n²)`-pair combination step, each pair evaluated by the `O(n³)` routing
-//! solve).
+//! solve). Here the hop-count rows of the assembled halves are built once
+//! per step, and a cross link costs only the rows it reaches
+//! ([`Objective::link_evaluator`]); objectives without a link evaluator
+//! evaluate each candidate in full, with identical results.
 
 use crate::bb::exhaustive_optimal;
-use crate::objective::{AllPairsObjective, Objective, WeightedObjective};
+use crate::objective::{current, with_link, AllPairsObjective, Objective, WeightedObjective};
 use noc_topology::RowPlacement;
 
 /// Sub-problem size at which the exact solver takes over ("if n is small
@@ -101,23 +104,28 @@ pub fn initial_solution<O: DivisibleObjective>(
     // Combination step: add the best single express link between the halves
     // (lines 8–11 of Procedure I). The no-link assembly is kept as a
     // fallback candidate so the result can never be worse than the parts.
-    let mut best = base.clone();
-    let mut best_obj = objective.eval(&base);
+    // Each cross link is scored on the objective's link evaluator when it
+    // has one (add, read, remove), else on an extended copy in full.
+    let mut rows = objective.link_evaluator(&base);
+    let mut best_obj = current(objective, rows.as_deref(), &base);
+    let mut best_link = None;
     evaluations += 1;
     for i in 0..left_n {
         for j in left_n..n {
             if j - i < 2 {
                 continue; // (left_n - 1, left_n) is the local seam link
             }
-            let mut candidate = base.clone();
-            candidate.add_link(i, j).expect("cross link is valid");
-            let obj = objective.eval(&candidate);
+            let obj = with_link(objective, rows.as_mut(), &base, (i, j));
             evaluations += 1;
             if obj < best_obj {
                 best_obj = obj;
-                best = candidate;
+                best_link = Some((i, j));
             }
         }
+    }
+    let mut best = base;
+    if let Some((i, j)) = best_link {
+        best.add_link(i, j).expect("cross link is valid");
     }
 
     debug_assert!(best.is_within_limit(c_limit));

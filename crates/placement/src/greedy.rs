@@ -6,9 +6,18 @@
 //! improves the objective. `O(L²)` evaluations for `L = (n-1)(n-2)/2`
 //! candidate links — more expensive than `I(n, C)` at equal `n` and without
 //! its recursive structure, but a natural straw-man.
+//!
+//! Feasibility comes from per-cut express-link counts. A candidate is
+//! scored on the objective's [link evaluator] when it has one: add the
+//! link, read the objective, remove it again, which recomputes only the
+//! hop-count rows the link reaches. Objectives without one evaluate an
+//! extended copy of the placement in full. Both paths see the same
+//! values, so they pick the same links and count the same evaluations.
+//!
+//! [link evaluator]: crate::objective::Objective::link_evaluator
 
 use crate::dnc::DncOutcome;
-use crate::objective::Objective;
+use crate::objective::{current, with_link, Objective};
 use noc_topology::{Link, RowPlacement};
 
 /// Builds a placement by greedy link insertion.
@@ -23,21 +32,22 @@ pub fn greedy_solution<O: Objective + ?Sized>(
         .collect();
 
     let mut placement = RowPlacement::new(n);
-    let mut best_obj = objective.eval(&placement);
+    let mut rows = objective.link_evaluator(&placement);
+    let mut best_obj = current(objective, rows.as_deref(), &placement);
     let mut evaluations = 1usize;
+    // Express links crossing each cut; a link fits while every cut it
+    // crosses keeps one layer for the local link.
+    let mut sections = vec![0usize; n - 1];
 
     loop {
         let mut round_best: Option<(Link, f64)> = None;
         for link in &candidates {
-            if placement.has_express(link.a, link.b) {
+            if placement.has_express(link.a, link.b)
+                || sections[link.a..link.b].iter().any(|&s| s + 1 >= c_limit)
+            {
                 continue;
             }
-            let mut candidate = placement.clone();
-            candidate.add_link(link.a, link.b).expect("valid pair");
-            if !candidate.is_within_limit(c_limit) {
-                continue;
-            }
-            let obj = objective.eval(&candidate);
+            let obj = with_link(objective, rows.as_mut(), &placement, (link.a, link.b));
             evaluations += 1;
             if obj < round_best.map_or(best_obj, |(_, o)| o) {
                 round_best = Some((*link, obj));
@@ -46,6 +56,10 @@ pub fn greedy_solution<O: Objective + ?Sized>(
         match round_best {
             Some((link, obj)) if obj < best_obj - 1e-12 => {
                 placement.add_link(link.a, link.b).expect("valid pair");
+                if let Some(rows) = rows.as_mut() {
+                    rows.add_link(link.a, link.b);
+                }
+                sections[link.a..link.b].iter_mut().for_each(|s| *s += 1);
                 best_obj = obj;
             }
             _ => break,

@@ -1,9 +1,13 @@
-//! Incremental objective evaluation for the SA inner loop.
+//! Incremental objective evaluation for the SA inner loop and the link
+//! searches.
 //!
-//! Every annealing move flips one bit of the connection matrix, yet the
-//! full evaluator decodes the matrix and re-solves all `n²` pairs. This
-//! module scores a flip from hop counts instead, kept as one row of `u8`
-//! hop counts per router, and recomputes only the rows the flip changes.
+//! Every annealing move flips one bit of the connection matrix, and every
+//! candidate of greedy insertion, the D&C combination step and the
+//! branch-and-bound differs from a link set by links, yet the full
+//! evaluator decodes a placement and re-solves all `n²` pairs. This module
+//! scores them from hop counts instead, kept as one row of `u8` hop counts
+//! per router ([`HopRows`]), and recomputes only the rows a change
+//! reaches.
 //!
 //! **Hop counts carry the objective.** A U-turn-free path from `i` to
 //! `j > i` visits strictly increasing routers (see
@@ -13,8 +17,9 @@
 //! `d(i, j) = T_r·H(i, j) + T_l·(j − i)` with `H` the fewest hops, and the
 //! forward pairs sum to `T_r·ΣH + T_l·n(n²−1)/6`. That is the same `u64`
 //! the monotone DP sums ([`noc_routing::monotone::monotone_all_pairs_sum`])
-//! whenever no distance overflows the DP's `u32` cycles (which
-//! [`IncrementalAllPairs::try_new`] checks), and the objective divides it
+//! whenever no distance reaches past the DP's "no path" cap
+//! [`noc_routing::INF`] (which [`HopRows::try_new`] checks), and the
+//! objective divides it
 //! by `n²` in the same single `f64` division. The incremental objective is
 //! therefore **bit-identical** to the full evaluator: the annealer takes
 //! the same accept/reject branches, consumes the same RNG stream, and
@@ -42,18 +47,27 @@
 //! nothing left of it. The annealer undoes a rejected move by flipping
 //! the same bit again, which recomputes the same rows once more.
 //!
+//! **Link-level operations.** The searches drive the same rows one link
+//! at a time, through [`LinkEvaluator`]: adding or removing link `(a, b)`
+//! sets or clears its mask bits and recomputes from row `a` as above, and
+//! replacing the whole link set recomputes every row in one right-to-left
+//! pass. [`IncrementalAllPairs`] keeps only the layer masks and span
+//! counts a flip needs, and drives the rows with the links they change.
+//!
 //! **Row width.** A row is `n` rounded up to 32 or 64 entries, a width
 //! [`IncrementalAllPairs::try_new`] picks from `n` and the compiler sees
 //! as a constant, so recomputing a row is a few vector `min`s. A
 //! 16-entry width for rows of up to 16 routers measured slower than 32:
 //! the compiler splits its rows into 8- and 4-byte pieces.
 //! Rows of more than [`MAX_ROUTERS`] routers do not fit the widest row
-//! or the `u64` link masks; [`IncrementalAllPairs::try_new`] and so
-//! [`Objective::incremental_evaluator`] return `None` for them, and the
-//! annealer evaluates their moves in full.
+//! or the `u64` link masks; [`HopRows::try_new`] and so
+//! [`Objective::incremental_evaluator`] and [`Objective::link_evaluator`]
+//! return `None` for them, and the annealer and the searches evaluate
+//! their candidates in full.
 //!
 //! [`anneal`]: crate::sa::anneal
 //! [`Objective::incremental_evaluator`]: crate::objective::Objective::incremental_evaluator
+//! [`Objective::link_evaluator`]: crate::objective::Objective::link_evaluator
 //!
 //! # Example
 //!
@@ -76,8 +90,8 @@
 //! }
 //! ```
 
-use noc_routing::HopWeights;
-use noc_topology::ConnectionMatrix;
+use noc_routing::{HopWeights, INF};
+use noc_topology::{ConnectionMatrix, Link, RowPlacement};
 
 /// A stateful evaluator that tracks the objective of the connection matrix
 /// under single-bit flips, without re-solving the whole row each move.
@@ -98,6 +112,31 @@ pub trait MoveEvaluator {
     /// Applies one bit flip (flat index as in
     /// [`ConnectionMatrix::flip_flat`]) and returns the new objective.
     fn flip(&mut self, bit: usize) -> f64;
+}
+
+/// A stateful evaluator that tracks the objective of an express-link set
+/// under single-link additions and removals, for the searches that score
+/// one candidate link at a time.
+///
+/// The searches obtain one through
+/// [`Objective::link_evaluator`](crate::objective::Objective::link_evaluator),
+/// score a candidate by adding it, reading the objective and removing it
+/// again, and keep the evaluator in step with the links they commit.
+pub trait LinkEvaluator {
+    /// Objective value of the tracked link set. Must be bit-identical to
+    /// the owning [`Objective`]'s `eval` of that placement.
+    ///
+    /// [`Objective`]: crate::objective::Objective
+    fn objective(&self) -> f64;
+
+    /// Adds express link `(a, b)`, `a < b`, absent from the tracked set.
+    fn add_link(&mut self, a: usize, b: usize);
+
+    /// Removes express link `(a, b)`, `a < b`, present in the tracked set.
+    fn remove_link(&mut self, a: usize, b: usize);
+
+    /// Replaces the tracked set by the distinct express links `links`.
+    fn set_links(&mut self, links: &[Link]);
 }
 
 /// Longest row [`IncrementalAllPairs`] takes: one `u64` mask per router
@@ -203,29 +242,28 @@ fn row_sum<const W: usize>(row: &[u8; W]) -> u64 {
     row.iter().map(|&h| u32::from(h)).sum::<u32>() as u64
 }
 
-/// Incremental all-pairs mean segment latency — the fast path behind
-/// [`AllPairsObjective`](crate::objective::AllPairsObjective).
+/// The hop-count rows of one link set: `H(i, ·)` per router, the links as
+/// out- and in-masks per router, and `ΣH` over the forward pairs.
 ///
-/// Holds the connection points of each layer as a mask, the multiplicity
-/// of every span across layers, the distinct links as out- and in-masks
-/// per router, and the hop counts `H(i, j)` as one row per router.
-/// [`flip`](MoveEvaluator::flip) finds the span boundaries with two bit
-/// scans and recomputes only the rows the changed links reach.
+/// This is the kernel behind both evaluators of the all-pairs objective.
+/// [`IncrementalAllPairs`] drives it with the links a connection-matrix
+/// flip changes; as a [`LinkEvaluator`] it takes one express link at a
+/// time, for the searches that score link sets ([`greedy_solution`],
+/// [`initial_solution`], [`exhaustive_optimal`]). Adding or removing link
+/// `(a, b)` sets or clears its mask bits and recomputes row `a`, then every
+/// row that reaches a row that changed.
+///
+/// [`greedy_solution`]: crate::greedy::greedy_solution
+/// [`initial_solution`]: crate::dnc::initial_solution
+/// [`exhaustive_optimal`]: crate::bb::exhaustive_optimal
 #[derive(Debug, Clone)]
-pub struct IncrementalAllPairs {
+pub struct HopRows {
     n: usize,
-    points: usize,
     weights: HopWeights,
     /// Routers `0..n` as a mask.
     row: u64,
     /// `Σ_{i<j} (j − i)`: unit link segments over the forward pairs.
     segments: u64,
-    /// `layers[l]`: bit `r` set when interior router `r` is a connection
-    /// point of layer `l`.
-    layers: Vec<u64>,
-    /// Layers encoding span `(a, b)`, `b − a ≥ 2`, at `a·n + b`. A link
-    /// exists while its count is non-zero.
-    spans: Vec<u32>,
     /// `out[k]`: bit `j` set when the row has a link `k → j`, local or
     /// express.
     out: [u64; MAX_ROUTERS],
@@ -237,43 +275,163 @@ pub struct IncrementalAllPairs {
     total_hops: u64,
 }
 
-impl IncrementalAllPairs {
-    /// Builds the evaluator for the placement `matrix` currently decodes
-    /// to, or `None` where it would not reproduce the full evaluator bit
-    /// for bit: rows of more than [`MAX_ROUTERS`] routers, and weights
-    /// under which a path's cost, at most `(n − 1)·(T_r + T_l)`, overflows
-    /// the `u32` cycles the full evaluator sums.
-    pub fn try_new(matrix: &ConnectionMatrix, weights: HopWeights) -> Option<Self> {
-        let n = matrix.routers();
+impl HopRows {
+    /// The rows of `placement`'s link set, built in one right-to-left
+    /// pass, or `None` where they would not reproduce the full evaluator
+    /// bit for bit: rows of more than [`MAX_ROUTERS`] routers, and weights
+    /// under which a path's cost, at most `(n − 1)·(T_r + T_l)`, exceeds
+    /// [`INF`], the "no path" value at which the full evaluator's DP caps
+    /// its `u32` distances.
+    pub fn try_new(placement: &RowPlacement, weights: HopWeights) -> Option<Self> {
+        let mut hops = Self::unscored(placement.len(), weights)?;
+        hops.set_links(placement.express_links());
+        Some(hops)
+    }
+
+    /// Replaces the link set by the distinct express links `links`, and
+    /// recomputes every row in one right-to-left pass.
+    pub fn set_links(&mut self, links: impl IntoIterator<Item = Link>) {
+        self.mesh_masks();
+        for link in links {
+            self.link(link.a, link.b);
+        }
+        self.rescore_all();
+    }
+
+    /// The mesh row with rows not yet computed: every row reaches only its
+    /// own router until [`rescore_all`](Self::rescore_all).
+    fn unscored(n: usize, weights: HopWeights) -> Option<Self> {
         let per_segment = weights.router_cycles as u64 + weights.unit_link_cycles as u64;
-        if n > MAX_ROUTERS || (n as u64 - 1) * per_segment > u32::MAX as u64 {
+        if n > MAX_ROUTERS || (n as u64 - 1) * per_segment > INF as u64 {
             return None;
         }
-        let points = matrix.points();
-        let mut out = [0u64; MAX_ROUTERS];
-        let mut inbound = [0u64; MAX_ROUTERS];
-        for k in 0..n - 1 {
-            out[k] = 1 << (k + 1);
-            inbound[k + 1] = 1 << k;
-        }
         let n64 = n as u64;
-        let mut eval = IncrementalAllPairs {
+        let mut hops = HopRows {
             n,
-            points,
             weights,
             row: u64::MAX >> (MAX_ROUTERS - n),
             segments: n64 * (n64 * n64 - 1) / 6,
-            layers: vec![0; matrix.layers()],
-            spans: vec![0; n * n],
-            out,
-            inbound,
+            out: [0; MAX_ROUTERS],
+            inbound: [0; MAX_ROUTERS],
             rows: if n <= 32 {
                 Rows::W32((0..n).map(lone).collect())
             } else {
                 Rows::W64((0..n).map(lone).collect())
             },
-            // Every row reaches only its own router, until `rescore`.
             total_hops: u8::MAX as u64 * n64 * (n64 - 1) / 2,
+        };
+        hops.mesh_masks();
+        Some(hops)
+    }
+
+    /// Sets the masks to the local links alone.
+    fn mesh_masks(&mut self) {
+        self.out = [0; MAX_ROUTERS];
+        self.inbound = [0; MAX_ROUTERS];
+        for k in 0..self.n - 1 {
+            self.out[k] = 1 << (k + 1);
+            self.inbound[k + 1] = 1 << k;
+        }
+    }
+
+    /// Sets the mask bits of link `(a, b)`; the rows are stale until
+    /// [`rescore`](Self::rescore) of row `a`.
+    fn link(&mut self, a: usize, b: usize) {
+        self.out[a] |= 1 << b;
+        self.inbound[b] |= 1 << a;
+    }
+
+    /// Clears the mask bits of link `(a, b)`; the rows are stale until
+    /// [`rescore`](Self::rescore) of row `a`.
+    fn unlink(&mut self, a: usize, b: usize) {
+        self.out[a] &= !(1 << b);
+        self.inbound[b] &= !(1 << a);
+    }
+
+    /// Recomputes every row, right to left. The last row has no out-link:
+    /// it stays as it is.
+    fn rescore_all(&mut self) {
+        self.rescore(self.row >> 1);
+    }
+
+    /// Brings the rows up to date after the out-links of the rows in
+    /// `dirty` changed.
+    fn rescore(&mut self, dirty: u64) {
+        let (out, inbound, total) = (&self.out, &self.inbound, &mut self.total_hops);
+        match &mut self.rows {
+            Rows::W32(rows) => rescore(rows, out, inbound, dirty, total),
+            Rows::W64(rows) => rescore(rows, out, inbound, dirty, total),
+        }
+    }
+}
+
+impl LinkEvaluator for HopRows {
+    /// Mean segment latency over all `n²` ordered pairs, bit-identical to
+    /// [`AllPairsObjective`](crate::objective::AllPairsObjective)'s `eval`
+    /// of the link set.
+    fn objective(&self) -> f64 {
+        // `monotone_all_pairs_sum` doubles the forward triangle
+        // (d(i→j) == d(j→i) on bidirectional links) into one u64 before the
+        // single f64 division; d(i, j) = T_r·H(i, j) + T_l·(j − i).
+        let forward = self.weights.router_cycles as u64 * self.total_hops
+            + self.weights.unit_link_cycles as u64 * self.segments;
+        (2 * forward) as f64 / (self.n * self.n) as f64
+    }
+
+    fn add_link(&mut self, a: usize, b: usize) {
+        debug_assert!(
+            self.out[a] & (1 << b) == 0,
+            "added link ({a}, {b}) was absent"
+        );
+        self.link(a, b);
+        self.rescore(1 << a);
+    }
+
+    fn remove_link(&mut self, a: usize, b: usize) {
+        debug_assert!(
+            self.out[a] & (1 << b) != 0,
+            "removed link ({a}, {b}) was present"
+        );
+        self.unlink(a, b);
+        self.rescore(1 << a);
+    }
+
+    fn set_links(&mut self, links: &[Link]) {
+        HopRows::set_links(self, links.iter().copied());
+    }
+}
+
+/// Incremental all-pairs mean segment latency — the fast path behind
+/// [`AllPairsObjective`](crate::objective::AllPairsObjective)'s annealing.
+///
+/// Holds the connection points of each layer as a mask and the
+/// multiplicity of every span across layers, and drives the [`HopRows`]
+/// of the distinct links they encode. [`flip`](MoveEvaluator::flip) finds
+/// the span boundaries with two bit scans and recomputes only the rows the
+/// changed links reach.
+#[derive(Debug, Clone)]
+pub struct IncrementalAllPairs {
+    points: usize,
+    /// `layers[l]`: bit `r` set when interior router `r` is a connection
+    /// point of layer `l`.
+    layers: Vec<u64>,
+    /// Layers encoding span `(a, b)`, `b − a ≥ 2`, at `a·n + b`. A link
+    /// exists while its count is non-zero.
+    spans: Vec<u32>,
+    hops: HopRows,
+}
+
+impl IncrementalAllPairs {
+    /// Builds the evaluator for the placement `matrix` currently decodes
+    /// to, or `None` where [`HopRows::try_new`] gives none.
+    pub fn try_new(matrix: &ConnectionMatrix, weights: HopWeights) -> Option<Self> {
+        let n = matrix.routers();
+        let points = matrix.points();
+        let mut eval = IncrementalAllPairs {
+            points,
+            layers: vec![0; matrix.layers()],
+            spans: vec![0; n * n],
+            hops: HopRows::unscored(n, weights)?,
         };
         for layer in 0..matrix.layers() {
             let mut span_start = 0;
@@ -288,8 +446,7 @@ impl IncrementalAllPairs {
             }
             eval.add_span(span_start, n - 1);
         }
-        // The last row has no out-link: it stays as it is.
-        eval.rescore(eval.row >> 1);
+        eval.hops.rescore_all();
         Some(eval)
     }
 
@@ -304,7 +461,7 @@ impl IncrementalAllPairs {
         // Span boundaries of this layer: the row ends and every interior
         // router that is not a connection point. `r ≤ n − 2 ≤ 62`, so
         // neither shift reaches 64.
-        let bounds = !connected & self.row;
+        let bounds = !connected & self.hops.row;
         let a = 63 - (bounds & ((1 << r) - 1)).leading_zeros() as usize;
         let b = (bounds & (u64::MAX << (r + 1))).trailing_zeros() as usize;
 
@@ -321,18 +478,9 @@ impl IncrementalAllPairs {
             changes.note(a, r, true, self.add_span(a, r));
             changes.note(r, b, true, self.add_span(r, b));
         }
-        self.rescore(changes.as_slice().iter().fold(0, |m, c| m | 1 << c.a));
+        let dirty = changes.as_slice().iter().fold(0, |m, c| m | 1 << c.a);
+        self.hops.rescore(dirty);
         changes
-    }
-
-    /// Brings the rows up to date after the out-links of the rows in
-    /// `dirty` changed.
-    fn rescore(&mut self, dirty: u64) {
-        let (out, inbound, total) = (&self.out, &self.inbound, &mut self.total_hops);
-        match &mut self.rows {
-            Rows::W32(rows) => rescore(rows, out, inbound, dirty, total),
-            Rows::W64(rows) => rescore(rows, out, inbound, dirty, total),
-        }
     }
 
     /// Counts one layer's span `(a, b)`; returns whether its express link
@@ -342,13 +490,13 @@ impl IncrementalAllPairs {
         if b - a < 2 {
             return false;
         }
-        let count = &mut self.spans[a * self.n + b];
+        let count = &mut self.spans[a * self.hops.n + b];
         *count += 1;
-        if *count == 1 {
-            self.out[a] |= 1 << b;
-            self.inbound[b] |= 1 << a;
+        let appeared = *count == 1;
+        if appeared {
+            self.hops.link(a, b);
         }
-        *count == 1
+        appeared
     }
 
     /// Uncounts one layer's span `(a, b)`; returns whether its express link
@@ -357,25 +505,20 @@ impl IncrementalAllPairs {
         if b - a < 2 {
             return false;
         }
-        let count = &mut self.spans[a * self.n + b];
+        let count = &mut self.spans[a * self.hops.n + b];
         debug_assert!(*count > 0, "removed span ({a}, {b}) was present");
         *count -= 1;
-        if *count == 0 {
-            self.out[a] &= !(1 << b);
-            self.inbound[b] &= !(1 << a);
+        let vanished = *count == 0;
+        if vanished {
+            self.hops.unlink(a, b);
         }
-        *count == 0
+        vanished
     }
 }
 
 impl MoveEvaluator for IncrementalAllPairs {
     fn objective(&self) -> f64 {
-        // `monotone_all_pairs_sum` doubles the forward triangle
-        // (d(i→j) == d(j→i) on bidirectional links) into one u64 before the
-        // single f64 division; d(i, j) = T_r·H(i, j) + T_l·(j − i).
-        let forward = self.weights.router_cycles as u64 * self.total_hops
-            + self.weights.unit_link_cycles as u64 * self.segments;
-        (2 * forward) as f64 / (self.n * self.n) as f64
+        self.hops.objective()
     }
 
     fn flip(&mut self, bit: usize) -> f64 {
@@ -494,23 +637,117 @@ mod tests {
     }
 
     #[test]
-    fn takes_rows_up_to_the_mask_width_and_the_u32_distances() {
+    fn takes_rows_up_to_the_mask_width_and_the_dp_distance_cap() {
         let takes = |n, weights| {
             IncrementalAllPairs::try_new(&ConnectionMatrix::new(n, 2), weights).is_some()
         };
         assert!(takes(64, HopWeights::PAPER));
         assert!(!takes(65, HopWeights::PAPER));
-        let huge = HopWeights {
-            router_cycles: u32::MAX / 2,
+        // The full evaluator's DP caps a distance at `INF`, not at
+        // `u32::MAX`: a path cost of `INF` still reads the same on both
+        // paths, one cycle more does not.
+        let per_segment = |cycles: u32| HopWeights {
+            router_cycles: cycles - 1,
             unit_link_cycles: 1,
         };
-        assert!(takes(2, huge));
-        assert!(!takes(3, huge));
+        let full =
+            |n, weights| AllPairsObjective::with_weights(weights).eval(&RowPlacement::new(n));
+        for (n, cap) in [(2usize, INF), (3, INF / 2)] {
+            assert!(takes(n, per_segment(cap)), "n = {n}");
+            let inc = IncrementalAllPairs::try_new(&ConnectionMatrix::new(n, 2), per_segment(cap));
+            assert_eq!(
+                inc.unwrap().objective().to_bits(),
+                full(n, per_segment(cap)).to_bits(),
+                "n = {n}"
+            );
+            assert!(!takes(n, per_segment(cap + 1)), "n = {n}");
+        }
+        // Past the cap the DP reads `INF`, where the rows' exact sum would
+        // read one cycle more.
+        assert_eq!(
+            full(2, per_segment(INF + 1)).to_bits(),
+            full(2, per_segment(INF)).to_bits()
+        );
+    }
+
+    /// Every forward `H(i, j)` of `rows` against the monotone DP's hop
+    /// counts on `placement`, and the objective against the full
+    /// evaluator's, bit for bit.
+    fn assert_link_rows_match(rows: &HopRows, placement: &RowPlacement, what: &str) {
+        let n = placement.len();
+        let apsp = noc_routing::monotone::monotone_apsp(placement, HopWeights::PAPER);
+        for i in 0..n {
+            for j in i..n {
+                let h = match &rows.rows {
+                    Rows::W32(r) => r[i][j],
+                    Rows::W64(r) => r[i][j],
+                };
+                assert_eq!(
+                    u32::from(h),
+                    apsp.hops(i, j),
+                    "{what}: H({i}, {j}), n = {n}"
+                );
+            }
+        }
+        assert_eq!(
+            rows.objective().to_bits(),
+            AllPairsObjective::paper().eval(placement).to_bits(),
+            "{what}: objective, n = {n}"
+        );
+    }
+
+    #[test]
+    fn link_additions_and_removals_track_the_full_evaluator() {
+        // Toggle random express links one at a time, so every step adds or
+        // removes one, on rows of both widths; every few steps, rebuild
+        // from the whole set.
+        let mut rng = SmallRng::seed_from_u64(0x11A4);
+        for n in [3usize, 4, 12, 32, 33, 64] {
+            let mut placement = RowPlacement::new(n);
+            let mut rows = HopRows::try_new(&placement, HopWeights::PAPER).unwrap();
+            assert_link_rows_match(&rows, &placement, "mesh");
+            for step in 0..150 {
+                let a = rng.gen_range(0..n - 2);
+                let b = rng.gen_range(a + 2..n);
+                if placement.remove_link(a, b) {
+                    rows.remove_link(a, b);
+                } else {
+                    placement.add_link(a, b).unwrap();
+                    rows.add_link(a, b);
+                }
+                assert_link_rows_match(&rows, &placement, &format!("step {step}, ({a}, {b})"));
+                if step % 10 == 9 {
+                    let mut rebuilt =
+                        HopRows::try_new(&RowPlacement::new(n), HopWeights::PAPER).unwrap();
+                    rebuilt.set_links(placement.express_links());
+                    assert_link_rows_match(&rebuilt, &placement, &format!("rebuilt at {step}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn removing_a_link_restores_every_row() {
+        // Removing (2, 4) from the P(8, ·) row must lengthen rows 1 and 0
+        // again, not only row 2.
+        let mut rows = HopRows::try_new(&RowPlacement::new(8), HopWeights::PAPER).unwrap();
+        let mesh = rows.clone();
+        rows.add_link(2, 4);
+        rows.remove_link(2, 4);
+        for i in 0..8 {
+            for j in i..8 {
+                let (Rows::W32(now), Rows::W32(was)) = (&rows.rows, &mesh.rows) else {
+                    unreachable!("8 routers take the 32 width")
+                };
+                assert_eq!(now[i][j], was[i][j], "H({i}, {j})");
+            }
+        }
+        assert_eq!(rows.objective().to_bits(), mesh.objective().to_bits());
     }
 
     /// `H(i, j)` as the evaluator holds it.
     fn hops(inc: &IncrementalAllPairs, i: usize, j: usize) -> u8 {
-        match &inc.rows {
+        match &inc.hops.rows {
             Rows::W32(rows) => rows[i][j],
             Rows::W64(rows) => rows[i][j],
         }

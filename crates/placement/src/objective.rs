@@ -1,7 +1,7 @@
 //! Placement objectives: what the optimizer minimises.
 
 use crate::fingerprint;
-use crate::incremental::{IncrementalAllPairs, MoveEvaluator};
+use crate::incremental::{HopRows, IncrementalAllPairs, LinkEvaluator, MoveEvaluator};
 use noc_model::RowObjective;
 use noc_routing::HopWeights;
 use noc_topology::{ConnectionMatrix, RowPlacement};
@@ -24,6 +24,62 @@ pub trait Objective: Sync {
     fn incremental_evaluator(&self, matrix: &ConnectionMatrix) -> Option<Box<dyn MoveEvaluator>> {
         let _ = matrix;
         None
+    }
+
+    /// An optional link-level evaluator tracking `placement` under single
+    /// express-link additions and removals, for the searches that score
+    /// candidate links ([`greedy_solution`], [`initial_solution`] and
+    /// [`exhaustive_optimal`]). The bit-identity contract is
+    /// [`incremental_evaluator`](Objective::incremental_evaluator)'s: the
+    /// searches compare its values with strict `<`, so identical values
+    /// keep their answers and counts identical. The default returns
+    /// `None`, which makes them evaluate every candidate placement in
+    /// full.
+    ///
+    /// [`greedy_solution`]: crate::greedy::greedy_solution
+    /// [`initial_solution`]: crate::dnc::initial_solution
+    /// [`exhaustive_optimal`]: crate::bb::exhaustive_optimal
+    fn link_evaluator(&self, placement: &RowPlacement) -> Option<Box<dyn LinkEvaluator>> {
+        let _ = placement;
+        None
+    }
+}
+
+/// The objective of `placement`: on `rows`, `objective`'s link evaluator
+/// tracking it, when there is one, else in full.
+pub(crate) fn current<O: Objective + ?Sized>(
+    objective: &O,
+    rows: Option<&dyn LinkEvaluator>,
+    placement: &RowPlacement,
+) -> f64 {
+    match rows {
+        Some(rows) => rows.objective(),
+        None => objective.eval(placement),
+    }
+}
+
+/// The objective of `placement` plus the absent express link `(a, b)`,
+/// leaving both as they were: on `rows`, `objective`'s link evaluator
+/// tracking `placement`, when there is one, else by evaluating an
+/// extended copy in full.
+pub(crate) fn with_link<O: Objective + ?Sized>(
+    objective: &O,
+    rows: Option<&mut Box<dyn LinkEvaluator>>,
+    placement: &RowPlacement,
+    (a, b): (usize, usize),
+) -> f64 {
+    match rows {
+        Some(rows) => {
+            rows.add_link(a, b);
+            let value = rows.objective();
+            rows.remove_link(a, b);
+            value
+        }
+        None => {
+            let mut extended = placement.clone();
+            extended.add_link(a, b).expect("candidate link is valid");
+            objective.eval(&extended)
+        }
     }
 }
 
@@ -82,10 +138,18 @@ impl Objective for AllPairsObjective {
     /// up to 64 routers: both paths reach the same `u64` distance sum
     /// before a single `f64` division, so the values agree bit-for-bit
     /// (property-tested in `tests/proptest_placement.rs`). Longer rows, and
-    /// weights whose distances overflow `u32`, get `None`.
+    /// weights whose distances reach past the DP's cap
+    /// [`noc_routing::INF`], get `None`.
     fn incremental_evaluator(&self, matrix: &ConnectionMatrix) -> Option<Box<dyn MoveEvaluator>> {
         IncrementalAllPairs::try_new(matrix, self.weights())
             .map(|eval| Box::new(eval) as Box<dyn MoveEvaluator>)
+    }
+
+    /// The same hop-count rows, driven one link at a time, whenever
+    /// [`HopRows::try_new`] takes the row and weights.
+    fn link_evaluator(&self, placement: &RowPlacement) -> Option<Box<dyn LinkEvaluator>> {
+        HopRows::try_new(placement, self.weights())
+            .map(|rows| Box::new(rows) as Box<dyn LinkEvaluator>)
     }
 }
 
@@ -93,9 +157,9 @@ impl Objective for AllPairsObjective {
 /// weighting pairs by an observed communication rate matrix.
 ///
 /// This objective keeps the default (full) evaluation path in the
-/// annealer: its value is a sum of `f64` products whose result depends on
-/// summation order, so an incremental update could not stay bit-identical
-/// to the full evaluator.
+/// annealer and in the link searches: its value is a sum of `f64`
+/// products whose result depends on summation order, so an incremental
+/// update could not stay bit-identical to the full evaluator.
 #[derive(Debug, Clone)]
 pub struct WeightedObjective {
     inner: RowObjective,

@@ -1,6 +1,8 @@
 //! Property-based tests for the optimizer: feasibility of every produced
 //! placement, monotonicity of the objective in the link set, SA never
-//! regressing its initial solution, and D&C bounded by the exact optimum.
+//! regressing its initial solution, D&C bounded by the exact optimum, and
+//! the link searches answering the same on the hop-count rows as under
+//! full evaluation.
 //!
 //! Cases are generated with the in-repo deterministic PRNG (`noc-rng`)
 //! instead of proptest, so the suite runs in hermetic offline builds.
@@ -8,12 +10,12 @@
 use noc_placement::dnc::DivisibleObjective;
 use noc_placement::objective::{AllPairsObjective, Objective};
 use noc_placement::{
-    anneal, exhaustive_optimal, initial_solution, sa::random_placement, IncrementalAllPairs,
-    MoveEvaluator, SaParams,
+    anneal, exhaustive_optimal, greedy_solution, initial_solution, sa::random_placement,
+    DncOutcome, IncrementalAllPairs, MoveEvaluator, SaParams,
 };
 use noc_rng::rngs::SmallRng;
 use noc_rng::{Rng, SeedableRng};
-use noc_routing::HopWeights;
+use noc_routing::{HopWeights, INF};
 use noc_topology::{ConnectionMatrix, RowPlacement};
 
 /// Random valid placement plus its link limit.
@@ -25,9 +27,9 @@ fn valid_placement(rng: &mut SmallRng) -> (RowPlacement, usize) {
     (ConnectionMatrix::from_bits(n, c, bits).unwrap().decode(), c)
 }
 
-/// The paper's objective without its incremental evaluator: the annealer
-/// scores every candidate of it by full re-evaluation, the reference the
-/// incremental path must match.
+/// The paper's objective without its incremental and link evaluators: the
+/// annealer and the link searches score every candidate of it by full
+/// re-evaluation, the reference the incremental paths must match.
 struct FullOnly(AllPairsObjective);
 
 impl Objective for FullOnly {
@@ -337,4 +339,131 @@ fn exhaustive_is_a_true_lower_bound() {
         let sa = anneal(c, &start, &obj, &SaParams::paper().with_moves(300), seed, 0);
         assert!(opt.best_objective <= sa.best_objective + 1e-12);
     });
+}
+
+/// Hop weights for a row of `n` routers: the paper's, small random ones,
+/// or a per-segment cost `T_r + T_l` one cycle under, at or over the
+/// largest with which every path stays within the DP's distance cap
+/// `INF`. Over it the paper's objective has no link evaluator, and the
+/// searches take the full path.
+fn weights_to_the_edge(n: usize, rng: &mut SmallRng) -> HopWeights {
+    let per_segment = match rng.gen_range(0u32..5) {
+        0 => return HopWeights::PAPER,
+        1 => rng.gen_range(0u32..9),
+        k => INF / (n as u32 - 1) + k - 3,
+    };
+    let unit_link_cycles = rng.gen_range(0..per_segment.min(4) + 1);
+    let weights = HopWeights {
+        router_cycles: per_segment - unit_link_cycles,
+        unit_link_cycles,
+    };
+    let fits = (n as u64 - 1) * per_segment as u64 <= INF as u64;
+    let rows = AllPairsObjective::with_weights(weights).link_evaluator(&RowPlacement::new(n));
+    assert_eq!(rows.is_some(), fits, "n = {n}, {weights:?}");
+    weights
+}
+
+fn assert_same_construction(what: &str, rows: &DncOutcome, full: &DncOutcome) {
+    assert_eq!(rows.placement, full.placement, "{what}: placement");
+    assert_eq!(
+        rows.objective.to_bits(),
+        full.objective.to_bits(),
+        "{what}: objective {} vs {}",
+        rows.objective,
+        full.objective
+    );
+    assert_eq!(rows.evaluations, full.evaluations, "{what}: evaluations");
+}
+
+/// Greedy insertion and D&C score their candidate links on the hop-count
+/// rows, and return what full evaluation of every candidate returns:
+/// the same placement, objective bits and evaluation count.
+#[test]
+fn constructions_answer_the_same_on_rows_as_in_full() {
+    for_cases(40, 0xAB, |rng| {
+        let n = rng.gen_range(2usize..25);
+        let c = rng.gen_range(1usize..9);
+        let obj = AllPairsObjective::with_weights(weights_to_the_edge(n, rng));
+        let what = format!("P({n},{c}) {:?}", obj.weights());
+        assert_same_construction(
+            &format!("greedy {what}"),
+            &greedy_solution(n, c, &obj),
+            &greedy_solution(n, c, &FullOnly(obj)),
+        );
+        assert_same_construction(
+            &format!("D&C {what}"),
+            &initial_solution(n, c, &obj),
+            &initial_solution(n, c, &FullOnly(obj)),
+        );
+    });
+}
+
+/// The branch-and-bound scores its maximal leaves on the hop-count rows,
+/// and visits and evaluates exactly what it does under full evaluation.
+#[test]
+fn branch_and_bound_answers_the_same_on_rows_as_in_full() {
+    for_cases(40, 0xAC, |rng| {
+        let n = rng.gen_range(2usize..9);
+        let c = rng.gen_range(1usize..7);
+        let obj = AllPairsObjective::with_weights(weights_to_the_edge(n, rng));
+        let what = format!("P({n},{c}) {:?}", obj.weights());
+        let rows = exhaustive_optimal(n, c, &obj);
+        let full = exhaustive_optimal(n, c, &FullOnly(obj));
+        assert_eq!(rows.best, full.best, "{what}: placement");
+        assert_eq!(
+            rows.best_objective.to_bits(),
+            full.best_objective.to_bits(),
+            "{what}: objective"
+        );
+        assert_eq!(rows.evaluations, full.evaluations, "{what}: evaluations");
+        assert_eq!(rows.nodes, full.nodes, "{what}: nodes");
+    });
+}
+
+fn links(placement: &RowPlacement) -> Vec<(usize, usize)> {
+    placement.express_links().map(|l| (l.a, l.b)).collect()
+}
+
+/// Construction outputs recorded under full evaluation of every
+/// candidate, before the searches scored on the hop-count rows.
+#[test]
+fn constructions_keep_their_recorded_outputs() {
+    let obj = AllPairsObjective::paper();
+    let greedy = greedy_solution(32, 8, &obj);
+    #[rustfmt::skip]
+    let greedy_links = [
+        (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (1, 9), (2, 5), (3, 7), (3, 9),
+        (4, 6), (5, 10), (5, 12), (5, 21), (6, 9), (7, 12), (9, 14), (9, 19), (9, 21),
+        (10, 16), (12, 18), (12, 21), (14, 18), (16, 21), (18, 20), (18, 21), (19, 21),
+        (21, 23), (21, 24), (21, 25), (21, 26), (21, 27), (21, 29), (21, 30), (23, 25),
+        (24, 28), (25, 27), (25, 30), (26, 29), (27, 29), (27, 31), (28, 31), (29, 31),
+    ];
+    assert_eq!(links(&greedy.placement), greedy_links);
+    assert_eq!(greedy.objective, 18.056640625);
+    assert_eq!(greedy.evaluations, 10_458);
+
+    let dnc = initial_solution(64, 8, &obj);
+    #[rustfmt::skip]
+    let dnc_links = [
+        (0, 2), (0, 3), (1, 3), (2, 5), (3, 10), (4, 6), (4, 7), (5, 7), (8, 10), (8, 11),
+        (9, 11), (10, 13), (10, 19), (12, 14), (12, 15), (13, 15), (16, 18), (16, 19),
+        (17, 19), (18, 21), (19, 26), (20, 22), (20, 23), (21, 23), (24, 26), (24, 27),
+        (25, 27), (26, 29), (26, 42), (28, 30), (28, 31), (29, 31), (32, 34), (32, 35),
+        (33, 35), (34, 37), (35, 42), (36, 38), (36, 39), (37, 39), (40, 42), (40, 43),
+        (41, 43), (42, 45), (42, 51), (44, 46), (44, 47), (45, 47), (48, 50), (48, 51),
+        (49, 51), (50, 53), (51, 58), (52, 54), (52, 55), (53, 55), (56, 58), (56, 59),
+        (57, 59), (58, 61), (60, 62), (60, 63), (61, 63),
+    ];
+    assert_eq!(links(&dnc.placement), dnc_links);
+    assert_eq!(dnc.objective, 37.353515625);
+    assert_eq!(dnc.evaluations, 1_952);
+
+    let optimal = exhaustive_optimal(8, 4, &obj);
+    assert_eq!(
+        links(&optimal.best),
+        [(0, 2), (0, 5), (1, 4), (2, 4), (4, 6), (4, 7), (5, 7)]
+    );
+    assert_eq!(optimal.best_objective, 6.5625);
+    assert_eq!(optimal.evaluations, 1_587);
+    assert_eq!(optimal.nodes, 30_257);
 }

@@ -23,8 +23,8 @@ use crate::protocol::{
 use noc_json::Value;
 use noc_model::{LinkBudget, PacketMix};
 use noc_placement::{
-    exhaustive_optimal, greedy_solution, initial_solution, optimize_network, solve_row,
-    AllPairsObjective, InitialStrategy, SaParams,
+    exhaustive_optimal, initial_solution, optimize_network, solve_row, AllPairsObjective,
+    InitialStrategy, SaParams,
 };
 use noc_routing::HopWeights;
 use noc_sim::{SimConfig, Simulator, SweepRunner};
@@ -331,18 +331,12 @@ fn exec_solve(r: &SolveRequest, deadline: Option<Instant>) -> Result<ExecOutput,
     let objective = AllPairsObjective::with_weights(r.weights);
     if !sa_fits_budget(r.moves as u64, r.chains as u64, deadline) {
         // Graceful degradation: the deadline budget cannot absorb the
-        // full annealing run, so answer with the deterministic
-        // constructive heuristic the SA would have started from. Seconds
-        // of budget buy a milliseconds-scale construction, so this always
-        // lands inside the deadline.
-        let out = match r.strategy {
-            InitialStrategy::Greedy => greedy_solution(r.n, r.c, &objective),
-            // Random starts carry no constructive signal; fall back to the
-            // paper's divide-and-conquer construction instead.
-            InitialStrategy::Random | InitialStrategy::DivideAndConquer => {
-                initial_solution(r.n, r.c, &objective)
-            }
-        };
+        // full annealing run, so answer with the paper's divide-and-conquer
+        // construction, whatever the strategy. It takes milliseconds at
+        // every request size (about 3 ms at n = 64), so it lands inside the
+        // deadline; greedy insertion does not (seconds at n = 64 with a
+        // large C), and random starts carry no constructive signal.
+        let out = initial_solution(r.n, r.c, &objective);
         trace_inc("service.degraded");
         return Ok(ExecOutput {
             value: noc_json::obj! {
@@ -684,6 +678,31 @@ mod tests {
             panic!("missing max_cross_section")
         };
         assert!(*mcs <= 4);
+        // A greedy line degrades to the same divide-and-conquer
+        // construction: greedy insertion can take seconds on a long row
+        // with a large C. On P(16, 8) the two constructions differ.
+        let greedy = SolveRequest {
+            n: 16,
+            c: 8,
+            strategy: InitialStrategy::Greedy,
+            moves: 2_000_000,
+            chains: 4,
+            seed: 9,
+            weights: HopWeights::PAPER,
+            checkpoint: 0,
+        };
+        let deadline = Some(Instant::now() + Duration::from_secs(2));
+        let out = execute_within(&Request::Solve(greedy), deadline).unwrap();
+        assert!(out.degraded);
+        let objective = AllPairsObjective::paper();
+        let dnc = links_json(&initial_solution(16, 8, &objective).placement);
+        let inserted = noc_placement::greedy_solution(16, 8, &objective).placement;
+        assert_ne!(links_json(&inserted), dnc);
+        assert_eq!(out.value.get("links"), Some(&dnc));
+        assert_eq!(
+            out.value.get("strategy"),
+            Some(&Value::Str("greedy".to_string()))
+        );
         // Without a deadline the same request would run in full; the
         // degraded tag must then be absent (not `false`), keeping
         // un-deadlined responses bit-identical to the pre-robustness ones.

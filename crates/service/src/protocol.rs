@@ -777,6 +777,34 @@ mod tests {
     }
 
     #[test]
+    fn optimal_takes_only_searches_measured_under_five_seconds() {
+        // Every `c` up to n = 9, where at most 2^29 − 1 nodes are visited.
+        for (n, c) in [(6, 3), (8, 3), (8, 1024), (9, 1024), (10, 3), (10, 6)] {
+            let line = format!(r#"{{"kind":"optimal","n":{n},"c":{c}}}"#);
+            assert!(parse_request(&line).is_ok(), "{line}");
+        }
+        for (n, c) in [(11, 5), (12, 4), (13, 3), (16, 2), (16, 3)] {
+            let line = format!(r#"{{"kind":"optimal","n":{n},"c":{c}}}"#);
+            assert!(parse_request(&line).is_ok(), "{line}");
+        }
+        // Refused, never run: P(10, 7) took 7.4 s, P(13, 4) 5.7 s, and
+        // P(10, 25) would visit 2^37 − 1 nodes, all its 2^36 link sets.
+        for (n, c) in [
+            (10, 7),
+            (10, 25),
+            (11, 6),
+            (12, 5),
+            (13, 4),
+            (16, 4),
+            (16, 1024),
+        ] {
+            let line = format!(r#"{{"kind":"optimal","n":{n},"c":{c}}}"#);
+            let err = parse_request(&line).expect_err(&line);
+            assert!(err.contains("field \"n\""), "{line}: {err}");
+        }
+    }
+
+    #[test]
     fn throughput_parses_and_round_trips() {
         let env = parse_request(
             r#"{"id":"t","kind":"throughput","n":8,"pattern":"ur","flit":64,"links":[[0,3]]}"#,

@@ -237,17 +237,38 @@ impl Fields for SolveRequest {
     ];
 }
 
+/// The largest `c` `optimal` takes on a row of `n` routers, at index `n`
+/// (the longest row it takes is the last index): the largest link limit
+/// whose exhaustive search measured under 5 s on a 2-vCPU VM, a sixth of
+/// the default deadline. Up to `n = 9` every `c` is: once every link fits,
+/// a larger `c` adds no node, and the search visits all `2^(L+1) − 1` of
+/// them for `L = (n − 1)(n − 2)/2` candidate links (P(9, 20), 2^29 − 1
+/// nodes, 3.8 s). The accepted searches that take longest are P(9, 30)
+/// (3.8–4.6 s) and P(16, 3) (4.0–4.3 s). The first refused `c` took
+/// 7.4 s at n = 10, 27 s at n = 11, 29 s at n = 12 and 5.7 s at n = 13
+/// (P(13, 4), 2.1e8 nodes); a longer row at the same `c` visits more
+/// nodes.
+const OPTIMAL_MAX_C: [usize; 17] = [
+    0, 0, MAX_C, MAX_C, MAX_C, MAX_C, MAX_C, MAX_C, MAX_C, MAX_C, 6, 5, 4, 3, 3, 3, 3,
+];
+
 impl Fields for OptimalRequest {
     const FIELDS: &'static [Field<Self>] = &[
-        field!("n" => n, Int(2, 16), Required),
+        field!("n" => n, Int(2, OPTIMAL_MAX_C.len() as u64 - 1), Required),
         field!("c" => c, Int(1, MAX_C as u64), Required),
         field!("router_cycles" => weights.router_cycles, HOP_CYCLES, Optional(PAPER.router_cycles)),
         field!("unit_link_cycles" => weights.unit_link_cycles, HOP_CYCLES, Optional(PAPER.unit_link_cycles)),
     ];
     fn check(&self) -> Result<(), FieldError> {
-        if self.n > 10 && self.c > 4 {
-            let why = "exhaustive search is only practical up to n = 16 with small C";
-            return Err(FieldError::Reason(why.into()));
+        let max_c = OPTIMAL_MAX_C[self.n];
+        if self.c > max_c {
+            return Err(FieldError::Invalid {
+                field: "n".to_string(),
+                reason: format!(
+                    "exhaustive search on {} routers takes c up to {max_c}",
+                    self.n
+                ),
+            });
         }
         Ok(())
     }

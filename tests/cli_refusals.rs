@@ -45,6 +45,11 @@ fn out_of_bound_and_unknown_flags_are_refused_naming_the_flag() {
             "optimal --n 8 --c 3 --unit-link-cycles 1000001",
             "--unit-link-cycles",
         ),
+        // Exhaustive searches past 5 s: `optimal` took any `c` up to
+        // n = 10 (P(10, 7) takes 7.4 s, and P(10, 25) would visit 2^37 − 1
+        // nodes) and `c` up to 4 beyond (P(13, 4) takes 5.7 s).
+        ("optimal --n 10 --c 7", "--n"),
+        ("optimal --n 13 --c 4", "--n"),
         // A checkpoint interval only a daemon's snapshot store keeps.
         ("solve --n 8 --c 4 --checkpoint 3", "--checkpoint"),
         (
