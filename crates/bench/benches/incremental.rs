@@ -1,7 +1,9 @@
 //! Per-move cost of the SA inner loop: full re-evaluation (decode the
 //! connection matrix, run the monotone all-pairs DP from scratch) versus
-//! the incremental evaluator (recompute only the hop-count rows a single
-//! bit flip changes). Both paths are bit-identical, so the ratio printed
+//! what the annealer runs on the objective's link evaluator (the flip
+//! tracker reports the express links a single bit flip changes, and the
+//! evaluator applies them in one call, recomputing only the hop-count
+//! rows they reach). Both paths are bit-identical, so the ratio printed
 //! here is pure speedup — it feeds the "SA move cost" table in
 //! EXPERIMENTS.md.
 //!
@@ -20,7 +22,7 @@
 
 use noc_bench::best_interleaved;
 use noc_placement::objective::{AllPairsObjective, Objective};
-use noc_placement::{IncrementalAllPairs, MoveEvaluator};
+use noc_placement::FlipLinks;
 use noc_rng::rngs::SmallRng;
 use noc_rng::{Rng, SeedableRng};
 use noc_topology::ConnectionMatrix;
@@ -58,9 +60,9 @@ fn main() {
         let bits = matrix.bit_count();
         let walks = SAMPLE_MOVES.div_ceil(bits);
 
-        // Full path: what the annealer does for an objective without an
-        // incremental evaluator — flip, decode, evaluate from scratch,
-        // flip back, decode, evaluate.
+        // Full path: what the annealer does for an objective without a
+        // link evaluator — flip, decode, evaluate from scratch, flip back,
+        // decode, evaluate.
         let mut full_m = matrix.clone();
         let mut full = || {
             for _ in 0..walks {
@@ -72,13 +74,17 @@ fn main() {
                 }
             }
         };
-        // Incremental path: flip and revert through the evaluator.
-        let mut inc = IncrementalAllPairs::try_new(&matrix, objective.weights()).unwrap();
+        // Incremental path: flip and revert through the tracker, applying
+        // each flip's link changes to the evaluator.
+        let mut links = FlipLinks::try_new(&matrix).unwrap();
+        let mut rows = objective.link_evaluator(&matrix.decode()).unwrap();
         let mut incremental = || {
             for _ in 0..walks {
                 for bit in 0..bits {
-                    black_box(inc.flip(bit));
-                    black_box(inc.flip(bit));
+                    rows.apply(links.flip(bit).as_slice());
+                    black_box(rows.objective());
+                    rows.apply(links.flip(bit).as_slice());
+                    black_box(rows.objective());
                 }
             }
         };

@@ -122,14 +122,14 @@ impl StaticPowerModel {
 /// changes of single-bit flips or of the link searches' single-link
 /// additions and removals, with an `O(1)` moment update per change.
 ///
-/// The latency kernel ([`IncrementalAllPairs::flip_links`]) already walks
-/// the flipped layer's spans and counts each span's multiplicity across
-/// layers, so it reports exactly the *distinct* express links a flip adds
-/// or removes. Degrees count distinct links (matching
+/// The annealer's flip tracker ([`FlipLinks::flip`]) walks the flipped
+/// layer's spans and counts each span's multiplicity across layers, so
+/// it reports exactly the *distinct* express links a flip adds or
+/// removes. Degrees count distinct links (matching
 /// [`ConnectionMatrix::decode`], which deduplicates spans encoded by
 /// several layers), so each reported change bumps its two endpoints.
 ///
-/// [`IncrementalAllPairs::flip_links`]: noc_placement::IncrementalAllPairs::flip_links
+/// [`FlipLinks::flip`]: noc_placement::FlipLinks::flip
 /// [`ConnectionMatrix::decode`]: noc_topology::ConnectionMatrix::decode
 #[derive(Debug, Clone)]
 pub struct IncrementalStaticPower {
@@ -200,10 +200,9 @@ impl IncrementalStaticPower {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_placement::IncrementalAllPairs;
+    use noc_placement::FlipLinks;
     use noc_rng::rngs::SmallRng;
     use noc_rng::{Rng, SeedableRng};
-    use noc_routing::HopWeights;
     use noc_topology::ConnectionMatrix;
 
     fn model(n: usize) -> StaticPowerModel {
@@ -249,19 +248,20 @@ mod tests {
         );
     }
 
-    /// Drives the tracker from the latency kernel's link changes, as the
-    /// scalarized evaluator does.
+    /// Drives the tracker from the flip tracker's link changes, as the
+    /// annealer feeds the scalarized evaluator.
     fn tracked(
         matrix: &ConnectionMatrix,
         m: StaticPowerModel,
-    ) -> (IncrementalAllPairs, IncrementalStaticPower) {
-        let kernel = IncrementalAllPairs::try_new(matrix, HopWeights::PAPER).unwrap();
-        (kernel, IncrementalStaticPower::new(&matrix.decode(), m))
+    ) -> (FlipLinks, IncrementalStaticPower) {
+        let links = FlipLinks::try_new(matrix).unwrap();
+        (links, IncrementalStaticPower::new(&matrix.decode(), m))
     }
 
-    /// Flips `bit` in the kernel and feeds the tracker its link changes.
-    fn flip(kernel: &mut IncrementalAllPairs, inc: &mut IncrementalStaticPower, bit: usize) {
-        for &change in kernel.flip_links(bit).as_slice() {
+    /// Flips `bit` in the flip tracker and feeds the power tracker its
+    /// link changes.
+    fn flip(links: &mut FlipLinks, inc: &mut IncrementalStaticPower, bit: usize) {
+        for &change in links.flip(bit).as_slice() {
             inc.apply(change);
         }
     }
@@ -272,7 +272,7 @@ mod tests {
         for (n, c) in [(8usize, 4usize), (12, 3), (16, 8)] {
             let m = model(n);
             let mut matrix = ConnectionMatrix::new(n, c);
-            let (mut kernel, mut inc) = tracked(&matrix, m);
+            let (mut links, mut inc) = tracked(&matrix, m);
             assert_eq!(
                 inc.objective().to_bits(),
                 m.eval_row(&matrix.decode()).to_bits(),
@@ -282,7 +282,7 @@ mod tests {
             for step in 0..300 {
                 let bit = rng.gen_range(0..bits);
                 matrix.flip_flat(bit);
-                flip(&mut kernel, &mut inc, bit);
+                flip(&mut links, &mut inc, bit);
                 let fast = inc.objective();
                 let slow = m.eval_row(&matrix.decode());
                 assert_eq!(
@@ -298,15 +298,15 @@ mod tests {
     fn flip_is_an_involution() {
         let m = model(8);
         let mut matrix = ConnectionMatrix::new(8, 4);
-        let (mut kernel, mut inc) = tracked(&matrix, m);
+        let (mut links, mut inc) = tracked(&matrix, m);
         for bit in [0usize, 7, 3, 12] {
             matrix.flip_flat(bit);
-            flip(&mut kernel, &mut inc, bit);
+            flip(&mut links, &mut inc, bit);
         }
         let before = inc.objective().to_bits();
         for bit in 0..matrix.bit_count() {
-            flip(&mut kernel, &mut inc, bit);
-            flip(&mut kernel, &mut inc, bit);
+            flip(&mut links, &mut inc, bit);
+            flip(&mut links, &mut inc, bit);
             assert_eq!(inc.objective().to_bits(), before, "bit {bit}");
         }
     }

@@ -20,11 +20,8 @@
 
 use crate::power_proxy::{IncrementalStaticPower, StaticPowerModel};
 use noc_placement::dnc::DivisibleObjective;
-use noc_placement::{
-    AllPairsObjective, HopRows, IncrementalAllPairs, LinkChange, LinkEvaluator, MoveEvaluator,
-    Objective,
-};
-use noc_topology::{ConnectionMatrix, Link, RowPlacement};
+use noc_placement::{AllPairsObjective, HopRows, LinkChange, LinkEvaluator, Objective};
+use noc_topology::{Link, RowPlacement};
 
 /// The weighted-sum objective `w_latency · L(row) + w_power · P(row)`.
 #[derive(Debug, Clone, Copy)]
@@ -79,16 +76,6 @@ impl ScalarizedObjective {
         h.write_f64(self.w_power);
         h.finish()
     }
-
-    /// Pairs a latency kernel tracking `placement` with a power tracker.
-    fn evaluator<K>(&self, latency: K, placement: &RowPlacement) -> ScalarizedEvaluator<K> {
-        ScalarizedEvaluator {
-            latency,
-            power: IncrementalStaticPower::new(placement, self.power),
-            w_latency: self.w_latency,
-            w_power: self.w_power,
-        }
-    }
 }
 
 impl Objective for ScalarizedObjective {
@@ -96,18 +83,15 @@ impl Objective for ScalarizedObjective {
         self.w_latency * self.latency.eval(row) + self.w_power * self.power.eval_row(row)
     }
 
-    /// Incremental on the rows the latency kernel takes (see
-    /// [`IncrementalAllPairs::try_new`]); `None` beyond them.
-    fn incremental_evaluator(&self, matrix: &ConnectionMatrix) -> Option<Box<dyn MoveEvaluator>> {
-        let latency = IncrementalAllPairs::try_new(matrix, self.latency.weights())?;
-        Some(Box::new(self.evaluator(latency, &matrix.decode())))
-    }
-
-    /// The latency rows, driven one link at a time, on the rows
+    /// The latency rows paired with a power tracker, on the rows
     /// [`HopRows::try_new`] takes; `None` beyond them.
     fn link_evaluator(&self, placement: &RowPlacement) -> Option<Box<dyn LinkEvaluator>> {
-        let latency = HopRows::try_new(placement, self.latency.weights())?;
-        Some(Box::new(self.evaluator(latency, placement)))
+        Some(Box::new(ScalarizedEvaluator {
+            latency: HopRows::try_new(placement, self.latency.weights())?,
+            power: IncrementalStaticPower::new(placement, self.power),
+            w_latency: self.w_latency,
+            w_power: self.w_power,
+        }))
     }
 }
 
@@ -122,54 +106,31 @@ impl DivisibleObjective for ScalarizedObjective {
     }
 }
 
-/// Evaluator pairing a latency kernel with the `O(1)` power-moment patch:
-/// [`IncrementalAllPairs`] for annealing moves, [`HopRows`] for the link
-/// searches. The kernel reports the distinct links that change, and the
-/// power tracker takes them one [`LinkChange`] at a time, so per-move cost
-/// stays within the latency kernel's envelope (benchmarked in
+/// Evaluator pairing the latency rows with the `O(1)` power-moment
+/// patch. Both take the same link changes, the annealer's at most three
+/// per flip and the searches' one per candidate, so per-move cost stays
+/// within the latency kernel's envelope (benchmarked in
 /// `benches/frontier.rs`).
 #[derive(Debug, Clone)]
-pub struct ScalarizedEvaluator<K> {
-    latency: K,
+pub struct ScalarizedEvaluator {
+    latency: HopRows,
     power: IncrementalStaticPower,
     w_latency: f64,
     w_power: f64,
 }
 
-impl<K> ScalarizedEvaluator<K> {
+impl LinkEvaluator for ScalarizedEvaluator {
     /// `w_l·L + w_p·P`, the expression [`ScalarizedObjective::eval`]
     /// computes.
-    fn blend(&self, latency: f64) -> f64 {
-        self.w_latency * latency + self.w_power * self.power.objective()
-    }
-}
-
-impl MoveEvaluator for ScalarizedEvaluator<IncrementalAllPairs> {
     fn objective(&self) -> f64 {
-        self.blend(self.latency.objective())
+        self.w_latency * self.latency.objective() + self.w_power * self.power.objective()
     }
 
-    fn flip(&mut self, bit: usize) -> f64 {
-        for &change in self.latency.flip_links(bit).as_slice() {
+    fn apply(&mut self, changes: &[LinkChange]) {
+        self.latency.apply(changes);
+        for &change in changes {
             self.power.apply(change);
         }
-        self.objective()
-    }
-}
-
-impl LinkEvaluator for ScalarizedEvaluator<HopRows> {
-    fn objective(&self) -> f64 {
-        self.blend(self.latency.objective())
-    }
-
-    fn add_link(&mut self, a: usize, b: usize) {
-        self.latency.add_link(a, b);
-        self.power.apply(LinkChange { a, b, added: true });
-    }
-
-    fn remove_link(&mut self, a: usize, b: usize) {
-        self.latency.remove_link(a, b);
-        self.power.apply(LinkChange { a, b, added: false });
     }
 
     fn set_links(&mut self, links: &[Link]) {
@@ -181,9 +142,11 @@ impl LinkEvaluator for ScalarizedEvaluator<HopRows> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_placement::FlipLinks;
     use noc_power::PowerConfig;
     use noc_rng::rngs::SmallRng;
     use noc_rng::{Rng, SeedableRng};
+    use noc_topology::ConnectionMatrix;
 
     fn scalarized(n: usize, w_latency: f64, w_power: f64) -> ScalarizedObjective {
         ScalarizedObjective::new(
@@ -200,12 +163,14 @@ mod tests {
         for (w_l, w_p) in [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.75, 0.25)] {
             let obj = scalarized(10, w_l, w_p);
             let mut matrix = ConnectionMatrix::new(10, 4);
-            let mut inc = obj.incremental_evaluator(&matrix).unwrap();
+            let mut links = FlipLinks::try_new(&matrix).unwrap();
+            let mut inc = obj.link_evaluator(&matrix.decode()).unwrap();
             let bits = matrix.bit_count();
             for step in 0..200 {
                 let bit = rng.gen_range(0..bits);
                 matrix.flip_flat(bit);
-                let fast = inc.flip(bit);
+                inc.apply(links.flip(bit).as_slice());
+                let fast = inc.objective();
                 let slow = obj.eval(&matrix.decode());
                 assert_eq!(
                     fast.to_bits(),

@@ -17,6 +17,7 @@
 //! [link evaluator]: crate::objective::Objective::link_evaluator
 
 use crate::dnc::DncOutcome;
+use crate::incremental::LinkChange;
 use crate::objective::{current, with_link, Objective};
 use noc_topology::{Link, RowPlacement};
 
@@ -57,7 +58,8 @@ pub fn greedy_solution<O: Objective + ?Sized>(
             Some((link, obj)) if obj < best_obj - 1e-12 => {
                 placement.add_link(link.a, link.b).expect("valid pair");
                 if let Some(rows) = rows.as_mut() {
-                    rows.add_link(link.a, link.b);
+                    let (a, b) = (link.a, link.b);
+                    rows.apply(&[LinkChange { a, b, added: true }]);
                 }
                 sections[link.a..link.b].iter_mut().for_each(|s| *s += 1);
                 best_obj = obj;

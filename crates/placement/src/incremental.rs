@@ -26,6 +26,12 @@
 //! lands on the same result either way. [`anneal`] keeps a
 //! `debug_assertions` cross-check of this invariant on every move.
 //!
+//! **One interface.** Every search drives the rows through
+//! [`LinkEvaluator`] with the express links that appear or vanish, as
+//! [`LinkChange`]s. An annealing flip is at most three of them, which
+//! [`FlipLinks`] reports; a greedy or D&C candidate is one, added, read
+//! and removed again; the branch-and-bound replaces the whole set.
+//!
 //! **Which links change.** Flipping the connection point of layer `l` at
 //! interior router `r` merges the two spans of that layer meeting at `r`
 //! into one, or splits one back into two. With `a` and `b` the span
@@ -39,7 +45,8 @@
 //! `H(i, ·) = min` over out-links `i → k` of `1 + H(k, ·)`, the add
 //! saturating at `u8::MAX`. A row can change only if one of its own
 //! out-links changed, which makes it the left endpoint of a changed link,
-//! or if a row it links into changed. The evaluator walks right to left:
+//! or if a row it links into changed. [`LinkEvaluator::apply`] sets or
+//! clears the mask bits of every change, then walks right to left once:
 //! it recomputes the left endpoints of the changed links, then every row
 //! with an out-link into a row that came out different. Every out-link
 //! points right, so each row is recomputed at most once, after all the
@@ -47,110 +54,81 @@
 //! nothing left of it. The annealer undoes a rejected move by flipping
 //! the same bit again, which recomputes the same rows once more.
 //!
-//! **Link-level operations.** The searches drive the same rows one link
-//! at a time, through [`LinkEvaluator`]: adding or removing link `(a, b)`
-//! sets or clears its mask bits and recomputes from row `a` as above, and
-//! replacing the whole link set recomputes every row in one right-to-left
-//! pass. [`IncrementalAllPairs`] keeps only the layer masks and span
-//! counts a flip needs, and drives the rows with the links they change.
-//!
 //! **Row width.** A row is `n` rounded up to 32 or 64 entries, a width
-//! [`IncrementalAllPairs::try_new`] picks from `n` and the compiler sees
-//! as a constant, so recomputing a row is a few vector `min`s. A
+//! [`HopRows::try_new`] picks from `n` and the compiler sees as a
+//! constant, so recomputing a row is a few vector `min`s. Each row is
+//! aligned to its width, so no row load crosses a 64-byte line. A
 //! 16-entry width for rows of up to 16 routers measured slower than 32:
 //! the compiler splits its rows into 8- and 4-byte pieces.
 //! Rows of more than [`MAX_ROUTERS`] routers do not fit the widest row
 //! or the `u64` link masks; [`HopRows::try_new`] and so
-//! [`Objective::incremental_evaluator`] and [`Objective::link_evaluator`]
-//! return `None` for them, and the annealer and the searches evaluate
-//! their candidates in full.
+//! [`Objective::link_evaluator`] return `None` for them, and the annealer
+//! and the searches evaluate their candidates in full.
 //!
 //! [`anneal`]: crate::sa::anneal
-//! [`Objective::incremental_evaluator`]: crate::objective::Objective::incremental_evaluator
 //! [`Objective::link_evaluator`]: crate::objective::Objective::link_evaluator
 //!
 //! # Example
 //!
 //! ```
-//! use noc_placement::incremental::{IncrementalAllPairs, MoveEvaluator};
+//! use noc_placement::incremental::FlipLinks;
 //! use noc_placement::objective::{AllPairsObjective, Objective};
-//! use noc_routing::HopWeights;
 //! use noc_topology::ConnectionMatrix;
 //!
 //! let full = AllPairsObjective::paper();
 //! let mut matrix = ConnectionMatrix::new(8, 4);
-//! let mut inc = IncrementalAllPairs::try_new(&matrix, HopWeights::PAPER).unwrap();
-//! assert_eq!(inc.objective(), full.eval(&matrix.decode())); // mesh row: 10.5
+//! let mut links = FlipLinks::try_new(&matrix).unwrap();
+//! let mut rows = full.link_evaluator(&matrix.decode()).unwrap();
+//! assert_eq!(rows.objective(), full.eval(&matrix.decode())); // mesh row: 10.5
 //!
-//! // Flip a few bits; the incremental value tracks the full evaluator.
+//! // Flip a few bits; the rows track the full evaluator.
 //! for bit in [0usize, 5, 11, 5] {
 //!     matrix.flip_flat(bit);
-//!     let fast = inc.flip(bit);
-//!     assert_eq!(fast.to_bits(), full.eval(&matrix.decode()).to_bits());
+//!     rows.apply(links.flip(bit).as_slice());
+//!     assert_eq!(rows.objective().to_bits(), full.eval(&matrix.decode()).to_bits());
 //! }
 //! ```
 
 use noc_routing::{HopWeights, INF};
 use noc_topology::{ConnectionMatrix, Link, RowPlacement};
 
-/// A stateful evaluator that tracks the objective of the connection matrix
-/// under single-bit flips, without re-solving the whole row each move.
-///
-/// The annealer obtains one through
-/// [`Objective::incremental_evaluator`](crate::objective::Objective::incremental_evaluator)
-/// and drives it in lock-step with its own copy of the matrix. Flipping the
-/// same bit twice restores the previous state exactly (a flip is an
-/// involution), which is how rejected moves are undone.
-pub trait MoveEvaluator {
-    /// Objective value of the placement the tracked matrix decodes to.
-    /// Must be bit-identical to the owning [`Objective`]'s `eval` of that
-    /// placement.
-    ///
-    /// [`Objective`]: crate::objective::Objective
-    fn objective(&self) -> f64;
-
-    /// Applies one bit flip (flat index as in
-    /// [`ConnectionMatrix::flip_flat`]) and returns the new objective.
-    fn flip(&mut self, bit: usize) -> f64;
-}
-
 /// A stateful evaluator that tracks the objective of an express-link set
-/// under single-link additions and removals, for the searches that score
-/// one candidate link at a time.
+/// under changes to that set.
 ///
-/// The searches obtain one through
-/// [`Objective::link_evaluator`](crate::objective::Objective::link_evaluator),
-/// score a candidate by adding it, reading the objective and removing it
-/// again, and keep the evaluator in step with the links they commit.
-pub trait LinkEvaluator {
+/// The annealer and the searches obtain one through
+/// [`Objective::link_evaluator`](crate::objective::Objective::link_evaluator).
+/// The annealer applies the links each bit flip changes, as [`FlipLinks`]
+/// reports them, and undoes a rejected flip by applying the same bit's
+/// changes again. The searches score a candidate link by adding it,
+/// reading the objective and removing it again, and keep the evaluator in
+/// step with the links they commit.
+pub trait LinkEvaluator: Send {
     /// Objective value of the tracked link set. Must be bit-identical to
     /// the owning [`Objective`]'s `eval` of that placement.
     ///
     /// [`Objective`]: crate::objective::Objective
     fn objective(&self) -> f64;
 
-    /// Adds express link `(a, b)`, `a < b`, absent from the tracked set.
-    fn add_link(&mut self, a: usize, b: usize);
-
-    /// Removes express link `(a, b)`, `a < b`, present in the tracked set.
-    fn remove_link(&mut self, a: usize, b: usize);
+    /// Adds every link of `changes` marked added, absent from the tracked
+    /// set, and removes every other one, present in it.
+    fn apply(&mut self, changes: &[LinkChange]);
 
     /// Replaces the tracked set by the distinct express links `links`.
     fn set_links(&mut self, links: &[Link]);
 }
 
-/// Longest row [`IncrementalAllPairs`] takes: one `u64` mask per router
-/// and one hop-count row of at most 64 entries.
+/// Longest row [`HopRows`] and [`FlipLinks`] take: one `u64` mask per
+/// router and one hop-count row of at most 64 entries.
 pub const MAX_ROUTERS: usize = 64;
 
-/// One distinct express link a flip added or removed.
+/// One distinct express link that appears or vanishes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkChange {
     /// Left endpoint.
     pub a: usize,
     /// Right endpoint.
     pub b: usize,
-    /// Whether the link appeared (otherwise it vanished).
+    /// Whether the link appears (otherwise it vanishes).
     pub added: bool,
 }
 
@@ -176,12 +154,32 @@ impl LinkChanges {
     }
 }
 
+/// A hop-count row `W` entries wide, aligned like its marker `A` to its
+/// own width, so no vector load of a row straddles a 64-byte line. A
+/// plain `[u8; W]` has alignment 1 and lands wherever the allocator puts
+/// the buffer, which differed for every evaluator built (DESIGN.md §9).
+#[derive(Debug, Clone, Copy)]
+struct Row<const W: usize, A> {
+    hops: [u8; W],
+    _align: [A; 0],
+}
+
+/// Aligns a 32-entry row to 32 bytes.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(32))]
+struct Align32;
+
+/// Aligns a 64-entry row to a 64-byte line.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct Align64;
+
 /// The hop-count rows `H(i, ·)`, one per router: 32 entries wide for
 /// rows of up to 32 routers, 64 for longer ones.
 #[derive(Debug, Clone)]
 enum Rows {
-    W32(Vec<[u8; 32]>),
-    W64(Vec<[u8; 64]>),
+    W32(Vec<Row<32, Align32>>),
+    W64(Vec<Row<64, Align64>>),
 }
 
 /// `LONE[64 - i..][..W]` is the row in which router `i` reaches only
@@ -200,11 +198,20 @@ fn lone<const W: usize>(i: usize) -> [u8; W] {
         .expect("a row is W entries")
 }
 
+/// The lone rows of routers `0..n`.
+fn lone_rows<const W: usize, A>(n: usize) -> Vec<Row<W, A>> {
+    let row = |i| Row {
+        hops: lone(i),
+        _align: [],
+    };
+    (0..n).map(row).collect()
+}
+
 /// Recomputes the rows in `dirty`, and every row with an out-link into a
 /// row that changed, right to left; moves `total` by each changed row's
 /// new sum minus its old.
-fn rescore<const W: usize>(
-    rows: &mut [[u8; W]],
+fn rescore<const W: usize, A: Copy>(
+    rows: &mut [Row<W, A>],
     out: &[u64; MAX_ROUTERS],
     inbound: &[u64; MAX_ROUTERS],
     mut dirty: u64,
@@ -213,25 +220,25 @@ fn rescore<const W: usize>(
     while dirty != 0 {
         let i = 63 - dirty.leading_zeros() as usize;
         dirty ^= 1 << i;
-        let old = rows[i];
+        let old = rows[i].hops;
         // The row is built in place: an accumulator carried through the
         // link loop in a local compiles to byte-by-byte code. Every row
         // but the last links to the next router.
-        rows[i] = rows[i + 1];
+        rows[i].hops = rows[i + 1].hops;
         let mut links = out[i] & (out[i] - 1);
         while links != 0 {
-            let via = rows[links.trailing_zeros() as usize];
+            let via = rows[links.trailing_zeros() as usize].hops;
             links &= links - 1;
-            for (h, v) in rows[i].iter_mut().zip(via) {
+            for (h, v) in rows[i].hops.iter_mut().zip(via) {
                 *h = (*h).min(v);
             }
         }
-        for (h, own) in rows[i].iter_mut().zip(lone::<W>(i)) {
+        for (h, own) in rows[i].hops.iter_mut().zip(lone::<W>(i)) {
             *h = h.saturating_add(1).min(own);
         }
-        if rows[i] != old {
+        if rows[i].hops != old {
             // The unreachable entries are the same in both rows.
-            *total = *total + row_sum(&rows[i]) - row_sum(&old);
+            *total = *total + row_sum(&rows[i].hops) - row_sum(&old);
             dirty |= inbound[i];
         }
     }
@@ -245,14 +252,14 @@ fn row_sum<const W: usize>(row: &[u8; W]) -> u64 {
 /// The hop-count rows of one link set: `H(i, ·)` per router, the links as
 /// out- and in-masks per router, and `ΣH` over the forward pairs.
 ///
-/// This is the kernel behind both evaluators of the all-pairs objective.
-/// [`IncrementalAllPairs`] drives it with the links a connection-matrix
-/// flip changes; as a [`LinkEvaluator`] it takes one express link at a
-/// time, for the searches that score link sets ([`greedy_solution`],
-/// [`initial_solution`], [`exhaustive_optimal`]). Adding or removing link
-/// `(a, b)` sets or clears its mask bits and recomputes row `a`, then every
-/// row that reaches a row that changed.
+/// This is the one kernel behind the all-pairs objective's
+/// [`LinkEvaluator`], for the annealer ([`anneal`]) and for the searches
+/// that score link sets ([`greedy_solution`], [`initial_solution`],
+/// [`exhaustive_optimal`]). Applying link changes sets or clears their
+/// mask bits and recomputes their left endpoints' rows, then every row
+/// that reaches a row that changed.
 ///
+/// [`anneal`]: crate::sa::anneal
 /// [`greedy_solution`]: crate::greedy::greedy_solution
 /// [`initial_solution`]: crate::dnc::initial_solution
 /// [`exhaustive_optimal`]: crate::bb::exhaustive_optimal
@@ -283,24 +290,7 @@ impl HopRows {
     /// [`INF`], the "no path" value at which the full evaluator's DP caps
     /// its `u32` distances.
     pub fn try_new(placement: &RowPlacement, weights: HopWeights) -> Option<Self> {
-        let mut hops = Self::unscored(placement.len(), weights)?;
-        hops.set_links(placement.express_links());
-        Some(hops)
-    }
-
-    /// Replaces the link set by the distinct express links `links`, and
-    /// recomputes every row in one right-to-left pass.
-    pub fn set_links(&mut self, links: impl IntoIterator<Item = Link>) {
-        self.mesh_masks();
-        for link in links {
-            self.link(link.a, link.b);
-        }
-        self.rescore_all();
-    }
-
-    /// The mesh row with rows not yet computed: every row reaches only its
-    /// own router until [`rescore_all`](Self::rescore_all).
-    fn unscored(n: usize, weights: HopWeights) -> Option<Self> {
+        let n = placement.len();
         let per_segment = weights.router_cycles as u64 + weights.unit_link_cycles as u64;
         if n > MAX_ROUTERS || (n as u64 - 1) * per_segment > INF as u64 {
             return None;
@@ -313,45 +303,39 @@ impl HopRows {
             segments: n64 * (n64 * n64 - 1) / 6,
             out: [0; MAX_ROUTERS],
             inbound: [0; MAX_ROUTERS],
+            // Every row reaches only its own router until the first
+            // rescore.
             rows: if n <= 32 {
-                Rows::W32((0..n).map(lone).collect())
+                Rows::W32(lone_rows(n))
             } else {
-                Rows::W64((0..n).map(lone).collect())
+                Rows::W64(lone_rows(n))
             },
             total_hops: u8::MAX as u64 * n64 * (n64 - 1) / 2,
         };
-        hops.mesh_masks();
+        hops.set_links(placement.express_links());
         Some(hops)
     }
 
-    /// Sets the masks to the local links alone.
-    fn mesh_masks(&mut self) {
+    /// Replaces the link set by the distinct express links `links`, and
+    /// recomputes every row in one right-to-left pass. The last row has
+    /// no out-link: it stays as it is.
+    pub fn set_links(&mut self, links: impl IntoIterator<Item = Link>) {
         self.out = [0; MAX_ROUTERS];
         self.inbound = [0; MAX_ROUTERS];
         for k in 0..self.n - 1 {
-            self.out[k] = 1 << (k + 1);
-            self.inbound[k + 1] = 1 << k;
+            self.toggle(k, k + 1);
         }
-    }
-
-    /// Sets the mask bits of link `(a, b)`; the rows are stale until
-    /// [`rescore`](Self::rescore) of row `a`.
-    fn link(&mut self, a: usize, b: usize) {
-        self.out[a] |= 1 << b;
-        self.inbound[b] |= 1 << a;
-    }
-
-    /// Clears the mask bits of link `(a, b)`; the rows are stale until
-    /// [`rescore`](Self::rescore) of row `a`.
-    fn unlink(&mut self, a: usize, b: usize) {
-        self.out[a] &= !(1 << b);
-        self.inbound[b] &= !(1 << a);
-    }
-
-    /// Recomputes every row, right to left. The last row has no out-link:
-    /// it stays as it is.
-    fn rescore_all(&mut self) {
+        for link in links {
+            self.toggle(link.a, link.b);
+        }
         self.rescore(self.row >> 1);
+    }
+
+    /// Sets or clears the mask bits of link `(a, b)`; the rows are stale
+    /// until [`rescore`](Self::rescore) of row `a`.
+    fn toggle(&mut self, a: usize, b: usize) {
+        self.out[a] ^= 1 << b;
+        self.inbound[b] ^= 1 << a;
     }
 
     /// Brings the rows up to date after the out-links of the rows in
@@ -378,22 +362,21 @@ impl LinkEvaluator for HopRows {
         (2 * forward) as f64 / (self.n * self.n) as f64
     }
 
-    fn add_link(&mut self, a: usize, b: usize) {
-        debug_assert!(
-            self.out[a] & (1 << b) == 0,
-            "added link ({a}, {b}) was absent"
-        );
-        self.link(a, b);
-        self.rescore(1 << a);
-    }
-
-    fn remove_link(&mut self, a: usize, b: usize) {
-        debug_assert!(
-            self.out[a] & (1 << b) != 0,
-            "removed link ({a}, {b}) was present"
-        );
-        self.unlink(a, b);
-        self.rescore(1 << a);
+    /// Sets or clears every change's mask bits, then recomputes once from
+    /// all their left endpoints: one right-to-left pass per flip.
+    fn apply(&mut self, changes: &[LinkChange]) {
+        let mut dirty = 0;
+        for change in changes {
+            let (a, b) = (change.a, change.b);
+            debug_assert_eq!(
+                self.out[a] & (1 << b) == 0,
+                change.added,
+                "link ({a}, {b}) added while present or removed while absent"
+            );
+            self.toggle(a, b);
+            dirty |= 1 << a;
+        }
+        self.rescore(dirty);
     }
 
     fn set_links(&mut self, links: &[Link]) {
@@ -401,59 +384,66 @@ impl LinkEvaluator for HopRows {
     }
 }
 
-/// Incremental all-pairs mean segment latency — the fast path behind
-/// [`AllPairsObjective`](crate::objective::AllPairsObjective)'s annealing.
+/// The distinct express links a connection matrix encodes, tracked under
+/// single-bit flips: what the annealer feeds its [`LinkEvaluator`].
 ///
 /// Holds the connection points of each layer as a mask and the
-/// multiplicity of every span across layers, and drives the [`HopRows`]
-/// of the distinct links they encode. [`flip`](MoveEvaluator::flip) finds
-/// the span boundaries with two bit scans and recomputes only the rows the
-/// changed links reach.
+/// multiplicity of every span across layers. [`flip`](Self::flip) finds
+/// the span boundaries next to the flipped point with two bit scans and
+/// reports the distinct links that appeared or vanished, which is none
+/// when every span it touched is a unit span or another layer encodes it
+/// too.
 #[derive(Debug, Clone)]
-pub struct IncrementalAllPairs {
+pub struct FlipLinks {
+    n: usize,
     points: usize,
+    /// Routers `0..n` as a mask.
+    row: u64,
     /// `layers[l]`: bit `r` set when interior router `r` is a connection
     /// point of layer `l`.
     layers: Vec<u64>,
     /// Layers encoding span `(a, b)`, `b − a ≥ 2`, at `a·n + b`. A link
     /// exists while its count is non-zero.
     spans: Vec<u32>,
-    hops: HopRows,
 }
 
-impl IncrementalAllPairs {
-    /// Builds the evaluator for the placement `matrix` currently decodes
-    /// to, or `None` where [`HopRows::try_new`] gives none.
-    pub fn try_new(matrix: &ConnectionMatrix, weights: HopWeights) -> Option<Self> {
+impl FlipLinks {
+    /// Tracks the links `matrix` encodes, or `None` for rows of more than
+    /// [`MAX_ROUTERS`] routers, whose layers do not fit a `u64` mask.
+    pub fn try_new(matrix: &ConnectionMatrix) -> Option<Self> {
         let n = matrix.routers();
+        if n > MAX_ROUTERS {
+            return None;
+        }
         let points = matrix.points();
-        let mut eval = IncrementalAllPairs {
+        let mut links = FlipLinks {
+            n,
             points,
+            row: u64::MAX >> (MAX_ROUTERS - n),
             layers: vec![0; matrix.layers()],
             spans: vec![0; n * n],
-            hops: HopRows::unscored(n, weights)?,
         };
         for layer in 0..matrix.layers() {
             let mut span_start = 0;
             for point in 0..points {
                 let router = point + 1;
                 if matrix.get(layer, point) {
-                    eval.layers[layer] |= 1 << router;
+                    links.layers[layer] |= 1 << router;
                 } else {
-                    eval.add_span(span_start, router);
+                    links.add_span(span_start, router);
                     span_start = router;
                 }
             }
-            eval.add_span(span_start, n - 1);
+            links.add_span(span_start, n - 1);
         }
-        eval.hops.rescore_all();
-        Some(eval)
+        Some(links)
     }
 
-    /// Applies one bit flip like [`MoveEvaluator::flip`] and returns the
-    /// distinct express links it added or removed, for trackers of other
-    /// functions of the link set.
-    pub fn flip_links(&mut self, bit: usize) -> LinkChanges {
+    /// Applies one bit flip (flat index as in
+    /// [`ConnectionMatrix::flip_flat`]) and returns the distinct express
+    /// links it added or removed. Flipping the same bit again restores
+    /// the previous state and reports the opposite changes.
+    pub fn flip(&mut self, bit: usize) -> LinkChanges {
         let layer = bit / self.points;
         let r = bit % self.points + 1;
         let connected = self.layers[layer];
@@ -461,7 +451,7 @@ impl IncrementalAllPairs {
         // Span boundaries of this layer: the row ends and every interior
         // router that is not a connection point. `r ≤ n − 2 ≤ 62`, so
         // neither shift reaches 64.
-        let bounds = !connected & self.hops.row;
+        let bounds = !connected & self.row;
         let a = 63 - (bounds & ((1 << r) - 1)).leading_zeros() as usize;
         let b = (bounds & (u64::MAX << (r + 1))).trailing_zeros() as usize;
 
@@ -478,8 +468,6 @@ impl IncrementalAllPairs {
             changes.note(a, r, true, self.add_span(a, r));
             changes.note(r, b, true, self.add_span(r, b));
         }
-        let dirty = changes.as_slice().iter().fold(0, |m, c| m | 1 << c.a);
-        self.hops.rescore(dirty);
         changes
     }
 
@@ -490,13 +478,9 @@ impl IncrementalAllPairs {
         if b - a < 2 {
             return false;
         }
-        let count = &mut self.spans[a * self.hops.n + b];
+        let count = &mut self.spans[a * self.n + b];
         *count += 1;
-        let appeared = *count == 1;
-        if appeared {
-            self.hops.link(a, b);
-        }
-        appeared
+        *count == 1
     }
 
     /// Uncounts one layer's span `(a, b)`; returns whether its express link
@@ -505,25 +489,10 @@ impl IncrementalAllPairs {
         if b - a < 2 {
             return false;
         }
-        let count = &mut self.spans[a * self.hops.n + b];
+        let count = &mut self.spans[a * self.n + b];
         debug_assert!(*count > 0, "removed span ({a}, {b}) was present");
         *count -= 1;
-        let vanished = *count == 0;
-        if vanished {
-            self.hops.unlink(a, b);
-        }
-        vanished
-    }
-}
-
-impl MoveEvaluator for IncrementalAllPairs {
-    fn objective(&self) -> f64 {
-        self.hops.objective()
-    }
-
-    fn flip(&mut self, bit: usize) -> f64 {
-        self.flip_links(bit);
-        self.objective()
+        *count == 0
     }
 }
 
@@ -534,17 +503,31 @@ mod tests {
     use noc_rng::rngs::SmallRng;
     use noc_rng::{Rng, SeedableRng};
 
+    /// The flip tracker of `matrix` and the rows it drives, as the
+    /// annealer holds them.
+    fn tracked(matrix: &ConnectionMatrix, weights: HopWeights) -> (FlipLinks, HopRows) {
+        let links = FlipLinks::try_new(matrix).unwrap();
+        (links, HopRows::try_new(&matrix.decode(), weights).unwrap())
+    }
+
+    /// Flips `bit` in the tracker, applies its changes to the rows in one
+    /// call, and returns the new objective.
+    fn flip(links: &mut FlipLinks, rows: &mut HopRows, bit: usize) -> f64 {
+        rows.apply(links.flip(bit).as_slice());
+        rows.objective()
+    }
+
     fn assert_tracks_full(matrix: &mut ConnectionMatrix, flips: &[usize]) {
         let full = AllPairsObjective::paper();
-        let mut inc = IncrementalAllPairs::try_new(matrix, HopWeights::PAPER).unwrap();
+        let (mut links, mut rows) = tracked(matrix, HopWeights::PAPER);
         assert_eq!(
-            inc.objective().to_bits(),
+            rows.objective().to_bits(),
             full.eval(&matrix.decode()).to_bits(),
             "initial state"
         );
         for (step, &bit) in flips.iter().enumerate() {
             matrix.flip_flat(bit);
-            let fast = inc.flip(bit);
+            let fast = flip(&mut links, &mut rows, bit);
             let slow = full.eval(&matrix.decode());
             assert_eq!(
                 fast.to_bits(),
@@ -578,15 +561,15 @@ mod tests {
     fn flip_is_an_involution() {
         let mut matrix = ConnectionMatrix::new(8, 4);
         // Scramble, then check flip/unflip restores the objective bits.
-        let mut inc = IncrementalAllPairs::try_new(&matrix, HopWeights::PAPER).unwrap();
+        let (mut links, mut rows) = tracked(&matrix, HopWeights::PAPER);
         for bit in [0usize, 7, 3, 12] {
             matrix.flip_flat(bit);
-            inc.flip(bit);
+            flip(&mut links, &mut rows, bit);
         }
-        let before = inc.objective().to_bits();
+        let before = rows.objective().to_bits();
         for bit in 0..matrix.bit_count() {
-            inc.flip(bit);
-            let restored = inc.flip(bit);
+            flip(&mut links, &mut rows, bit);
+            let restored = flip(&mut links, &mut rows, bit);
             assert_eq!(restored.to_bits(), before, "bit {bit}");
         }
     }
@@ -599,11 +582,11 @@ mod tests {
         };
         let full = AllPairsObjective::with_weights(weights);
         let mut matrix = ConnectionMatrix::new(8, 3);
-        let mut inc = IncrementalAllPairs::try_new(&matrix, weights).unwrap();
+        let (mut links, mut rows) = tracked(&matrix, weights);
         for bit in 0..matrix.bit_count() {
             matrix.flip_flat(bit);
             assert_eq!(
-                inc.flip(bit).to_bits(),
+                flip(&mut links, &mut rows, bit).to_bits(),
                 full.eval(&matrix.decode()).to_bits()
             );
         }
@@ -615,9 +598,10 @@ mod tests {
         // [2, 3] and [3, 4] into the express link (2, 4). Connecting it in
         // layer 1 too encodes the same span again: no distinct link changes.
         let mut matrix = ConnectionMatrix::new(8, 3);
-        let mut inc = IncrementalAllPairs::try_new(&matrix, HopWeights::PAPER).unwrap();
+        let (mut links, mut rows) = tracked(&matrix, HopWeights::PAPER);
         let points = matrix.points();
-        let merge = inc.flip_links(2);
+        let merge = links.flip(2);
+        rows.apply(merge.as_slice());
         matrix.flip_flat(2);
         assert_eq!(
             merge.as_slice(),
@@ -627,22 +611,22 @@ mod tests {
                 added: true
             }]
         );
-        let duplicate = inc.flip_links(points + 2);
+        let duplicate = links.flip(points + 2);
         matrix.flip_flat(points + 2);
         assert!(duplicate.as_slice().is_empty());
         assert_eq!(
-            inc.objective().to_bits(),
+            rows.objective().to_bits(),
             AllPairsObjective::paper().eval(&matrix.decode()).to_bits()
         );
     }
 
     #[test]
     fn takes_rows_up_to_the_mask_width_and_the_dp_distance_cap() {
-        let takes = |n, weights| {
-            IncrementalAllPairs::try_new(&ConnectionMatrix::new(n, 2), weights).is_some()
-        };
+        let takes = |n, weights| HopRows::try_new(&RowPlacement::new(n), weights).is_some();
         assert!(takes(64, HopWeights::PAPER));
         assert!(!takes(65, HopWeights::PAPER));
+        assert!(FlipLinks::try_new(&ConnectionMatrix::new(64, 2)).is_some());
+        assert!(FlipLinks::try_new(&ConnectionMatrix::new(65, 2)).is_none());
         // The full evaluator's DP caps a distance at `INF`, not at
         // `u32::MAX`: a path cost of `INF` still reads the same on both
         // paths, one cycle more does not.
@@ -654,9 +638,9 @@ mod tests {
             |n, weights| AllPairsObjective::with_weights(weights).eval(&RowPlacement::new(n));
         for (n, cap) in [(2usize, INF), (3, INF / 2)] {
             assert!(takes(n, per_segment(cap)), "n = {n}");
-            let inc = IncrementalAllPairs::try_new(&ConnectionMatrix::new(n, 2), per_segment(cap));
+            let rows = HopRows::try_new(&RowPlacement::new(n), per_segment(cap));
             assert_eq!(
-                inc.unwrap().objective().to_bits(),
+                rows.unwrap().objective().to_bits(),
                 full(n, per_segment(cap)).to_bits(),
                 "n = {n}"
             );
@@ -670,6 +654,14 @@ mod tests {
         );
     }
 
+    /// `H(i, j)` as the rows hold it.
+    fn hops(rows: &HopRows, i: usize, j: usize) -> u8 {
+        match &rows.rows {
+            Rows::W32(rows) => rows[i].hops[j],
+            Rows::W64(rows) => rows[i].hops[j],
+        }
+    }
+
     /// Every forward `H(i, j)` of `rows` against the monotone DP's hop
     /// counts on `placement`, and the objective against the full
     /// evaluator's, bit for bit.
@@ -678,12 +670,8 @@ mod tests {
         let apsp = noc_routing::monotone::monotone_apsp(placement, HopWeights::PAPER);
         for i in 0..n {
             for j in i..n {
-                let h = match &rows.rows {
-                    Rows::W32(r) => r[i][j],
-                    Rows::W64(r) => r[i][j],
-                };
                 assert_eq!(
-                    u32::from(h),
+                    u32::from(hops(rows, i, j)),
                     apsp.hops(i, j),
                     "{what}: H({i}, {j}), n = {n}"
                 );
@@ -709,12 +697,11 @@ mod tests {
             for step in 0..150 {
                 let a = rng.gen_range(0..n - 2);
                 let b = rng.gen_range(a + 2..n);
-                if placement.remove_link(a, b) {
-                    rows.remove_link(a, b);
-                } else {
+                let added = !placement.remove_link(a, b);
+                if added {
                     placement.add_link(a, b).unwrap();
-                    rows.add_link(a, b);
                 }
+                rows.apply(&[LinkChange { a, b, added }]);
                 assert_link_rows_match(&rows, &placement, &format!("step {step}, ({a}, {b})"));
                 if step % 10 == 9 {
                     let mut rebuilt =
@@ -732,36 +719,26 @@ mod tests {
         // again, not only row 2.
         let mut rows = HopRows::try_new(&RowPlacement::new(8), HopWeights::PAPER).unwrap();
         let mesh = rows.clone();
-        rows.add_link(2, 4);
-        rows.remove_link(2, 4);
+        let link = |added| [LinkChange { a: 2, b: 4, added }];
+        rows.apply(&link(true));
+        rows.apply(&link(false));
         for i in 0..8 {
             for j in i..8 {
-                let (Rows::W32(now), Rows::W32(was)) = (&rows.rows, &mesh.rows) else {
-                    unreachable!("8 routers take the 32 width")
-                };
-                assert_eq!(now[i][j], was[i][j], "H({i}, {j})");
+                assert_eq!(hops(&rows, i, j), hops(&mesh, i, j), "H({i}, {j})");
             }
         }
         assert_eq!(rows.objective().to_bits(), mesh.objective().to_bits());
     }
 
-    /// `H(i, j)` as the evaluator holds it.
-    fn hops(inc: &IncrementalAllPairs, i: usize, j: usize) -> u8 {
-        match &inc.hops.rows {
-            Rows::W32(rows) => rows[i][j],
-            Rows::W64(rows) => rows[i][j],
-        }
-    }
-
     /// Checks every forward entry of every row against the hop counts of
     /// the monotone DP's shortest paths.
-    fn assert_rows_match_dp(inc: &IncrementalAllPairs, matrix: &ConnectionMatrix, what: &str) {
+    fn assert_rows_match_dp(rows: &HopRows, matrix: &ConnectionMatrix, what: &str) {
         let n = matrix.routers();
         let apsp = noc_routing::monotone::monotone_apsp(&matrix.decode(), HopWeights::PAPER);
         for i in 0..n {
             for j in i..n {
                 assert_eq!(
-                    u32::from(hops(inc, i, j)),
+                    u32::from(hops(rows, i, j)),
                     apsp.hops(i, j),
                     "{what}: H({i}, {j}) of P({n}, {})",
                     matrix.link_limit()
@@ -776,16 +753,54 @@ mod tests {
         // link (2, 4). Only row 2 has a new out-link, but rows 1 and 0
         // reach router 4 through router 2, so they shorten too.
         let mut matrix = ConnectionMatrix::new(8, 3);
-        let mut inc = IncrementalAllPairs::try_new(&matrix, HopWeights::PAPER).unwrap();
-        assert_eq!([0, 1, 2].map(|i| hops(&inc, i, 4)), [4, 3, 2]);
+        let (mut links, mut rows) = tracked(&matrix, HopWeights::PAPER);
+        assert_eq!([0, 1, 2].map(|i| hops(&rows, i, 4)), [4, 3, 2]);
         matrix.flip_flat(2);
-        inc.flip(2);
-        assert_eq!([0, 1, 2].map(|i| hops(&inc, i, 4)), [3, 2, 1]);
-        assert_rows_match_dp(&inc, &matrix, "after the flip");
+        flip(&mut links, &mut rows, 2);
+        assert_eq!([0, 1, 2].map(|i| hops(&rows, i, 4)), [3, 2, 1]);
+        assert_rows_match_dp(&rows, &matrix, "after the flip");
         matrix.flip_flat(2);
-        inc.flip(2);
-        assert_eq!([0, 1, 2].map(|i| hops(&inc, i, 4)), [4, 3, 2]);
-        assert_rows_match_dp(&inc, &matrix, "after the undo");
+        flip(&mut links, &mut rows, 2);
+        assert_eq!([0, 1, 2].map(|i| hops(&rows, i, 4)), [4, 3, 2]);
+        assert_rows_match_dp(&rows, &matrix, "after the undo");
+    }
+
+    #[test]
+    fn one_apply_takes_a_flips_changes_at_different_left_endpoints() {
+        // One layer of P(8, 2) with routers 2 and 5 unconnected encodes
+        // the spans [0, 2], [2, 5] and [5, 7]. Connecting router 2 merges
+        // the first two: (0, 2) and (2, 5) vanish and (0, 5) appears, so
+        // rows 0 and 2 both lose an out-link. The undo splits them again.
+        let mut matrix = ConnectionMatrix::new(8, 2);
+        for router in [1, 3, 4, 6] {
+            matrix.flip_flat(router - 1);
+        }
+        let express: Vec<_> = matrix
+            .decode()
+            .express_links()
+            .map(|l| (l.a, l.b))
+            .collect();
+        assert_eq!(express, [(0, 2), (2, 5), (5, 7)]);
+        let (mut links, mut rows) = tracked(&matrix, HopWeights::PAPER);
+        let merge = [(0, 2, false), (2, 5, false), (0, 5, true)];
+        let split = [(0, 5, false), (0, 2, true), (2, 5, true)];
+        for (what, expected) in [("merge", merge), ("split", split)] {
+            let changes = links.flip(1);
+            matrix.flip_flat(1);
+            let reported: Vec<_> = changes
+                .as_slice()
+                .iter()
+                .map(|c| (c.a, c.b, c.added))
+                .collect();
+            assert_eq!(reported, expected, "{what}");
+            rows.apply(changes.as_slice());
+            assert_rows_match_dp(&rows, &matrix, what);
+            assert_eq!(
+                rows.objective().to_bits(),
+                AllPairsObjective::paper().eval(&matrix.decode()).to_bits(),
+                "{what}"
+            );
+        }
     }
 
     #[test]
@@ -795,15 +810,31 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0x0517);
         for (n, c) in [(2usize, 2usize), (12, 4), (32, 8), (33, 8), (64, 8)] {
             let mut matrix = ConnectionMatrix::new(n, c);
-            let mut inc = IncrementalAllPairs::try_new(&matrix, HopWeights::PAPER).unwrap();
-            assert_rows_match_dp(&inc, &matrix, "fresh");
+            let (mut links, mut rows) = tracked(&matrix, HopWeights::PAPER);
+            assert_rows_match_dp(&rows, &matrix, "fresh");
             let bits = matrix.bit_count();
             for step in 0..if bits == 0 { 0 } else { 120 } {
                 let bit = rng.gen_range(0..bits);
                 matrix.flip_flat(bit);
-                inc.flip(bit);
-                assert_rows_match_dp(&inc, &matrix, &format!("step {step}, flip {bit}"));
+                flip(&mut links, &mut rows, bit);
+                assert_rows_match_dp(&rows, &matrix, &format!("step {step}, flip {bit}"));
             }
+        }
+    }
+
+    #[test]
+    fn rows_are_aligned_to_their_width() {
+        assert_eq!(std::mem::size_of::<Row<32, Align32>>(), 32);
+        assert_eq!(std::mem::align_of::<Row<32, Align32>>(), 32);
+        assert_eq!(std::mem::size_of::<Row<64, Align64>>(), 64);
+        assert_eq!(std::mem::align_of::<Row<64, Align64>>(), 64);
+        for n in [2usize, 8, 32, 33, 64] {
+            let rows = HopRows::try_new(&RowPlacement::new(n), HopWeights::PAPER).unwrap();
+            let (start, width) = match &rows.rows {
+                Rows::W32(rows) => (rows.as_ptr() as usize, 32),
+                Rows::W64(rows) => (rows.as_ptr() as usize, 64),
+            };
+            assert_eq!(start % width, 0, "n = {n}");
         }
     }
 }

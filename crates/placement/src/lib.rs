@@ -16,9 +16,10 @@
 //!   cross link.
 //! * [`bb`] — exhaustive search with branch-and-bound pruning, used as the
 //!   D&C base case and as the optimality reference of §5.6.3 (Fig. 12).
-//! * [`incremental`] — exact incremental re-evaluation under single-bit
-//!   connection-matrix flips, the annealer's fast path (bit-identical to
-//!   full evaluation).
+//! * [`incremental`] — exact incremental re-evaluation under changes to
+//!   the express-link set, the fast path of the annealer (whose bit flips
+//!   change at most three links) and of the link searches (bit-identical
+//!   to full evaluation).
 //! * [`optimizer`] — end-to-end drivers: `OnlySA` vs `D&C_SA`, the per-`C`
 //!   sweep of §4 ("determine all the possible values of C, and for each C
 //!   the optimal placement; compare"), multi-chain best-of-K annealing,
@@ -54,9 +55,7 @@ pub mod sa;
 pub use bb::{exhaustive_optimal, BbOutcome};
 pub use dnc::{initial_solution, DncOutcome};
 pub use greedy::greedy_solution;
-pub use incremental::{
-    HopRows, IncrementalAllPairs, LinkChange, LinkChanges, LinkEvaluator, MoveEvaluator,
-};
+pub use incremental::{FlipLinks, HopRows, LinkChange, LinkChanges, LinkEvaluator};
 pub use naive::{anneal_naive, NaiveSaOutcome};
 pub use objective::{AllPairsObjective, Objective, WeightedObjective};
 pub use optimizer::{

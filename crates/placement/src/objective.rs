@@ -1,10 +1,10 @@
 //! Placement objectives: what the optimizer minimises.
 
 use crate::fingerprint;
-use crate::incremental::{HopRows, IncrementalAllPairs, LinkEvaluator, MoveEvaluator};
+use crate::incremental::{HopRows, LinkChange, LinkEvaluator};
 use noc_model::RowObjective;
 use noc_routing::HopWeights;
-use noc_topology::{ConnectionMatrix, RowPlacement};
+use noc_topology::RowPlacement;
 
 /// An objective function over row placements. Implementations must be cheap
 /// to evaluate — they sit in the simulated-annealing inner loop — and `Sync`
@@ -13,28 +13,18 @@ pub trait Objective: Sync {
     /// Cost of a placement (lower is better), in cycles.
     fn eval(&self, row: &RowPlacement) -> f64;
 
-    /// An optional incremental evaluator tracking single-bit flips of
-    /// `matrix`, for the annealing inner loop. Implementations returning
-    /// `Some` must guarantee the incremental values are **bit-identical**
-    /// to [`eval`](Objective::eval) on the decoded placement — the
-    /// annealer relies on this to keep accept/reject decisions, and thus
-    /// its RNG stream, the same as under full evaluation. The default
-    /// returns `None`, which makes [`anneal`](crate::sa::anneal) fall back
-    /// to full per-move evaluation.
-    fn incremental_evaluator(&self, matrix: &ConnectionMatrix) -> Option<Box<dyn MoveEvaluator>> {
-        let _ = matrix;
-        None
-    }
-
-    /// An optional link-level evaluator tracking `placement` under single
-    /// express-link additions and removals, for the searches that score
-    /// candidate links ([`greedy_solution`], [`initial_solution`] and
-    /// [`exhaustive_optimal`]). The bit-identity contract is
-    /// [`incremental_evaluator`](Objective::incremental_evaluator)'s: the
-    /// searches compare its values with strict `<`, so identical values
-    /// keep their answers and counts identical. The default returns
-    /// `None`, which makes them evaluate every candidate placement in
-    /// full.
+    /// An optional evaluator tracking `placement` under changes to its
+    /// express links: the annealer applies the links each bit flip
+    /// changes, and the searches that score candidate links
+    /// ([`greedy_solution`], [`initial_solution`] and
+    /// [`exhaustive_optimal`]) add and remove them. Implementations
+    /// returning `Some` must guarantee its values are **bit-identical** to
+    /// [`eval`](Objective::eval) on the same placement: the annealer relies
+    /// on this to keep accept/reject decisions, and thus its RNG stream,
+    /// the same as under full evaluation, and the searches compare its
+    /// values with strict `<`, so identical values keep their answers and
+    /// counts identical. The default returns `None`, which makes all of
+    /// them evaluate every candidate placement in full.
     ///
     /// [`greedy_solution`]: crate::greedy::greedy_solution
     /// [`initial_solution`]: crate::dnc::initial_solution
@@ -70,9 +60,9 @@ pub(crate) fn with_link<O: Objective + ?Sized>(
 ) -> f64 {
     match rows {
         Some(rows) => {
-            rows.add_link(a, b);
+            rows.apply(&[LinkChange { a, b, added: true }]);
             let value = rows.objective();
-            rows.remove_link(a, b);
+            rows.apply(&[LinkChange { a, b, added: false }]);
             value
         }
         None => {
@@ -134,19 +124,11 @@ impl Objective for AllPairsObjective {
         self.inner.eval(row)
     }
 
-    /// All-pairs latency supports exact incremental evaluation on rows of
-    /// up to 64 routers: both paths reach the same `u64` distance sum
-    /// before a single `f64` division, so the values agree bit-for-bit
-    /// (property-tested in `tests/proptest_placement.rs`). Longer rows, and
-    /// weights whose distances reach past the DP's cap
-    /// [`noc_routing::INF`], get `None`.
-    fn incremental_evaluator(&self, matrix: &ConnectionMatrix) -> Option<Box<dyn MoveEvaluator>> {
-        IncrementalAllPairs::try_new(matrix, self.weights())
-            .map(|eval| Box::new(eval) as Box<dyn MoveEvaluator>)
-    }
-
-    /// The same hop-count rows, driven one link at a time, whenever
-    /// [`HopRows::try_new`] takes the row and weights.
+    /// The hop-count rows ([`HopRows`]), on rows of up to 64 routers:
+    /// both paths reach the same `u64` distance sum before a single `f64`
+    /// division, so the values agree bit-for-bit (property-tested in
+    /// `tests/proptest_placement.rs`). Longer rows, and weights whose
+    /// distances reach past the DP's cap [`noc_routing::INF`], get `None`.
     fn link_evaluator(&self, placement: &RowPlacement) -> Option<Box<dyn LinkEvaluator>> {
         HopRows::try_new(placement, self.weights())
             .map(|rows| Box::new(rows) as Box<dyn LinkEvaluator>)
@@ -157,9 +139,10 @@ impl Objective for AllPairsObjective {
 /// weighting pairs by an observed communication rate matrix.
 ///
 /// This objective keeps the default (full) evaluation path in the
-/// annealer and in the link searches: its value is a sum of `f64`
-/// products whose result depends on summation order, so an incremental
-/// update could not stay bit-identical to the full evaluator.
+/// annealer and in the link searches: it has no link evaluator, since its
+/// value is a sum of `f64` products whose result depends on summation
+/// order, so an incremental update could not stay bit-identical to the
+/// full evaluator.
 #[derive(Debug, Clone)]
 pub struct WeightedObjective {
     inner: RowObjective,

@@ -7,8 +7,10 @@
 //! total average latency `L_D + L_S` is lowest.
 
 use crate::dnc::{initial_solution, DivisibleObjective};
+use crate::greedy::greedy_solution;
 use crate::objective::{AllPairsObjective, WeightedObjective};
-use crate::sa::{anneal, chain_seed, random_placement, SaOutcome, SaParams};
+use crate::resume::SaChainState;
+use crate::sa::{chain_seed, random_placement, SaOutcome, SaParams};
 use noc_model::{LatencyModel, LinkBudget, PacketMix};
 use noc_par::prelude::*;
 use noc_rng::rngs::SmallRng;
@@ -68,46 +70,63 @@ pub fn solve_row<O: DivisibleObjective>(
     params: &SaParams,
     seed: u64,
 ) -> SaOutcome {
-    let chains = params.chains.max(1);
-    let outcomes = match strategy {
-        // Random starts are per-chain: each chain draws its own initial
-        // placement from its own seed, for extra diversity.
-        InitialStrategy::Random => noc_par::par_map((0..chains).collect(), |k: usize| {
+    let chains = start_chains(n, c_limit, objective, strategy, params, seed);
+    let outcomes = noc_par::par_map(chains, |mut chain: SaChainState| {
+        chain.run_moves(objective, usize::MAX);
+        chain.into_outcome()
+    });
+    best_of_chains(seed, outcomes)
+}
+
+/// The chains of a [`solve_row`] call, each at its start, for
+/// `solve_row` to run and for [`SolveJob`](crate::resume::SolveJob) to
+/// step and snapshot.
+pub(crate) fn start_chains<O: DivisibleObjective>(
+    n: usize,
+    c_limit: usize,
+    objective: &O,
+    strategy: InitialStrategy,
+    params: &SaParams,
+    seed: u64,
+) -> Vec<SaChainState> {
+    let shared = match strategy {
+        InitialStrategy::Random => None,
+        InitialStrategy::DivideAndConquer => Some(initial_solution(n, c_limit, objective)),
+        InitialStrategy::Greedy => Some(greedy_solution(n, c_limit, objective)),
+    };
+    (0..params.chains.max(1))
+        .map(|k| {
             let chain = chain_seed(seed, k);
-            let mut rng = SmallRng::seed_from_u64(chain ^ 0x5eed_1e55_u64);
-            let initial = random_placement(n, c_limit, &mut rng);
-            anneal(c_limit, &initial, objective, params, chain, 0)
-        }),
-        InitialStrategy::DivideAndConquer | InitialStrategy::Greedy => {
-            let (initial, build_cost) = match strategy {
-                InitialStrategy::DivideAndConquer => {
-                    let init = initial_solution(n, c_limit, objective);
-                    (init.placement, init.evaluations)
-                }
-                _ => {
-                    let init = crate::greedy::greedy_solution(n, c_limit, objective);
-                    (init.placement, init.evaluations)
+            let (initial, cost) = match &shared {
+                // The shared initial solution is built once; charge its
+                // evaluations to chain 0 only so aggregate counts stay
+                // honest.
+                Some(init) => (
+                    init.placement.clone(),
+                    if k == 0 { init.evaluations } else { 0 },
+                ),
+                // Random starts are per-chain: each chain draws its own
+                // initial placement from its own seed, for extra diversity.
+                None => {
+                    let mut rng = SmallRng::seed_from_u64(chain ^ 0x5eed_1e55_u64);
+                    (random_placement(n, c_limit, &mut rng), 0)
                 }
             };
-            // The shared initial solution is built once; charge its
-            // evaluations to chain 0 only so aggregate counts stay honest.
-            noc_par::par_map((0..chains).collect(), |k: usize| {
-                let cost = if k == 0 { build_cost } else { 0 };
-                anneal(
-                    c_limit,
-                    &initial,
-                    objective,
-                    params,
-                    chain_seed(seed, k),
-                    cost,
-                )
-            })
-        }
-    };
+            SaChainState::new(c_limit, &initial, objective, params, chain, cost)
+        })
+        .collect()
+}
+
+/// Reduces the finished chains of a [`solve_row`] call with `seed` to its
+/// outcome: the winner is the first chain attaining the minimal
+/// objective, and the evaluation and acceptance counters sum over all
+/// chains. The winner's convergence trace is kept as-is, with its own
+/// chain-local evaluation axis.
+pub(crate) fn best_of_chains(seed: u64, outcomes: Vec<SaOutcome>) -> SaOutcome {
     if noc_trace::enabled() {
         // Publish the chain-index → seed mapping so `sa.epoch` events
-        // (keyed by seed; `anneal` never learns its chain index) can be
-        // grouped per chain when reading a convergence trace.
+        // (keyed by seed; a chain never learns its index) can be grouped
+        // per chain when reading a convergence trace.
         use noc_trace::FieldValue;
         for (k, outcome) in outcomes.iter().enumerate() {
             noc_trace::emit(
@@ -126,14 +145,6 @@ pub fn solve_row<O: DivisibleObjective>(
             );
         }
     }
-    best_of_chains(outcomes)
-}
-
-/// Reduces per-chain outcomes to the winner (first chain attaining the
-/// minimal objective), summing evaluation and acceptance counters across
-/// all chains. The winner's convergence trace is kept as-is, with its own
-/// chain-local evaluation axis.
-pub(crate) fn best_of_chains(outcomes: Vec<SaOutcome>) -> SaOutcome {
     let evaluations = outcomes.iter().map(|o| o.evaluations).sum();
     let accepted_moves = outcomes.iter().map(|o| o.accepted_moves).sum();
     let mut it = outcomes.into_iter();

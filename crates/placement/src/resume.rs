@@ -13,9 +13,10 @@
 //! [`SolveJob`] lifts this to the multi-chain
 //! [`solve_row`](crate::optimizer::solve_row) shape: K chains with
 //! derived seeds and strategy-dependent initial placements, stepped in
-//! lockstep stages and snapshotted as one unit, producing the same
-//! [`SaOutcome`] (winner selection, aggregated counters, `sa.chain`
-//! telemetry) as `solve_row`.
+//! lockstep stages and snapshotted as one unit. `solve_row` builds its
+//! chains and reduces their outcomes (winner selection, aggregated
+//! counters, `sa.chain` telemetry) with the same two functions, so the
+//! job produces the same [`SaOutcome`].
 //!
 //! Both expose a cheap rolling [`SaChainState::state_hash`]: an FNV-1a
 //! digest over the full dynamic state, emitted as the `sa.state_hash`
@@ -23,11 +24,11 @@
 //! pin these hashes at fixed epochs so nondeterminism is caught mid-run
 //! rather than at end-of-run fingerprint time.
 
-use crate::dnc::{initial_solution, DivisibleObjective};
-use crate::incremental::MoveEvaluator;
+use crate::dnc::DivisibleObjective;
+use crate::incremental::{FlipLinks, LinkEvaluator};
 use crate::objective::Objective;
-use crate::optimizer::InitialStrategy;
-use crate::sa::{chain_seed, emit_epoch, random_placement, SaOutcome, SaParams, TracePoint};
+use crate::optimizer::{best_of_chains, start_chains, InitialStrategy};
+use crate::sa::{emit_epoch, SaOutcome, SaParams, TracePoint};
 use noc_rng::rngs::SmallRng;
 use noc_rng::{Rng, SeedableRng};
 use noc_snapshot::{Reader, SnapshotError, Writer};
@@ -70,10 +71,12 @@ pub struct SaChainState {
     /// has run. Distinct from `next_move == total_moves`: a degenerate
     /// search space finishes at construction without a closing point.
     done: bool,
-    /// Rebuilt lazily from `matrix` on demand — a pure function of the
-    /// matrix, so it is deliberately *not* serialized; a restored chain
-    /// rebuilds it and continues bit-identically.
-    evaluator: Option<Box<dyn MoveEvaluator>>,
+    /// The objective's link evaluator and the flip tracker that feeds it
+    /// the links each flip changes. Rebuilt lazily from `matrix` on
+    /// demand — a pure function of the matrix, so it is deliberately
+    /// *not* serialized; a restored chain rebuilds it and continues
+    /// bit-identically.
+    evaluator: Option<(Box<dyn LinkEvaluator>, FlipLinks)>,
 }
 
 impl SaChainState {
@@ -138,12 +141,14 @@ impl SaChainState {
             return true;
         }
         if self.evaluator.is_none() {
-            self.evaluator = objective.incremental_evaluator(&self.matrix);
-            if let Some(ev) = &self.evaluator {
+            self.evaluator = objective
+                .link_evaluator(&self.matrix.decode())
+                .zip(FlipLinks::try_new(&self.matrix));
+            if let Some((rows, _)) = &self.evaluator {
                 debug_assert_eq!(
-                    ev.objective().to_bits(),
+                    rows.objective().to_bits(),
                     self.current_obj.to_bits(),
-                    "incremental evaluator disagrees with the full evaluator on the current placement"
+                    "link evaluator disagrees with the full evaluator on the current placement"
                 );
             }
         }
@@ -193,12 +198,13 @@ impl SaChainState {
             self.matrix.flip_flat(bit);
             let move_start = move_hist.as_ref().map(|_| std::time::Instant::now());
             let candidate_obj = match &mut self.evaluator {
-                Some(ev) => {
-                    let fast = ev.flip(bit);
+                Some((rows, links)) => {
+                    rows.apply(links.flip(bit).as_slice());
+                    let fast = rows.objective();
                     debug_assert_eq!(
                         fast.to_bits(),
                         objective.eval(&self.matrix.decode()).to_bits(),
-                        "incremental evaluator diverged from the full evaluator at move {mv}"
+                        "link evaluator diverged from the full evaluator at move {mv}"
                     );
                     fast
                 }
@@ -228,8 +234,8 @@ impl SaChainState {
                 // Undo the flip: the matrix (and evaluator) mirror the
                 // current placement.
                 self.matrix.flip_flat(bit);
-                if let Some(ev) = &mut self.evaluator {
-                    ev.flip(bit);
+                if let Some((rows, links)) = &mut self.evaluator {
+                    rows.apply(links.flip(bit).as_slice());
                 }
             }
             self.next_move = mv + 1;
@@ -262,7 +268,8 @@ impl SaChainState {
         self.done
     }
 
-    /// The chain's seed (as derived by [`chain_seed`] for job chains).
+    /// The chain's seed (as derived by
+    /// [`chain_seed`](crate::sa::chain_seed) for job chains).
     pub fn seed(&self) -> u64 {
         self.seed
     }
@@ -496,11 +503,11 @@ fn strategy_from_tag(t: u8) -> Result<InitialStrategy, SnapshotError> {
 /// [`solve_row`](crate::optimizer::solve_row) computation as a
 /// checkpointable job.
 ///
-/// Construction replicates `solve_row`'s chain fan-out exactly (per-chain
-/// random initial placements for [`InitialStrategy::Random`]; one shared
+/// Construction is `solve_row`'s own chain fan-out (per-chain random
+/// initial placements for [`InitialStrategy::Random`]; one shared
 /// deterministic initial solution with its build cost charged to chain 0
-/// otherwise). Running every chain to completion and calling
-/// [`outcome`](Self::outcome) produces the same [`SaOutcome`] —
+/// otherwise), and [`outcome`](Self::outcome) is its own reduction, so
+/// running every chain to completion produces the same [`SaOutcome`] —
 /// bit-identical best placement, aggregated counters, and `sa.chain`
 /// telemetry — as a direct `solve_row` call.
 pub struct SolveJob {
@@ -530,42 +537,6 @@ impl SolveJob {
         seed: u64,
         objective_fp: u64,
     ) -> Self {
-        let chains = params.chains.max(1);
-        let states = match strategy {
-            InitialStrategy::Random => (0..chains)
-                .map(|k| {
-                    let chain = chain_seed(seed, k);
-                    let mut rng = SmallRng::seed_from_u64(chain ^ 0x5eed_1e55_u64);
-                    let initial = random_placement(n, c_limit, &mut rng);
-                    SaChainState::new(c_limit, &initial, objective, params, chain, 0)
-                })
-                .collect(),
-            InitialStrategy::DivideAndConquer | InitialStrategy::Greedy => {
-                let (initial, build_cost) = match strategy {
-                    InitialStrategy::DivideAndConquer => {
-                        let init = initial_solution(n, c_limit, objective);
-                        (init.placement, init.evaluations)
-                    }
-                    _ => {
-                        let init = crate::greedy::greedy_solution(n, c_limit, objective);
-                        (init.placement, init.evaluations)
-                    }
-                };
-                (0..chains)
-                    .map(|k| {
-                        let cost = if k == 0 { build_cost } else { 0 };
-                        SaChainState::new(
-                            c_limit,
-                            &initial,
-                            objective,
-                            params,
-                            chain_seed(seed, k),
-                            cost,
-                        )
-                    })
-                    .collect()
-            }
-        };
         SolveJob {
             n,
             c_limit,
@@ -573,7 +544,7 @@ impl SolveJob {
             params: *params,
             seed,
             objective_fp,
-            chains: states,
+            chains: start_chains(n, c_limit, objective, strategy, params, seed),
         }
     }
 
@@ -609,7 +580,8 @@ impl SolveJob {
         self.c_limit
     }
 
-    /// The caller's seed (chain `k` runs at [`chain_seed`]`(seed, k)`).
+    /// The caller's seed (chain `k` runs at
+    /// [`chain_seed`](crate::sa::chain_seed)`(seed, k)`).
     pub fn seed(&self) -> u64 {
         self.seed
     }
@@ -655,27 +627,8 @@ impl SolveJob {
     /// # Panics
     /// Panics if any chain has moves remaining.
     pub fn outcome(&self) -> SaOutcome {
-        let outcomes: Vec<SaOutcome> = self.chains.iter().map(|c| c.outcome_clone()).collect();
-        if noc_trace::enabled() {
-            use noc_trace::FieldValue;
-            for (k, outcome) in outcomes.iter().enumerate() {
-                noc_trace::emit(
-                    "series",
-                    "sa.chain",
-                    vec![
-                        ("chain", FieldValue::U64(k as u64)),
-                        ("seed", FieldValue::U64(chain_seed(self.seed, k))),
-                        ("best", FieldValue::F64(outcome.best_objective)),
-                        ("evaluations", FieldValue::U64(outcome.evaluations as u64)),
-                        (
-                            "accepted_moves",
-                            FieldValue::U64(outcome.accepted_moves as u64),
-                        ),
-                    ],
-                );
-            }
-        }
-        crate::optimizer::best_of_chains(outcomes)
+        let outcomes = self.chains.iter().map(|c| c.outcome_clone()).collect();
+        best_of_chains(self.seed, outcomes)
     }
 
     /// Serialises the job (identity fields plus every chain) into a

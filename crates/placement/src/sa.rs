@@ -14,10 +14,11 @@
 //! Chain fan-out lives in [`solve_row`](crate::optimizer::solve_row);
 //! [`anneal`] itself is always one chain.
 //!
-//! A candidate is scored by the objective's incremental evaluator
-//! ([`crate::incremental`]) when it offers one, which is bit-identical to
-//! the paper's full re-evaluation and much cheaper per move, and by full
-//! re-evaluation otherwise.
+//! A candidate is scored by the objective's link evaluator
+//! ([`crate::incremental`]) when it offers one, fed the at most three
+//! express links the flip changes; that is bit-identical to the paper's
+//! full re-evaluation and much cheaper per move. Otherwise every
+//! candidate is re-evaluated in full.
 
 use crate::objective::Objective;
 use noc_rng::rngs::SmallRng;
@@ -119,8 +120,8 @@ pub struct TracePoint {
     /// Objective evaluations performed so far — the schedule-comparison
     /// axis of Fig. 7. One candidate costs one evaluation however it is
     /// scored: a full `O(n·e)` routing solve, or, where the objective
-    /// offers an incremental evaluator, a recount of only the hop-count
-    /// rows a bit flip changes (same count, cheaper wall-clock).
+    /// offers a link evaluator, a recount of only the hop-count rows a bit
+    /// flip changes (same count, cheaper wall-clock).
     pub evaluations: usize,
     /// Best objective value seen so far (cycles).
     pub best_objective: f64,
@@ -150,10 +151,13 @@ pub struct SaOutcome {
 /// initial solution (the D&C procedure), so traces of `OnlySA` and `D&C_SA`
 /// share a comparable runtime axis (Fig. 7).
 ///
-/// Where the objective offers a [`MoveEvaluator`](crate::incremental::MoveEvaluator)
-/// ([`Objective::incremental_evaluator`]), the per-move objective comes
-/// from it, updating only the hop-count rows a bit flip changes; with
-/// `debug_assertions` every move cross-checks that value bit-for-bit
+/// Where the objective offers a [`LinkEvaluator`](crate::incremental::LinkEvaluator)
+/// ([`Objective::link_evaluator`]), the per-move objective comes from
+/// it: a [`FlipLinks`](crate::incremental::FlipLinks) tracker reports the
+/// at most three express links a bit flip adds or removes, and the
+/// evaluator applies them in one pass over the hop-count rows they reach.
+/// A rejected move is undone by flipping the same bit again. With
+/// `debug_assertions` every move cross-checks the value bit-for-bit
 /// against a full re-evaluation. Otherwise every candidate is decoded and
 /// re-evaluated in full. The accept/reject sequence, RNG stream, counters
 /// and outcome are the same either way.

@@ -11,7 +11,7 @@ use noc_placement::dnc::DivisibleObjective;
 use noc_placement::objective::{AllPairsObjective, Objective};
 use noc_placement::{
     anneal, exhaustive_optimal, greedy_solution, initial_solution, sa::random_placement,
-    DncOutcome, IncrementalAllPairs, MoveEvaluator, SaParams,
+    DncOutcome, FlipLinks, SaParams,
 };
 use noc_rng::rngs::SmallRng;
 use noc_rng::{Rng, SeedableRng};
@@ -27,9 +27,9 @@ fn valid_placement(rng: &mut SmallRng) -> (RowPlacement, usize) {
     (ConnectionMatrix::from_bits(n, c, bits).unwrap().decode(), c)
 }
 
-/// The paper's objective without its incremental and link evaluators: the
-/// annealer and the link searches score every candidate of it by full
-/// re-evaluation, the reference the incremental paths must match.
+/// The paper's objective without its link evaluator: the annealer and the
+/// link searches score every candidate of it by full re-evaluation, the
+/// reference the incremental paths must match.
 struct FullOnly(AllPairsObjective);
 
 impl Objective for FullOnly {
@@ -107,9 +107,10 @@ fn random_matrix(n: usize, c: usize, rng: &mut SmallRng) -> ConnectionMatrix {
     ConnectionMatrix::from_bits(n, c, bits).unwrap()
 }
 
-/// Drives an incremental evaluator through `flips` from `matrix` and
-/// checks it against [`AllPairsObjective::eval`] bit for bit after every
-/// flip.
+/// Drives the paper objective's link evaluator through `flips` from
+/// `matrix` the way the annealer does, one `apply` of each flip's link
+/// changes, and checks it against [`AllPairsObjective::eval`] bit for bit
+/// after every flip.
 fn assert_agrees(
     mut matrix: ConnectionMatrix,
     weights: HopWeights,
@@ -117,7 +118,8 @@ fn assert_agrees(
 ) {
     let (n, c) = (matrix.routers(), matrix.link_limit());
     let obj = AllPairsObjective::with_weights(weights);
-    let mut inc = IncrementalAllPairs::try_new(&matrix, weights).unwrap();
+    let mut links = FlipLinks::try_new(&matrix).unwrap();
+    let mut inc = obj.link_evaluator(&matrix.decode()).unwrap();
     assert_eq!(
         inc.objective().to_bits(),
         obj.eval(&matrix.decode()).to_bits(),
@@ -125,7 +127,8 @@ fn assert_agrees(
     );
     for (step, bit) in flips.into_iter().enumerate() {
         matrix.flip_flat(bit);
-        let fast = inc.flip(bit);
+        inc.apply(links.flip(bit).as_slice());
+        let fast = inc.objective();
         let slow = obj.eval(&matrix.decode());
         assert_eq!(
             fast.to_bits(),
@@ -142,7 +145,7 @@ fn random_flips(matrix: &ConnectionMatrix, count: usize, rng: &mut SmallRng) -> 
     (0..count).map(|_| rng.gen_range(0..bits)).collect()
 }
 
-/// The incremental evaluator agrees with the full evaluator bit-for-bit
+/// The link evaluator agrees with the full evaluator bit-for-bit
 /// after arbitrary flip sequences, starting from random valid placements,
 /// for every feasible link limit on small rows.
 #[test]
@@ -247,17 +250,13 @@ fn incremental_matches_full_through_undo_sequences() {
     }
 }
 
-/// Rows longer than the 64-bit masks get no incremental evaluator, so the
+/// Rows longer than the 64-bit masks get no link evaluator, so the
 /// paper's objective anneals them in full, as the full-only one does.
 #[test]
 fn rows_past_the_mask_width_anneal_identically_in_both_modes() {
     let obj = AllPairsObjective::paper();
-    assert!(obj
-        .incremental_evaluator(&ConnectionMatrix::new(64, 3))
-        .is_some());
-    assert!(obj
-        .incremental_evaluator(&ConnectionMatrix::new(65, 3))
-        .is_none());
+    assert!(obj.link_evaluator(&RowPlacement::new(64)).is_some());
+    assert!(obj.link_evaluator(&RowPlacement::new(65)).is_none());
     for n in [64usize, 65] {
         let row = RowPlacement::new(n);
         let base = SaParams::paper().with_moves(300);
@@ -274,7 +273,7 @@ fn rows_past_the_mask_width_anneal_identically_in_both_modes() {
     }
 }
 
-/// Annealing with the incremental evaluator and with full re-evaluation
+/// Annealing with the link evaluator and with full re-evaluation
 /// takes the same trajectory: same best placement, objective bits, and
 /// counters.
 #[test]
@@ -295,7 +294,7 @@ fn sa_evaluation_modes_agree_bit_for_bit() {
 }
 
 /// On every instance small enough for the branch-and-bound oracle, the
-/// paper-budget annealer reaches the exact optimum with the incremental
+/// paper-budget annealer reaches the exact optimum with the link
 /// evaluator and with full re-evaluation — the incremental fast path
 /// changes the speed, not the optima.
 #[test]

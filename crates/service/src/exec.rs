@@ -314,44 +314,64 @@ pub enum ExecError {
 /// budget; a wrong "run full" risks missing the deadline.
 const MOVES_PER_MS: u64 = 100;
 
-/// Whether a full SA run of `moves × chains` plausibly fits in the
-/// remaining deadline budget.
-fn sa_fits_budget(moves: u64, chains: u64, deadline: Option<Instant>) -> bool {
+/// An upper bound on the candidate evaluations of greedy insertion on
+/// `P(n, C)`: with `L = (n−1)(n−2)/2` candidate links and at most
+/// `k = min(L, ⌊(C−1)(n−1)/2⌋)` of them fitting the `n − 1` cuts, each
+/// round scores at most the `L − r` candidates not yet placed, over at
+/// most `k` rounds that place a link and a last one that places none.
+fn greedy_evaluations_bound(n: u64, c: u64) -> u64 {
+    let candidates = (n - 1) * (n - 2) / 2;
+    let fitting = candidates.min((c - 1) * (n - 1) / 2);
+    1 + (0..=fitting).map(|r| candidates - r).sum::<u64>()
+}
+
+/// Whether a full solve plausibly fits in the remaining deadline budget:
+/// its SA run of `moves × chains`, plus greedy insertion's candidate
+/// evaluations when that strategy builds the start, each priced as one
+/// move. The divide-and-conquer construction is left uncharged: it takes
+/// milliseconds at every request size.
+fn solve_fits_budget(r: &SolveRequest, deadline: Option<Instant>) -> bool {
     let Some(deadline) = deadline else {
         return true;
     };
     let remaining_ms = deadline
         .saturating_duration_since(Instant::now())
         .as_millis() as u64;
-    let estimated_ms = moves.saturating_mul(chains) / MOVES_PER_MS;
+    let construction = match r.strategy {
+        InitialStrategy::Greedy => greedy_evaluations_bound(r.n as u64, r.c as u64),
+        InitialStrategy::DivideAndConquer | InitialStrategy::Random => 0,
+    };
+    let moves = (r.moves as u64).saturating_mul(r.chains as u64);
+    let estimated_ms = moves.saturating_add(construction) / MOVES_PER_MS;
     estimated_ms <= remaining_ms
 }
 
 fn exec_solve(r: &SolveRequest, deadline: Option<Instant>) -> Result<ExecOutput, ExecError> {
     let objective = AllPairsObjective::with_weights(r.weights);
-    if !sa_fits_budget(r.moves as u64, r.chains as u64, deadline) {
+    if !solve_fits_budget(r, deadline) {
         // Graceful degradation: the deadline budget cannot absorb the
-        // full annealing run, so answer with the paper's divide-and-conquer
+        // full solve, so answer with the paper's divide-and-conquer
         // construction, whatever the strategy. It takes milliseconds at
         // every request size (about 3 ms at n = 64), so it lands inside the
         // deadline; greedy insertion does not (seconds at n = 64 with a
         // large C), and random starts carry no constructive signal.
         let out = initial_solution(r.n, r.c, &objective);
         trace_inc("service.degraded");
-        return Ok(ExecOutput {
-            value: noc_json::obj! {
-                "n" => Value::Int(r.n as i128),
-                "c" => Value::Int(r.c as i128),
-                "strategy" => Value::Str(r.strategy.name().to_string()),
-                "chains" => Value::Int(r.chains as i128),
-                "seed" => Value::Int(r.seed as i128),
-                "objective" => Value::Float(out.objective),
-                "links" => links_json(&out.placement),
-                "max_cross_section" => Value::Int(out.placement.max_cross_section() as i128),
-                "evaluations" => Value::Int(out.evaluations as i128),
-                "accepted_moves" => Value::Int(0),
-                "degraded" => Value::Bool(true),
+        let mut value = solve_payload(
+            r,
+            &noc_placement::SaOutcome {
+                best: out.placement,
+                best_objective: out.objective,
+                evaluations: out.evaluations,
+                accepted_moves: 0,
+                trace: Vec::new(),
             },
+        );
+        if let Value::Obj(fields) = &mut value {
+            fields.push(("degraded".to_string(), Value::Bool(true)));
+        }
+        return Ok(ExecOutput {
+            value,
             degraded: true,
         });
     }
@@ -703,6 +723,26 @@ mod tests {
             out.value.get("strategy"),
             Some(&Value::Str("greedy".to_string()))
         );
+        // Greedy's construction is charged too: on P(32, 64) all 465
+        // candidate links fit, and its bound of 108,346 candidate
+        // evaluations prices at over a second, so a line whose one move
+        // fits a 50 ms deadline still degrades.
+        let construction = SolveRequest {
+            n: 32,
+            c: 64,
+            strategy: InitialStrategy::Greedy,
+            moves: 1,
+            chains: 1,
+            seed: 9,
+            weights: HopWeights::PAPER,
+            checkpoint: 0,
+        };
+        let deadline = Some(Instant::now() + Duration::from_millis(50));
+        let out = execute_within(&Request::Solve(construction), deadline).unwrap();
+        assert!(out.degraded);
+        assert_eq!(out.value.get("degraded"), Some(&Value::Bool(true)));
+        let dnc = links_json(&initial_solution(32, 64, &objective).placement);
+        assert_eq!(out.value.get("links"), Some(&dnc));
         // Without a deadline the same request would run in full; the
         // degraded tag must then be absent (not `false`), keeping
         // un-deadlined responses bit-identical to the pre-robustness ones.
@@ -722,6 +762,19 @@ mod tests {
             panic!("expected object")
         };
         assert!(fields.iter().all(|(k, _)| k != "degraded"));
+    }
+
+    #[test]
+    fn greedy_bound_covers_the_evaluations_it_prices() {
+        let objective = AllPairsObjective::paper();
+        for (n, c) in [(2usize, 1usize), (8, 2), (8, 4), (16, 8), (32, 8), (32, 64)] {
+            let used = noc_placement::greedy_solution(n, c, &objective).evaluations as u64;
+            let bound = greedy_evaluations_bound(n as u64, c as u64);
+            assert!(used <= bound, "P({n},{c}): {used} > {bound}");
+        }
+        // Every link of the longest row fits: 1 + Σ_{m ≤ 1953} m
+        // evaluations, 19.1 s at 100 per ms.
+        assert_eq!(greedy_evaluations_bound(64, 1024), 1_908_082);
     }
 
     #[test]

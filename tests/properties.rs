@@ -6,7 +6,7 @@
 //! instead of proptest, so the suite runs in hermetic offline builds.
 
 use express_noc::model::{LatencyModel, PacketMix};
-use express_noc::placement::{AllPairsObjective, IncrementalAllPairs, MoveEvaluator, Objective};
+use express_noc::placement::{AllPairsObjective, FlipLinks, Objective};
 use express_noc::routing::{channel_dependency_cycle, DorRouter, HopWeights};
 use express_noc::sim::{SimConfig, Simulator};
 use express_noc::topology::{ConnectionMatrix, MeshTopology};
@@ -136,17 +136,19 @@ fn sa_reachable_matrices_stay_valid() {
     });
 }
 
-/// The incremental move evaluator must stay *bit-identical* to the full
-/// all-pairs objective across arbitrary random flip bursts — this is the
-/// contract SA relies on when it skips full re-evaluation.
+/// The link evaluator, fed each flip's link changes as the annealer
+/// feeds it, must stay *bit-identical* to the full all-pairs objective
+/// across arbitrary random flip bursts — this is the contract SA relies
+/// on when it skips full re-evaluation.
 #[test]
-fn incremental_evaluator_matches_full_eval_after_flip_bursts() {
+fn link_evaluator_matches_full_eval_after_flip_bursts() {
     for_cases(10, 0xE5, |rng| {
         let n = rng.gen_range(4usize..11);
         let c = rng.gen_range(2usize..5);
         let mut matrix = ConnectionMatrix::new(n, c);
-        let mut eval = IncrementalAllPairs::try_new(&matrix, HopWeights::PAPER).unwrap();
         let full = AllPairsObjective::paper();
+        let mut links = FlipLinks::try_new(&matrix).unwrap();
+        let mut eval = full.link_evaluator(&matrix.decode()).unwrap();
         assert_eq!(
             eval.objective().to_bits(),
             full.eval(&matrix.decode()).to_bits(),
@@ -158,7 +160,8 @@ fn incremental_evaluator_matches_full_eval_after_flip_bursts() {
             for _ in 0..burst {
                 let bit = rng.gen_range(0..matrix.bit_count());
                 matrix.flip_flat(bit);
-                incremental = eval.flip(bit);
+                eval.apply(links.flip(bit).as_slice());
+                incremental = eval.objective();
             }
             let reference = full.eval(&matrix.decode());
             assert_eq!(
